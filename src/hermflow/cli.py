@@ -40,7 +40,7 @@ from .eigensolver import eigh
 from .flow import save_checkpoint
 from .galerkin import assemble_hamiltonian, potential_from_descriptor
 from .hermite import BasisSpec
-from .quadrature import gauss_hermite_rule
+from .quadrature import MAX_ORDER, gauss_hermite_rule
 from .trainer import TrainingConfig, train
 
 __all__ = ["ExperimentConfig", "ConfigError", "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
@@ -97,8 +97,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.N is not None and self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.Q < 1:
-            raise ConfigError(f"Q must be >= 1, got {self.Q}")
+        if not 1 <= self.Q <= MAX_ORDER:
+            raise ConfigError(f"Q must lie in [1, {MAX_ORDER}], got {self.Q}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        if self.blocks < 1:
+            raise ConfigError(f"blocks must be >= 1, got {self.blocks}")
         if not 0.0 < self.lipschitz_margin < 1.0:
             raise ConfigError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
         if self.learning_rate <= 0:

@@ -11,11 +11,15 @@ That bound makes every residual stage a contraction, hence F (and G) is a
 strictly increasing bijection of the interval (beta - alpha, beta + alpha)
 onto itself, invertible by Banach fixed-point iteration.
 
-Evaluation is written against duck-typed scalars, so the same code runs on
-plain numpy values and on `autodiff.Var` nodes when a loss is being
-differentiated.  First and second derivatives with respect to the input are
-propagated alongside the value as order-2 jets; Galerkin assembly needs
-G, G' and G'' at every quadrature node.
+First and second derivatives with respect to the input are propagated
+alongside the value as order-2 jets; Galerkin assembly and the trace loss
+need G, G' and G'' at every quadrature node.  The jets are computed on plain
+arrays by one forward sweep, whose reverse sweep (`_jets_reverse`) gives the
+gradient of any function of the jets with respect to every parameter.  The
+weights are rank-one, so each stage's hidden layer is an outer product and
+every sum over hidden units is a matrix-vector product.  A second, duck-typed
+copy of the forward sweep runs on `autodiff.Var` nodes; it is kept only as the
+reference the adjoint is tested against.
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -212,12 +216,15 @@ def spectral_norm(W: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
 
 
 def _block_scales(block: ResidualBlock, c: float):
-    """Detached factors bringing each weight matrix to spectral norm <= sqrt(c)."""
+    """Detached factors bringing each weight matrix to spectral norm <= sqrt(c).
+
+    The weights are an (h, 1) column and a (1, h) row, whose only singular
+    value is their Euclidean norm.
+    """
     target = np.sqrt(c)
     scales = []
     for w in (block.w_in, block.w_out):
-        raw = w.value if isinstance(w, Var) else w
-        sig = spectral_norm(raw)
+        sig = np.linalg.norm(w.value if isinstance(w, Var) else w)
         scales.append(1.0 if sig <= target else target / sig)
     return scales[0], scales[1]
 
@@ -266,14 +273,20 @@ def _residual_jets(block: ResidualBlock, s_in: float, s_out: float, z0, z1, z2):
 
 
 def _map_jets(params: FlowParams, x: np.ndarray):
-    """(G(x), G'(x), G''(x)) at the given points, on either backend."""
+    """(G(x), G'(x), G''(x)) at the given points."""
+    if isinstance(params.alpha, Var):
+        return _taped_map_jets(params, x)
+    return _jets_forward(params, x)[0]
+
+
+def _taped_map_jets(params: FlowParams, x: np.ndarray):
+    """The jets on a taped view of the parameters: the adjoint's test reference."""
     x = np.asarray(x, dtype=float)
     c = params.lipschitz_margin
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     raw = (x - params.beta) / params.alpha
     t0 = ad.clip(raw, lo, hi)
-    raw_vals = raw.value if isinstance(raw, Var) else raw
-    inside = ((raw_vals > lo) & (raw_vals < hi)).astype(float)
+    inside = ((raw.value > lo) & (raw.value < hi)).astype(float)
     t1 = inside / params.alpha
     # u = atanh(t)
     u0 = ad.atanh(t0)
@@ -290,6 +303,106 @@ def _map_jets(params: FlowParams, x: np.ndarray):
     d1 = gp * z1
     d2 = gpp * z1 * z1 + gp * z2
     return g * params.alpha + params.beta, d1 * params.alpha, d2 * params.alpha
+
+
+def _jets_forward(params: FlowParams, x: np.ndarray):
+    """Forward sweep: ((G, G', G''), what `_jets_reverse` needs) at the points x.
+
+    In a stage with scaled weights a = s_in w_in and c = s_out w_out / 1.1
+    (lipswish is f(p)/1.1 with f(p) = p sigmoid(p)), the pre-activations are
+    pre0 = a z0 + b_in, pre1 = a z1 and pre2 = a z2.  With u = c*a and
+    v = u*a the stage's jets are
+        k0 = c.f(pre0) + b_out,  k1 = z1 (u.f'(pre0)),
+        k2 = z1^2 (v.f''(pre0)) + z2 (u.f'(pre0)),
+    so only pre0 and f, f', f'' are (hidden, points) arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    alpha, beta, margin = params.alpha, params.beta, params.lipschitz_margin
+    lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
+    raw = (x - beta) / alpha
+    inside = ((raw > lo) & (raw < hi)).astype(float)
+    t0 = np.clip(raw, lo, hi)
+    t1 = inside / alpha
+    up = 1.0 / (1.0 - t0 * t0)
+    z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
+    stages = []
+    for block in params.blocks:
+        s_in, s_out = _block_scales(block, margin)
+        a = s_in * np.ravel(block.w_in)
+        c = s_out * np.ravel(block.w_out) / 1.1
+        u = c * a
+        v = u * a
+        # a z0 + b_in as one rank-two product, which is cheaper than an outer product
+        pre = np.column_stack((a, block.b_in)) @ np.vstack((z0, np.ones_like(z0)))
+        sig = 1.0 / (1.0 + np.exp(-pre))
+        sig1 = sig * (1.0 - sig)
+        sig2 = sig1 * (1.0 - 2.0 * sig)
+        f0 = pre * sig
+        f1 = sig + pre * sig1
+        f2 = 2.0 * sig1 + pre * sig2
+        p1, p2 = u @ f1, v @ f2
+        stages.append(
+            (s_in, s_out, a, c, u, v, z0, z1, z2, pre, sig, sig1, sig2, f0, f1, f2, p1, p2)
+        )
+        z0, z1, z2 = z0 + c @ f0 + block.b_out, z1 + z1 * p1, z2 + z1 * z1 * p2 + z2 * p1
+    g = np.tanh(z0)
+    gp = 1.0 - g * g
+    gpp = -2.0 * g * gp
+    jets = (g * alpha + beta, gp * z1 * alpha, (gpp * z1 * z1 + gp * z2) * alpha)
+    saved = (raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2)
+    return jets, saved
+
+
+def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
+    """Reverse sweep of `_jets_forward`.
+
+    Given the adjoints dL/dG, dL/dG', dL/dG'' at each point, returns dL/dtheta
+    in `params.pack()` order.  The weight scales are held fixed, as on the tape.
+    A stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar +
+    f'''(pre0) v p2_bar (outer products of hidden and point vectors); it is
+    used only through its sums against 1, z0 and a, so it is never formed.
+    """
+    alpha = params.alpha
+    raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2 = saved
+    # G = alpha g + beta, G' = alpha gp z1, G'' = alpha (gpp z1^2 + gp z2)
+    alpha_bar = float(bar0 @ g + bar1 @ (gp * z1) + bar2 @ (gpp * z1 * z1 + gp * z2))
+    beta_bar = float(bar0.sum())
+    gpp_bar = alpha * bar2 * z1 * z1
+    gp_bar = alpha * (bar1 * z1 + bar2 * z2) - 2.0 * g * gpp_bar
+    g_bar = alpha * bar0 - 2.0 * gp * gpp_bar - 2.0 * g * gp_bar
+    z0_bar = g_bar * gp
+    z1_bar = alpha * (bar1 * gp + 2.0 * bar2 * gpp * z1)
+    z2_bar = alpha * bar2 * gp
+    pieces = []
+    for (s_in, s_out, a, c, u, v, z0, z1, z2, pre, sig, sig1, sig2, f0, f1, f2, p1, p2) in reversed(
+        stages
+    ):
+        # z + k(z): the identity passes the adjoints through, k adds to them
+        p1_bar = z1_bar * z1 + z2_bar * z2
+        p2_bar = z2_bar * z1 * z1
+        f3 = 3.0 * sig2 + pre * (sig2 * (1.0 - 2.0 * sig) - 2.0 * sig1 * sig1)
+        m1 = f1 @ np.column_stack((z0_bar, z0_bar * z0))
+        m2 = f2 @ np.column_stack((p1_bar, p1_bar * z0))
+        m3 = f3 @ np.column_stack((p2_bar, p2_bar * z0))
+        b_in_bar, pre_bar_z0 = (c[:, None] * m1 + u[:, None] * m2 + v[:, None] * m3).T
+        u_bar, v_bar = f1 @ p1_bar, f2 @ p2_bar
+        a_bar = pre_bar_z0 + (u_bar + 2.0 * v_bar * a) * c
+        c_bar = f0 @ z0_bar + (u_bar + v_bar * a) * a
+        pieces.append((s_in * a_bar, b_in_bar, (s_out / 1.1) * c_bar, [z0_bar.sum()]))
+        # z0 gains a.pre0_bar, where u.f' = p1 and v.f'' = p2
+        z0_bar = z0_bar + p1 * z0_bar + p2 * p1_bar + ((v * a) @ f3) * p2_bar
+        z1_bar, z2_bar = z1_bar + z1_bar * p1 + 2.0 * z2_bar * z1 * p2, z2_bar + z2_bar * p1
+    # z0 = atanh(t0), z1 = up t1, z2 = 2 t0 up^2 t1^2 with up = 1/(1 - t0^2)
+    up_bar = z1_bar * t1 + 4.0 * z2_bar * t0 * up * t1 * t1
+    t1_bar = z1_bar * up + 4.0 * z2_bar * t0 * up * up * t1
+    t0_bar = (z0_bar + 2.0 * z2_bar * up * t1 * t1 + 2.0 * up_bar * t0 * up) * up
+    raw_bar = t0_bar * inside
+    # raw = (x - beta)/alpha, t1 = inside/alpha
+    alpha_bar -= float(raw_bar @ raw + t1_bar @ t1) / alpha
+    beta_bar -= float(raw_bar.sum()) / alpha
+    flat = [p for stage in reversed(pieces) for p in stage]
+    flat.append([alpha_bar, beta_bar])
+    return np.concatenate([np.ravel(p) for p in flat])
 
 
 def flow_forward(params: FlowParams, x):

@@ -54,25 +54,31 @@ class MonotonicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential with a human-readable descriptor.
+    """Scalar potential with a human-readable descriptor and its derivative V'.
 
-    The callable must be written in elementary arithmetic (+, *, integer
-    powers) so it can also be evaluated on taped values during training.
+    Training needs the exact derivative; assembly needs only the values.  The
+    callable must be written in elementary arithmetic (+, *, integer powers)
+    so it can also be evaluated on taped values.
     """
 
     func: Callable
     descriptor: str
+    derivative: Callable | None = None
 
     def __call__(self, x):
         return self.func(x)
 
 
 def harmonic_potential() -> Potential:
-    return Potential(lambda x: 0.5 * x * x, "harmonic: 0.5*x^2")
+    return Potential(lambda x: 0.5 * x * x, "harmonic: 0.5*x^2", lambda x: x)
 
 
 def anharmonic_potential() -> Potential:
-    return Potential(lambda x: 0.5 * x * x + 0.25 * (x * x) * (x * x), "anharmonic: 0.5*x^2 + 0.25*x^4")
+    return Potential(
+        lambda x: 0.5 * x * x + 0.25 * (x * x) * (x * x),
+        "anharmonic: 0.5*x^2 + 0.25*x^4",
+        lambda x: x + x * x * x,
+    )
 
 
 def potential_from_descriptor(name: str) -> Potential:
@@ -112,6 +118,22 @@ def _node_jets(rule: QuadratureRule, params: FlowParams | None):
     return _map_jets(params, rule.nodes)
 
 
+def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
+    vvals = np.asarray(V(y), dtype=float)
+    if not np.all(np.isfinite(vvals)):
+        q = int(np.flatnonzero(~np.isfinite(vvals))[0])
+        raise AssemblyError(f"potential is non-finite at mapped node {q} (x={rule.nodes[q]})")
+    return np.einsum("iq,q,jq->ij", phi, rule.lifted_weights * vvals, phi)
+
+
+def _kinetic_part(rule: QuadratureRule, phi, dphi, g1, g2) -> np.ndarray:
+    if np.any(g1 <= 0.0):
+        q = int(np.flatnonzero(g1 <= 0.0)[0])
+        raise MonotonicityError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={rule.nodes[q]})")
+    A = dphi - 0.5 * phi * (g2 / g1)
+    return 0.5 * np.einsum("iq,q,jq->ij", A, rule.lifted_weights / (g1 * g1), A)
+
+
 def potential_matrix(
     spec: BasisSpec,
     rule: QuadratureRule,
@@ -121,12 +143,7 @@ def potential_matrix(
     """N x N matrix of the (pulled-back) potential."""
     _check_orders(spec, rule)
     y, _, _ = _node_jets(rule, params)
-    vvals = np.asarray(V(y), dtype=float)
-    if not np.all(np.isfinite(vvals)):
-        q = int(np.flatnonzero(~np.isfinite(vvals))[0])
-        raise AssemblyError(f"potential is non-finite at mapped node {q} (x={rule.nodes[q]})")
-    phi = eval_hermite_functions(spec.size - 1, rule.nodes)
-    return np.einsum("iq,q,jq->ij", phi, rule.lifted_weights * vvals, phi)
+    return _potential_part(rule, eval_hermite_functions(spec.size - 1, rule.nodes), V, y)
 
 
 def kinetic_matrix(
@@ -137,13 +154,9 @@ def kinetic_matrix(
     """N x N matrix of -1/2 d^2/dx^2 in the (possibly warped) basis."""
     _check_orders(spec, rule)
     _, g1, g2 = _node_jets(rule, params)
-    if np.any(g1 <= 0.0):
-        q = int(np.flatnonzero(g1 <= 0.0)[0])
-        raise MonotonicityError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={rule.nodes[q]})")
     phi = eval_hermite_functions(spec.size - 1, rule.nodes)
     dphi = eval_hermite_derivatives(spec.size - 1, rule.nodes)
-    A = dphi - 0.5 * phi * (g2 / g1)
-    return 0.5 * np.einsum("iq,q,jq->ij", A, rule.lifted_weights / (g1 * g1), A)
+    return _kinetic_part(rule, phi, dphi, g1, g2)
 
 
 def assemble_hamiltonian(
@@ -152,7 +165,10 @@ def assemble_hamiltonian(
     V: Potential,
     params: FlowParams | None = None,
 ) -> HamiltonianMatrix:
-    """T + V, symmetrized; raises if the raw asymmetry exceeds 1e-9."""
+    """T + V, symmetrized; raises if the raw asymmetry exceeds 1e-9.
+
+    The jets and the Hermite tables are computed once and shared by both terms.
+    """
     if rule.order < 2 * spec.size + 10:
         warnings.warn(
             f"quadrature order {rule.order} < 2N + 10 = {2 * spec.size + 10}; eigenvalues may "
@@ -161,7 +177,11 @@ def assemble_hamiltonian(
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # order warnings already issued above
-        H = kinetic_matrix(spec, rule, params) + potential_matrix(spec, rule, V, params)
+        _check_orders(spec, rule)
+        y, g1, g2 = _node_jets(rule, params)
+        phi = eval_hermite_functions(spec.size - 1, rule.nodes)
+        dphi = eval_hermite_derivatives(spec.size - 1, rule.nodes)
+        H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)
     if asym > _ASYMMETRY_TOL:
         raise AssemblyError(

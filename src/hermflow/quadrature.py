@@ -19,6 +19,7 @@ overflows even at the outermost node of a high-order rule.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .hermite import eval_hermite_functions
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule", "integrate_lifted"]
 
-_MAX_ORDER = 200
+MAX_ORDER = 200
 _TESTED_ORDER = 100
 
 
@@ -47,21 +48,30 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
     """Construct the order-Q Gauss-Hermite rule.
 
     Q must lie in [1, 200]; orders above 100 carry an accuracy warning since
-    node generation at such degrees is only lightly exercised.
+    node generation at such degrees is only lightly exercised.  Each order is
+    built once per process and shared: the returned arrays are read-only.
     """
-    if not isinstance(Q, (int, np.integer)) or Q < 1 or Q > _MAX_ORDER:
-        raise ValueError(f"quadrature order must be an integer in [1, {_MAX_ORDER}], got {Q!r}")
+    if not isinstance(Q, (int, np.integer)) or Q < 1 or Q > MAX_ORDER:
+        raise ValueError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {Q!r}")
     if Q > _TESTED_ORDER:
         warnings.warn(
             f"Gauss-Hermite order {Q} exceeds the well-tested range (<= {_TESTED_ORDER}); "
             "node accuracy may degrade",
             stacklevel=2,
         )
+    return _build_rule(int(Q))
+
+
+@functools.cache
+def _build_rule(Q: int) -> QuadratureRule:
+    """The order-Q rule, built once per order; its arrays are read-only, as callers share them."""
     nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(0.5 * np.arange(1, Q))).eigenvalues
     phi = eval_hermite_functions(Q - 1, nodes)
     lifted = 1.0 / (phi * phi).sum(axis=0)
     weights = lifted * np.exp(-nodes * nodes)
-    return QuadratureRule(order=int(Q), nodes=nodes, weights=weights, lifted_weights=lifted)
+    for arr in (nodes, weights, lifted):
+        arr.flags.writeable = False
+    return QuadratureRule(order=Q, nodes=nodes, weights=weights, lifted_weights=lifted)
 
 
 def integrate_lifted(values_at_nodes, rule: QuadratureRule) -> float:

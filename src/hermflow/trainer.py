@@ -10,6 +10,10 @@ S0 = sum_n phi_n^2, S1 = sum_n phi_n phi_n', S2 = sum_n phi_n'^2.  The sum
 of Ritz values bounds the sum of true eigenvalues from above, so driving the
 trace down tightens every level at once.
 
+The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node)
+pulled back through the map's jets by their hand-written reverse sweep
+(`flow._jets_reverse`).
+
 Training starts from the exact identity warp (see `flow.init_flow_params`),
 so the iteration-0 loss reproduces the plain Hermite trace, and re-projects
 the weights onto the Lip < 1 constraint set after every step.  Runs are
@@ -23,8 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import gradient
-from .flow import FlowParams, _map_jets, init_flow_params, normalize_block
+from .flow import (
+    FlowParams,
+    _jets_forward,
+    _jets_reverse,
+    _map_jets,
+    init_flow_params,
+    normalize_block,
+)
 from .galerkin import Potential
 from .hermite import eval_hermite_derivatives, eval_hermite_functions
 from .quadrature import QuadratureRule, gauss_hermite_rule
@@ -34,8 +44,10 @@ __all__ = [
     "AdamState",
     "TrainingTrace",
     "TrainingAborted",
+    "TraceLoss",
     "make_trace_loss",
     "trace_loss",
+    "gradient",
     "adam_step",
     "train",
 ]
@@ -113,32 +125,71 @@ class TrainingTrace:
                 fh.write(f"{i},{float(lo)!r},{float(gn)!r},{float(wm)!r}\n")
 
 
-def make_trace_loss(N: int, rule: QuadratureRule, V: Potential):
-    """Closure computing the trace loss from a params-like object.
+@dataclass(frozen=True, eq=False)
+class TraceLoss:
+    """The trace loss at one basis size, rule and potential.
 
-    The returned callable accepts a plain `FlowParams`, a taped view of one,
-    or None (identity warp), so the same code serves evaluation, reverse-mode
-    differentiation and finite-difference checks.
+    Calling it on a plain `FlowParams`, on a taped view of one, or on None
+    (identity warp) gives the loss; `gradient` differentiates it.
     """
+
+    nodes: np.ndarray
+    weights: np.ndarray  # lifted
+    s0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    potential: Potential
+
+    def head(self, g, g1, g2):
+        """The loss from the jets at the nodes; runs on arrays and on taped values."""
+        r = g2 / g1
+        kinetic = 0.5 * (self.s2 - self.s1 * r + 0.25 * self.s0 * (r * r)) / (g1 * g1)
+        return ((kinetic + self.s0 * self.potential(g)) * self.weights).sum()
+
+    def head_adjoint(self, g, g1, g2):
+        """dL/dG, dL/dG' and dL/dG'' at each node."""
+        r = g2 / g1
+        inv3 = 1.0 / (g1 * g1 * g1)
+        bar0 = self.weights * self.s0 * self.potential.derivative(g)
+        bar1 = self.weights * inv3 * (1.5 * self.s1 * r - self.s2 - 0.5 * self.s0 * (r * r))
+        bar2 = self.weights * inv3 * (0.25 * self.s0 * r - 0.5 * self.s1)
+        return bar0, bar1, bar2
+
+    def __call__(self, params):
+        if params is None:
+            x = self.nodes
+            return self.head(x, np.ones_like(x), np.zeros_like(x))
+        return self.head(*_map_jets(params, self.nodes))
+
+
+def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
+    """The trace loss of an N-function basis on the given rule and potential."""
     x = rule.nodes
-    w = rule.lifted_weights
     phi = eval_hermite_functions(N - 1, x)
     dphi = eval_hermite_derivatives(N - 1, x)
     s0 = (phi * phi).sum(axis=0)
     s1 = (phi * dphi).sum(axis=0)
     s2 = (dphi * dphi).sum(axis=0)
+    return TraceLoss(x, rule.lifted_weights, s0, s1, s2, V)
 
-    def loss(params):
-        if params is None:
-            g, g1, g2 = x, np.ones_like(x), np.zeros_like(x)
-        else:
-            g, g1, g2 = _map_jets(params, x)
-        r = g2 / g1
-        kinetic = 0.5 * (s2 - s1 * r + 0.25 * s0 * (r * r)) / (g1 * g1)
-        per_node = kinetic + s0 * V(g)
-        return (per_node * w).sum()
 
-    return loss
+def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
+    """The loss and its gradient with respect to every parameter.
+
+    Returns (loss value, flat gradient) with entries in `params.pack()` order;
+    raises FloatingPointError if either is non-finite.
+    """
+    if loss.potential.derivative is None:
+        raise ValueError(f"potential {loss.potential.descriptor!r} has no derivative; cannot train")
+    jets, saved = _jets_forward(params, loss.nodes)
+    value = float(loss.head(*jets))
+    if not np.isfinite(value):
+        raise FloatingPointError(f"loss evaluated to a non-finite value: {value}")
+    grad = _jets_reverse(params, saved, *loss.head_adjoint(*jets))
+    if not np.all(np.isfinite(grad)):
+        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise FloatingPointError(f"non-finite adjoint at parameter index {bad}")
+    return value, grad
 
 
 def trace_loss(config: TrainingConfig, params: FlowParams | None, V: Potential) -> float:

@@ -42,7 +42,6 @@ from hermflow import (
     flow_forward,
     flow_inverse,
     gauss_hermite_rule,
-    gradient,
     harmonic_potential,
     linear_fit,
     make_trace_loss,
@@ -51,6 +50,7 @@ from hermflow import (
     window_sum,
 )
 from hermflow.cli import main, read_spectra_csv
+from hermflow.trainer import gradient
 from conftest import make_feasible_params
 
 MASTER_SEED = 0

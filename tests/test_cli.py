@@ -82,6 +82,16 @@ class TestSolve:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--hidden", 0), ("--blocks", 0), ("--Q", 250)])
+    def test_bad_size_exits_2_before_any_output(self, tmp_path, flag, value):
+        out = tmp_path / "out"
+        code = run(
+            ["solve", "--potential", "harmonic", "--scheme", "both", "--N", 5,
+             "--iterations", 1, flag, value, "--output-dir", out]
+        )
+        assert code == 2
+        assert not list(out.glob("spectrum_*"))
+
     def test_missing_n_exits_2(self, tmp_path):
         code = run(["solve", "--potential", "harmonic", "--output-dir", tmp_path / "x"])
         assert code == 2

@@ -124,6 +124,22 @@ class TestNormalizeBlock:
         assert ratios.max() <= c + 1e-9
         assert params.lipschitz_margin == c
 
+    def test_scales_match_power_method(self, rng):
+        # rank-one weights: the closed-form norm gives the power method's scales
+        from hermflow.flow import _block_scales
+
+        c = 0.97
+        for factor in (0.5, 0.99, 1.01, 4.0):  # both sides of sqrt(c)
+            for h in (1, 7, 128):
+                w_in = rng.normal(size=(h, 1))
+                w_out = rng.normal(size=(1, h))
+                w_in *= factor * np.sqrt(c) / np.linalg.norm(w_in)
+                w_out *= factor * np.sqrt(c) / np.linalg.norm(w_out)
+                block = ResidualBlock(w_in, np.zeros(h), w_out, 0.0)
+                target = np.sqrt(c)
+                expected = [min(1.0, target / spectral_norm(w)) for w in (w_in, w_out)]
+                np.testing.assert_allclose(_block_scales(block, c), expected, rtol=1e-14, atol=0)
+
     def test_bad_margin_rejected(self):
         with pytest.raises(ValueError):
             normalize_block(zero_block_params().blocks[0], 1.0)

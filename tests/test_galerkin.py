@@ -151,6 +151,17 @@ class TestAssembleHamiltonian:
         Htext = 0.5 * (Htext + Htext.T)
         assert np.abs(H - Htext).max() <= 1e-14
 
+    def test_equals_sum_of_kinetic_and_potential_matrices(self, rng):
+        # the shared jets and tables give bit for bit what the two parts give alone
+        rule = gauss_hermite_rule(90)
+        V = anharmonic_potential()
+        for params in (None, make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)):
+            H = assemble_hamiltonian(BasisSpec(12), rule, V, params).entries
+            parts = kinetic_matrix(BasisSpec(12), rule, params) + potential_matrix(
+                BasisSpec(12), rule, V, params
+            )
+            assert np.array_equal(H, 0.5 * (parts + parts.T))
+
     def test_zero_weight_network_reduces_numerically(self):
         # an all-zero residual runs the actual tanh/atanh sandwich; reduction
         # then holds to transcendental-roundtrip accuracy, not bitwise
@@ -195,6 +206,15 @@ class TestOverlapMatrix:
         S0, _ = overlap_matrix(BasisSpec(10), rule)
         S1, _ = overlap_matrix(BasisSpec(10), rule, params)
         assert np.array_equal(S0, S1)
+
+
+class TestPotentialDerivative:
+    def test_builtins_match_central_differences(self):
+        x = np.linspace(-6.0, 6.0, 25)
+        h = 1e-5
+        for V in (harmonic_potential(), anharmonic_potential()):
+            fd = (V(x + h) - V(x - h)) / (2 * h)
+            np.testing.assert_allclose(V.derivative(x), fd, rtol=1e-8, atol=1e-8)
 
 
 class TestPotentialDescriptors:

@@ -79,6 +79,20 @@ class TestRuleConstruction:
             warnings.simplefilter("error")
             gauss_hermite_rule(100)
 
+    def test_built_once_per_order_and_read_only(self):
+        rule = gauss_hermite_rule(37)
+        assert gauss_hermite_rule(np.int64(37)) is rule
+        for arr in (rule.nodes, rule.weights, rule.lifted_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_checks_repeat_on_every_call(self):
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="well-tested range"):
+                gauss_hermite_rule(150)
+            with pytest.raises(ValueError):
+                gauss_hermite_rule(201)
+
 
 class TestIntegrateLifted:
     def test_gaussian(self):

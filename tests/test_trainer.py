@@ -17,6 +17,8 @@ from hermflow import (
     trace_loss,
     train,
 )
+from hermflow import autodiff, trainer
+from hermflow.galerkin import Potential
 from hermflow.trainer import TrainingAborted
 from conftest import make_feasible_params
 
@@ -48,6 +50,48 @@ class TestTraceLoss:
         params = init_flow_params(hidden=32, alpha=1.05 * np.abs(rule.nodes).max(), seed=2)
         V = anharmonic_potential()
         assert trace_loss(cfg, params, V) == pytest.approx(trace_loss(cfg, None, V), abs=1e-10)
+
+
+class TestAdjointGradient:
+    @pytest.mark.parametrize("N,Q", [(5, 30), (5, 90), (29, 90)])
+    def test_matches_tape(self, N, Q):
+        # two stages, beta != 0, and the second stage's input rescale active
+        rng = np.random.default_rng(100 + N + Q)
+        rule = gauss_hermite_rule(Q)
+        loss = make_trace_loss(N, rule, anharmonic_potential())
+        params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.15, rng, n_blocks=2)
+        params.blocks[1].w_in = 3.0 * params.blocks[1].w_in
+        value, grad = trainer.gradient(loss, params)
+        tape_value, tape_grad = autodiff.gradient(loss, params)
+        assert value == pytest.approx(tape_value, rel=1e-10)
+        assert np.abs(grad - tape_grad).max() <= 1e-10 * np.abs(tape_grad).max()
+
+    def test_harmonic_matches_tape(self, rng):
+        rule = gauss_hermite_rule(40)
+        loss = make_trace_loss(6, rule, harmonic_potential())
+        params = make_feasible_params(16, 1.05 * np.abs(rule.nodes).max(), -0.1, rng)
+        value, grad = trainer.gradient(loss, params)
+        tape_value, tape_grad = autodiff.gradient(loss, params)
+        assert value == pytest.approx(tape_value, rel=1e-10)
+        assert np.abs(grad - tape_grad).max() <= 1e-10 * np.abs(tape_grad).max()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_interval_missing_a_node_raises(self, rng):
+        # alpha below the outermost node: G' = 0 there and the loss is not finite
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = make_feasible_params(8, 0.9 * np.abs(rule.nodes).max(), 0.0, rng)
+        with pytest.raises(FloatingPointError):
+            autodiff.gradient(loss, params)
+        with pytest.raises(FloatingPointError):
+            trainer.gradient(loss, params)
+
+    def test_potential_without_derivative_rejected(self, rng):
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(4, rule, Potential(lambda x: x * x, "x^2"))
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
+        with pytest.raises(ValueError, match="derivative"):
+            trainer.gradient(loss, params)
 
 
 class TestAdamStep:
