@@ -17,7 +17,7 @@ reference spectrum, never against the other scheme's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -187,19 +187,7 @@ def reference_energies(
     """
     if scheme not in ("hermite", "augmented"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if config is None:
-        config = TrainingConfig(N=N_ref)
-    elif config.N != N_ref:
-        config = TrainingConfig(
-            N=N_ref,
-            Q=config.Q,
-            hidden=config.hidden,
-            blocks=config.blocks,
-            learning_rate=config.learning_rate,
-            iterations=config.iterations,
-            seed=config.seed,
-            lipschitz_margin=config.lipschitz_margin,
-        )
+    config = TrainingConfig(N=N_ref) if config is None else replace(config, N=N_ref)
     rule = gauss_hermite_rule(config.Q)
     params = None
     if scheme == "augmented":

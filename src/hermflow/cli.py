@@ -9,12 +9,16 @@ Subcommands:
 * ``analyze`` - turn sweep spectra into band-error, convergence-rate and
   linear-fit CSVs against each scheme's own reference spectrum.
 
-Runs are configured by a flat ``key = value`` text file whose keys mirror
-the training configuration exactly; unknown keys are rejected so typos fail
-loudly.  Command-line flags override file values.  Relative output
+Runs are configured by a flat ``key = value`` text file whose keys are the
+fields of `ExperimentConfig`: the run's own settings plus every field of
+`TrainingConfig` but N, with its type and default.  Each key is also a flag,
+``--`` plus the key with ``_`` turned into ``-``, and flags override file
+values.  Unknown keys are rejected so typos fail loudly.  Relative output
 directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
 
-Exit codes: 0 success, 1 computation error, 2 configuration error.
+Exit codes: 0 success, 1 computation error, 2 configuration error.  A
+configuration error is found before any file is written; the training
+settings are checked by `TrainingConfig` alone.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import field, fields, make_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .eigensolver import eigh
 from .flow import save_checkpoint
 from .galerkin import assemble_hamiltonian, potential_from_descriptor
 from .hermite import BasisSpec
-from .quadrature import MAX_ORDER, gauss_hermite_rule
+from .quadrature import gauss_hermite_rule
 from .trainer import TrainingConfig, train
 
 __all__ = ["ExperimentConfig", "ConfigError", "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
@@ -54,36 +59,35 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    potential: str = "anharmonic"
-    scheme: str = "both"
-    N: int | None = None
-    N_range: str | None = None  # "lo..hi", inclusive
-    Q: int = 90
-    hidden: int = 128
-    blocks: int = 1
-    learning_rate: float = 1e-3
-    iterations: int | None = None
-    seed: int = 0
-    lipschitz_margin: float = 0.97
-    output_dir: str = "runs"
+def parse_range(text: str, name: str, lowest: int) -> tuple[int, int]:
+    """The inclusive integer bounds of 'lo..hi', with lowest <= lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = (int(lo), int(hi)) if sep else None
+    except ValueError:
+        bounds = None
+    if bounds is None or not lowest <= bounds[0] <= bounds[1]:
+        raise ConfigError(f"{name} must be 'lo..hi' with {lowest} <= lo <= hi, got {text!r}")
+    return bounds
+
+
+def resolve_output_dir(path) -> Path:
+    """A relative output directory resolves under $HERMFLOW_OUTPUT_ROOT when that is set."""
+    root = os.environ.get(OUTPUT_ROOT_ENV)
+    path = Path(path)
+    return Path(root) / path if root and not path.is_absolute() else path
+
+
+class _ExperimentMethods:
+    """The methods of `ExperimentConfig`, whose fields are declared below."""
 
     def schemes(self) -> tuple[str, ...]:
         return ("hermite", "augmented") if self.scheme == "both" else (self.scheme,)
 
     def n_values(self) -> list[int]:
         if self.N_range is not None:
-            lo, sep, hi = self.N_range.partition("..")
-            if not sep:
-                raise ConfigError(f"N_range must look like 'lo..hi', got {self.N_range!r}")
-            try:
-                lo_i, hi_i = int(lo), int(hi)
-            except ValueError as exc:
-                raise ConfigError(f"N_range bounds must be integers: {self.N_range!r}") from exc
-            if lo_i < 1 or hi_i < lo_i:
-                raise ConfigError(f"empty or invalid N_range {self.N_range!r}")
-            return list(range(lo_i, hi_i + 1))
+            lo, hi = parse_range(self.N_range, "N_range", 1)
+            return list(range(lo, hi + 1))
         if self.N is None:
             raise ConfigError("no basis size: set N (solve) or N_range (sweep)")
         return [self.N]
@@ -93,47 +97,47 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         try:
             potential_from_descriptor(self.potential)
+            # TrainingConfig checks every training setting, and N when it is given.
+            self.training_config(1 if self.N is None else self.N, self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.N is not None and self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
-        if not 1 <= self.Q <= MAX_ORDER:
-            raise ConfigError(f"Q must lie in [1, {MAX_ORDER}], got {self.Q}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
-        if self.blocks < 1:
-            raise ConfigError(f"blocks must be >= 1, got {self.blocks}")
-        if not 0.0 < self.lipschitz_margin < 1.0:
-            raise ConfigError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.iterations is not None and self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         return self
 
     def training_config(self, N: int, seed: int) -> TrainingConfig:
-        return TrainingConfig(
-            N=N,
-            Q=self.Q,
-            hidden=self.hidden,
-            blocks=self.blocks,
-            learning_rate=self.learning_rate,
-            iterations=self.iterations,
-            seed=seed,
-            lipschitz_margin=self.lipschitz_margin,
-        )
-
-    def resolve_output_dir(self) -> Path:
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        path = Path(self.output_dir)
-        if root and not path.is_absolute():
-            path = Path(root) / path
-        return path
+        settings = {f.name: getattr(self, f.name) for f in _TRAINING_FIELDS}
+        return TrainingConfig(**{**settings, "N": N, "seed": seed})
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"N", "Q", "hidden", "blocks", "iterations", "seed"}
-_FLOAT_KEYS = {"learning_rate", "lipschitz_margin"}
+_TRAINING_TYPES = get_type_hints(TrainingConfig)
+_TRAINING_FIELDS = [f for f in fields(TrainingConfig) if f.name != "N"]
+
+# A run: the potential, the schemes, the basis sizes, every training setting but
+# N with TrainingConfig's type and default, and where to write.  Each field is a
+# config-file key and a command-line flag; "help" is the flag's help text.
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [
+        ("potential", str, field(
+            default="anharmonic", metadata={"help": "potential descriptor (harmonic | anharmonic)"}
+        )),
+        ("scheme", str, field(default="both", metadata={"help": "hermite | augmented | both"})),
+        ("N", int | None, field(default=None)),
+        ("N_range", str | None, field(default=None, metadata={"help": "inclusive range, e.g. 5..9"})),
+        *((f.name, _TRAINING_TYPES[f.name], field(default=f.default)) for f in _TRAINING_FIELDS),
+        ("output_dir", str, field(default="runs")),
+    ],
+    bases=(_ExperimentMethods,),
+    namespace={"__module__": __name__},
+    frozen=True,
+)
+
+
+def _key_type(hint):
+    """The type a key's text converts to: `int` for `int | None`."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
+
+
+_KEY_TYPES = {f.name: _key_type(f.type) for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> dict:
@@ -148,17 +152,12 @@ def parse_config_file(path) -> dict:
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, val = key.strip(), val.strip()
-            if key not in _FIELD_TYPES:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(val)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(val)
-                else:
-                    values[key] = val
+                values[key] = _KEY_TYPES[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return values
@@ -166,14 +165,8 @@ def parse_config_file(path) -> dict:
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _FIELD_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    try:
-        return ExperimentConfig(**values).validate()
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    values.update((key, flag) for key in _KEY_TYPES if (flag := getattr(args, key)) is not None)
+    return ExperimentConfig(**values).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,7 @@ def cmd_solve(config: ExperimentConfig) -> int:
     config = config.validate()
     if config.N is None:
         raise ConfigError("solve needs N")
-    outdir = config.resolve_output_dir()
+    outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for scheme in config.schemes():
         rows, trace = _solve_one(config, scheme, config.N, config.seed, outdir)
@@ -217,7 +210,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     n_values = config.n_values()
     if len(n_values) < 1 or config.N_range is None:
         raise ConfigError("sweep needs N_range")
-    outdir = config.resolve_output_dir()
+    outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     completed, failed = [], {}
@@ -270,6 +263,8 @@ def cmd_analyze(
     band_size: int = 5,
     window: tuple[int, int] = (5, 10),
 ) -> int:
+    if band_size < 1:
+        raise ConfigError(f"band_size must be >= 1, got {band_size}")
     data: dict[str, dict[int, np.ndarray]] = {}
     for path in spectra_paths:
         if not Path(path).exists():
@@ -321,18 +316,9 @@ def cmd_analyze(
 
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--potential", help="potential descriptor (harmonic | anharmonic)")
-    parser.add_argument("--scheme", help="hermite | augmented | both")
-    parser.add_argument("--N", type=int, dest="N")
-    parser.add_argument("--N-range", dest="N_range", help="inclusive range, e.g. 5..9")
-    parser.add_argument("--Q", type=int, dest="Q")
-    parser.add_argument("--hidden", type=int)
-    parser.add_argument("--blocks", type=int)
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--iterations", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--lipschitz-margin", type=float, dest="lipschitz_margin")
-    parser.add_argument("--output-dir", dest="output_dir")
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, type=_KEY_TYPES[f.name], help=f.metadata.get("help"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,23 +344,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(load_config(args))
         if args.command == "analyze":
-            lo, sep, hi = args.window.partition("..")
-            try:
-                window = (int(lo), int(hi)) if sep else None
-            except ValueError:
-                window = None
-            if window is None:
-                raise ConfigError(f"window must look like 'lo..hi', got {args.window!r}")
-            root = os.environ.get(OUTPUT_ROOT_ENV)
-            outdir = Path(args.output_dir)
-            if root and not outdir.is_absolute():
-                outdir = Path(root) / outdir
             return cmd_analyze(
                 args.spectra,
                 n_ref=args.n_ref,
-                output_dir=outdir,
+                output_dir=resolve_output_dir(args.output_dir),
                 band_size=args.band_size,
-                window=window,
+                window=parse_range(args.window, "window", 0),
             )
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

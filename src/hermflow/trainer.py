@@ -22,6 +22,7 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,7 +38,7 @@ from .flow import (
 )
 from .galerkin import Potential
 from .hermite import eval_hermite_derivatives, eval_hermite_functions
-from .quadrature import QuadratureRule, gauss_hermite_rule
+from .quadrature import MAX_ORDER, QuadratureRule, gauss_hermite_rule
 
 __all__ = [
     "TrainingConfig",
@@ -64,7 +65,7 @@ class TrainingAborted(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run, and the one check of their ranges."""
 
     N: int
     Q: int = 90
@@ -76,12 +77,19 @@ class TrainingConfig:
     lipschitz_margin: float = 0.97
 
     def __post_init__(self):
-        if self.N < 1 or self.Q < 1 or self.hidden < 1 or self.blocks < 1:
-            raise ValueError("N, Q, hidden and blocks must all be positive")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        for name in ("N", "hidden", "blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 1 <= self.Q <= MAX_ORDER:
+            raise ValueError(f"Q must lie in [1, {MAX_ORDER}], got {self.Q}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.iterations is not None and self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.lipschitz_margin < 1.0:
+            raise ValueError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
 
     @property
     def resolved_iterations(self) -> int:

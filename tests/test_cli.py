@@ -1,7 +1,24 @@
+import importlib.util
+import sys
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hermflow.cli import ConfigError, ExperimentConfig, main, parse_config_file, read_spectra_csv
+import hermflow
+from hermflow.cli import (
+    ConfigError,
+    ExperimentConfig,
+    build_parser,
+    load_config,
+    main,
+    parse_config_file,
+    read_spectra_csv,
+)
+from hermflow.trainer import TrainingConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def run(args):
@@ -82,7 +99,17 @@ class TestSolve:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--hidden", 0), ("--blocks", 0), ("--Q", 250)])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--hidden", 0),
+            ("--blocks", 0),
+            ("--Q", 250),
+            ("--learning-rate", "nan"),
+            ("--learning-rate", "inf"),
+            ("--seed", -3),
+        ],
+    )
     def test_bad_size_exits_2_before_any_output(self, tmp_path, flag, value):
         out = tmp_path / "out"
         code = run(
@@ -191,12 +218,23 @@ class TestAnalyze:
         )
         assert code == 2
 
-    def test_bad_window_exits_2(self, sweep_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--window", "five..ten"),
+            ("--window", "10..5"),
+            ("--band-size", 0),
+            ("--band-size", -2),
+        ],
+    )
+    def test_bad_window_exits_2(self, sweep_dir, tmp_path, flag, value):
+        out = tmp_path / "an4"
         code = run(
             ["analyze", sweep_dir / "spectra.csv", "--n-ref", 16,
-             "--window", "five..ten", "--output-dir", tmp_path / "an4"]
+             flag, value, "--output-dir", out]
         )
         assert code == 2
+        assert not out.exists()
 
     def test_scheme_without_reference_exits_2(self, sweep_dir, tmp_path):
         from hermflow.analysis import write_spectra_csv
@@ -218,3 +256,58 @@ class TestAnalyze:
         )
         assert code == 0
         assert (out / "spectrum_hermite_N4.csv").exists()
+
+
+class TestSettingsInStep:
+    """Config keys, flags and defaults all come from the same declarations."""
+
+    VALUES = {
+        "potential": "harmonic",
+        "scheme": "augmented",
+        "N": 4,
+        "N_range": "5..9",
+        "Q": 40,
+        "hidden": 8,
+        "blocks": 2,
+        "learning_rate": 0.001,
+        "iterations": 7,
+        "seed": 3,
+        "lipschitz_margin": 0.9,
+        "output_dir": "out",
+    }
+
+    def test_keys_flags_and_defaults(self, tmp_path):
+        keys = {f.name for f in fields(ExperimentConfig)}
+        assert set(self.VALUES) == keys
+        cfg = tmp_path / "all.cfg"  # written as benchmarks/workloads.py writes its configs
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in self.VALUES.items()))
+        assert parse_config_file(cfg) == self.VALUES
+        flags = [
+            arg for key, value in self.VALUES.items()
+            for arg in ("--" + key.replace("_", "-"), str(value))
+        ]
+        parser = build_parser()
+        from_file = load_config(parser.parse_args(["solve", "--config", str(cfg)]))
+        from_flags = load_config(parser.parse_args(["solve", *flags]))
+        assert from_file == from_flags == ExperimentConfig(**self.VALUES)
+        for N, seed in [(1, 0), (7, 12)]:
+            assert ExperimentConfig().training_config(N, seed) == TrainingConfig(N=N, seed=seed)
+
+
+def test_benchmark_tracer_bindings_resolve(monkeypatch):
+    """Every name the benchmark's tracer patches is still bound where it looks for it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", REPO / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS
+    missing = []
+    for path, name, _ in bindings:
+        owner = hermflow
+        for part in filter(None, path.split(".")):
+            owner = getattr(owner, part, None)
+        if not callable(getattr(owner, name, None)):
+            missing.append(f"{path}.{name}" if path else name)
+    assert bindings and not missing

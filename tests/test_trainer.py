@@ -234,3 +234,6 @@ class TestTrain:
             TrainingConfig(N=3, learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainingConfig(N=3, iterations=-1)
+        for bad in ({"learning_rate": float("nan")}, {"seed": -1}, {"Q": 250}, {"lipschitz_margin": 1.0}):
+            with pytest.raises(ValueError):
+                TrainingConfig(N=3, **bad)
