@@ -18,7 +18,10 @@ directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
 
 Exit codes: 0 success, 1 computation error, 2 configuration error.  A
 configuration error is found before any file is written; the training
-settings are checked by `TrainingConfig` alone.
+settings are checked by `TrainingConfig` alone.  A solve whose N exceeds Q is
+a configuration error.  A sweep's N range is not checked against Q: an N > Q
+fails alone, is recorded under "failed" in ``manifest.json``, and the sweep
+exits 1 after writing the sizes that did complete.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class _ExperimentMethods:
             self.training_config(1 if self.N is None else self.N, self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.N is not None and self.N > self.Q:
+            raise ConfigError(f"basis size N = {self.N} exceeds the quadrature order Q = {self.Q}")
         return self
 
     def training_config(self, N: int, seed: int) -> TrainingConfig:

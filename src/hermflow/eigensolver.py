@@ -37,13 +37,17 @@ def eigh(M: np.ndarray) -> Spectrum:
     Raises
     ------
     ValueError
-        If M is not square or not symmetric within 1e-9.
+        If M is not square, holds a NaN or infinite entry, or is not symmetric
+        within 1e-9.
     SolverError
         If the residual bound is violated.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"matrix entry ({i}, {j}) is {M[i, j]}; expected finite entries")
     asym = np.abs(M - M.T).max() if M.size else 0.0
     if asym > _SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {_SYMMETRY_TOL:.1e}")

@@ -250,11 +250,23 @@ def _leaf(x):
     return x.reshape(-1) if isinstance(x, Var) else np.ravel(x)
 
 
+# Points per block of `_residual_value`, times the hidden width.  Each (hidden, points)
+# temporary then stays near 128 KB, memory the allocator reuses; a whole (128, 2001)
+# temporary is 2 MB, which was faulted in afresh at every fixed-point iteration.
+_BLOCK_ELEMENTS = 16_384
+
+
 def _residual_value(block: ResidualBlock, s_in: float, s_out: float, u):
-    """k(u) on plain values; u is a scalar or 1-d array."""
-    pre = (s_in * np.ravel(block.w_in))[:, None] * np.asarray(u)[None, :] + block.b_in[:, None]
-    act = lipswish(pre)
-    return (s_out * np.ravel(block.w_out)) @ act + block.b_out
+    """k(u) on plain values at the points of the 1-d array u, a block of points at a time."""
+    a = (s_in * np.ravel(block.w_in))[:, None]
+    c = s_out * np.ravel(block.w_out)
+    b_in = block.b_in[:, None]
+    u = np.asarray(u, dtype=float)
+    k = np.empty_like(u)
+    step = max(1, _BLOCK_ELEMENTS // a.shape[0])
+    for lo in range(0, u.size, step):
+        k[lo : lo + step] = c @ lipswish(a * u[None, lo : lo + step] + b_in)
+    return k + block.b_out
 
 
 def _residual_jets(block: ResidualBlock, s_in: float, s_out: float, z0, z1, z2):

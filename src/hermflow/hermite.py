@@ -18,7 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BasisSpec", "eval_hermite_functions", "eval_hermite_derivatives"]
+__all__ = [
+    "BasisSpec",
+    "eval_hermite_functions",
+    "eval_hermite_derivatives",
+    "hermite_derivatives_from_table",
+]
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,23 @@ def eval_hermite_functions(n_max: int, x) -> np.ndarray:
     return phi
 
 
+def hermite_derivatives_from_table(phi: np.ndarray) -> np.ndarray:
+    """phi_0' .. phi_{n_max}' from a table of phi_0 .. phi_{n_max+1}.
+
+    Applies the ladder identity phi_n' = sqrt(n/2)*phi_{n-1} - sqrt((n+1)/2)*phi_{n+1}
+    to every row at once, so a caller that also needs the values builds one
+    table for both.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape[0] < 2:
+        raise ValueError(f"need phi_0 and phi_1 at least, got {phi.shape[0]} row(s)")
+    n = np.arange(1.0, phi.shape[0] - 1).reshape((-1,) + (1,) * (phi.ndim - 1))
+    d = np.empty((phi.shape[0] - 1,) + phi.shape[1:])
+    d[0] = -np.sqrt(0.5) * phi[1]
+    d[1:] = np.sqrt(0.5 * n) * phi[:-2] - np.sqrt(0.5 * (n + 1)) * phi[2:]
+    return d
+
+
 def eval_hermite_derivatives(n_max: int, x) -> np.ndarray:
     """Evaluate phi_0'(x) .. phi_{n_max}'(x).
 
@@ -66,9 +88,4 @@ def eval_hermite_derivatives(n_max: int, x) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    phi = eval_hermite_functions(n_max + 1, x)
-    d = np.zeros((n_max + 1,) + phi.shape[1:])
-    d[0] = -np.sqrt(0.5) * phi[1]
-    for n in range(1, n_max + 1):
-        d[n] = np.sqrt(0.5 * n) * phi[n - 1] - np.sqrt(0.5 * (n + 1)) * phi[n + 1]
-    return d
+    return hermite_derivatives_from_table(eval_hermite_functions(n_max + 1, x))

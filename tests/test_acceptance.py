@@ -154,8 +154,10 @@ def test_criterion_03_reduction_equivalence(rule90):
     H = assemble_hamiltonian(BasisSpec(N), rule90, V).entries  # identity warp
     phi = eval_hermite_functions(N - 1, rule90.nodes)
     dphi = eval_hermite_derivatives(N - 1, rule90.nodes)
-    Vm = np.einsum("iq,q,jq->ij", phi, rule90.lifted_weights * V(rule90.nodes), phi)
-    Tm = 0.5 * np.einsum("iq,q,jq->ij", dphi, rule90.lifted_weights, dphi)
+    w = rule90.lifted_weights
+    Vm = (phi * (w * V(rule90.nodes))) @ phi.T
+    B = dphi * np.sqrt(w)
+    Tm = 0.5 * B @ B.T
     Htext = Tm + Vm
     Htext = 0.5 * (Htext + Htext.T)
     diff = np.abs(H - Htext).max()

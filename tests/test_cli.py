@@ -108,6 +108,7 @@ class TestSolve:
             ("--learning-rate", "nan"),
             ("--learning-rate", "inf"),
             ("--seed", -3),
+            ("--Q", 3),
         ],
     )
     def test_bad_size_exits_2_before_any_output(self, tmp_path, flag, value):
@@ -118,6 +119,12 @@ class TestSolve:
         )
         assert code == 2
         assert not list(out.glob("spectrum_*"))
+
+    def test_basis_larger_than_rule_exits_2_without_directory(self, tmp_path):
+        out = tmp_path / "out"
+        code = run(["solve", "--scheme", "both", "--N", 5, "--Q", 3, "--output-dir", out])
+        assert code == 2
+        assert not out.exists()
 
     def test_missing_n_exits_2(self, tmp_path):
         code = run(["solve", "--potential", "harmonic", "--output-dir", tmp_path / "x"])

@@ -53,6 +53,17 @@ class TestEigh:
         with pytest.raises(ValueError):
             eigh(M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes both the symmetry and the residual comparison
+        off = np.eye(3)
+        off[0, 1] = off[1, 0] = bad
+        diag = np.eye(3)
+        diag[0, 0] = bad
+        for M in (off, diag):
+            with pytest.raises(ValueError, match="finite"):
+                eigh(M)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigh(np.zeros((2, 3)))

@@ -245,6 +245,15 @@ class TestFlowInverse:
         with pytest.raises(ConvergenceError):
             flow_inverse(params, 3.0, tol=1e-15, max_iter=2)
 
+    @pytest.mark.parametrize("hidden", [8, 128])
+    def test_many_points_match_pointwise_inverse(self, rng, hidden):
+        # 2,001 points span several blocks of the residual evaluation
+        params = make_feasible_params(hidden, 9.0, 0.1, rng, n_blocks=2)
+        ys = np.linspace(-8.5, 8.5, 2001)
+        together = flow_inverse(params, ys)
+        one_by_one = np.array([flow_inverse(params, y) for y in ys])
+        assert np.abs(together - one_by_one).max() <= 1e-12
+
     def test_round_trip_with_stacked_blocks(self, rng):
         params = make_feasible_params(8, 9.0, 0.2, rng, n_blocks=3)
         xs = rng.uniform(params.beta - 8.3, params.beta + 8.3, size=500)

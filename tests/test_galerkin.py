@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -145,11 +146,85 @@ class TestAssembleHamiltonian:
         H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
         phi = eval_hermite_functions(N - 1, rule.nodes)
         dphi = eval_hermite_derivatives(N - 1, rule.nodes)
-        Vm = np.einsum("iq,q,jq->ij", phi, rule.lifted_weights * V(rule.nodes), phi)
-        Tm = 0.5 * np.einsum("iq,q,jq->ij", dphi, rule.lifted_weights, dphi)
+        w = rule.lifted_weights
+        Vm = (phi * (w * V(rule.nodes))) @ phi.T
+        B = dphi * np.sqrt(w)
+        Tm = 0.5 * B @ B.T
         Htext = Tm + Vm
         Htext = 0.5 * (Htext + Htext.T)
         assert np.abs(H - Htext).max() <= 1e-14
+
+    def test_identity_value_within_4_ulps_of_exact_sums(self):
+        # independent of the summation order: each entry against the exactly
+        # rounded sum of its quadrature terms
+        rule = gauss_hermite_rule(90)
+        N = 20
+        V = anharmonic_potential()
+        H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
+        phi = eval_hermite_functions(N - 1, rule.nodes)
+        dphi = eval_hermite_derivatives(N - 1, rule.nodes)
+        w = rule.lifted_weights
+        wv = w * V(rule.nodes)
+        exact = np.array(
+            [
+                [math.fsum(np.concatenate((0.5 * dphi[i] * dphi[j] * w, phi[i] * phi[j] * wv)))
+                 for j in range(N)]
+                for i in range(N)
+            ]
+        )
+        scale = np.abs(H).max()
+        assert np.abs(H - exact).max() <= 4 * np.spacing(scale)
+
+    def test_one_table_per_assembly(self, monkeypatch, rng):
+        from hermflow import galerkin
+
+        calls = {"functions": 0, "derivatives": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            galerkin, "eval_hermite_functions", counted("functions", galerkin.eval_hermite_functions)
+        )
+        monkeypatch.setattr(
+            galerkin,
+            "eval_hermite_derivatives",
+            counted("derivatives", galerkin.eval_hermite_derivatives),
+        )
+        rule = gauss_hermite_rule(90)
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
+        assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params)
+        assert calls == {"functions": 1, "derivatives": 0}
+
+    def test_parts_exactly_symmetric_on_a_warp(self, rng):
+        rule = gauss_hermite_rule(90)
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
+        T = kinetic_matrix(BasisSpec(12), rule, params)
+        S, _ = overlap_matrix(BasisSpec(12), rule, params)
+        assert np.array_equal(T, T.T)
+        assert np.array_equal(S, S.T)
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "nan"])
+    def test_asymmetry_check_catches_faults(self, monkeypatch, fault):
+        from hermflow import galerkin
+
+        real = galerkin._potential_part
+
+        def faulty(*args):
+            M = real(*args)
+            if fault == "nan":
+                M[0, 0] = np.nan
+            else:
+                M[0, 1] += 1e-6
+            return M
+
+        monkeypatch.setattr(galerkin, "_potential_part", faulty)
+        with pytest.raises(AssemblyError, match="asymmetry"):
+            assemble_hamiltonian(BasisSpec(6), gauss_hermite_rule(30), harmonic_potential())
 
     def test_equals_sum_of_kinetic_and_potential_matrices(self, rng):
         # the shared jets and tables give bit for bit what the two parts give alone

@@ -9,6 +9,7 @@ from hermflow import (
     eval_hermite_functions,
     gauss_hermite_rule,
 )
+from hermflow.hermite import hermite_derivatives_from_table
 
 
 def direct_hermite_function(n, x):
@@ -108,6 +109,18 @@ class TestEvalHermiteDerivatives:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             eval_hermite_derivatives(-2, 1.0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 29, 180])
+    def test_table_ladder_bitwise_equals_loop(self, n_max):
+        x = np.linspace(-15.0, 15.0, 201)
+        phi = eval_hermite_functions(n_max + 1, x)
+        loop = np.zeros((n_max + 1, x.size))
+        loop[0] = -np.sqrt(0.5) * phi[1]
+        for n in range(1, n_max + 1):
+            loop[n] = np.sqrt(n / 2) * phi[n - 1] - np.sqrt((n + 1) / 2) * phi[n + 1]
+        d = hermite_derivatives_from_table(phi)
+        assert d.tobytes() == loop.tobytes()
+        assert eval_hermite_derivatives(n_max, x).tobytes() == loop.tobytes()
 
 
 class TestBasisSpec:
