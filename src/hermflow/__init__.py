@@ -20,7 +20,7 @@ from .analysis import (
     reference_energies,
     window_sum,
 )
-from .autodiff import Var, finite_diff_gradient, gradient
+from . import autodiff  # noqa: F401 - benchmarks/tracing.py binds autodiff.Var.backward
 from .eigensolver import Spectrum, eigh, eigh_tridiagonal
 from .flow import (
     FlowParams,
@@ -56,6 +56,8 @@ from .trainer import (
     TrainingConfig,
     TrainingTrace,
     adam_step,
+    finite_diff_gradient,
+    gradient,
     make_trace_loss,
     trace_loss,
     train,

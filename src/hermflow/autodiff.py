@@ -6,17 +6,16 @@ parents.  `Var.backward()` replays the graph once in reverse topological
 order.  Elementary operations broadcast like numpy; adjoints are summed back
 to the parent's shape.
 
-Losses are differentiated with respect to flow parameters through a small
-protocol rather than a concrete type: any object with `pack()`,
-`with_vector(theta)` and `taped()` works (see `flow.FlowParams`).  Gradients
-are deterministic: identical inputs replay an identical graph.
+No part of the solver records on this engine: the flow and the trace loss are
+differentiated by the hand-written reverse sweep `flow._jets_reverse`.  The
+module stays only while `benchmarks/tracing.py` binds `Var.backward`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Var", "exp", "tanh", "atanh", "clip", "gradient", "finite_diff_gradient"]
+__all__ = ["Var"]
 
 
 def _sum_to_shape(grad, shape):
@@ -195,62 +194,3 @@ class Var:
         out = Var(self.value.reshape(shape), (self,))
         out._push = lambda g: self._accumulate(np.asarray(g).reshape(self.value.shape))
         return out
-
-
-# -- duck-typed helpers so flow code runs on Var or plain ndarrays ---------
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Var) else np.exp(x)
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Var) else np.tanh(x)
-
-
-def atanh(x):
-    return x.atanh() if isinstance(x, Var) else np.arctanh(x)
-
-
-def clip(x, lo, hi):
-    return x.clip(lo, hi) if isinstance(x, Var) else np.clip(x, lo, hi)
-
-
-# -- gradients of losses over flow parameters -------------------------------
-
-
-def gradient(loss, params):
-    """Evaluate `loss` and its gradient with respect to every parameter.
-
-    `loss` takes a params-like object and returns a scalar; it is replayed
-    here on a taped view of `params`, so it must be written in terms of the
-    elementary operations above.  Returns (loss value, flat gradient) with
-    entries in `params.pack()` order.
-    """
-    view, leaves = params.taped()
-    out = loss(view)
-    if not isinstance(out, Var):
-        raise TypeError("loss did not propagate taped values; got a plain number")
-    if not np.isfinite(out.value):
-        raise FloatingPointError(f"loss evaluated to a non-finite value: {out.value}")
-    out.backward()
-    grad = np.concatenate([np.ravel(leaf.grad_or_zero()) for leaf in leaves])
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise FloatingPointError(f"non-finite adjoint at parameter index {bad}")
-    return float(out.value), grad
-
-
-def finite_diff_gradient(loss, params, step: float) -> np.ndarray:
-    """Central-difference gradient of `loss`, one parameter at a time."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    theta = params.pack()
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        up[i] += step
-        down = theta.copy()
-        down[i] -= step
-        grad[i] = (loss(params.with_vector(up)) - loss(params.with_vector(down))) / (2.0 * step)
-    return grad

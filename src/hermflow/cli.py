@@ -242,14 +242,18 @@ def read_spectra_csv(path) -> dict[str, dict[int, np.ndarray]]:
     """Read spectra rows back as {scheme: {N: eigenvalues}}."""
     per_case: dict[tuple[str, int], dict[int, float]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("scheme,"):
                 continue
-            scheme, N, n, E = line.split(",")
-            case = per_case.setdefault((scheme, int(N)), {})
-            idx = int(n)
-            value = float(E)
+            try:
+                scheme, N, n, E = line.split(",")
+                N, idx, value = int(N), int(n), float(E)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 'scheme,N,n,E' with integer N, n, got {line!r}"
+                ) from exc
+            case = per_case.setdefault((scheme, N), {})
             if idx in case and case[idx] != value:
                 raise ConfigError(f"{path}: conflicting duplicate row for {scheme} N={N} n={n}")
             case[idx] = value

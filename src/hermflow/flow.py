@@ -17,9 +17,8 @@ need G, G' and G'' at every quadrature node.  The jets are computed on plain
 arrays by one forward sweep, whose reverse sweep (`_jets_reverse`) gives the
 gradient of any function of the jets with respect to every parameter.  The
 weights are rank-one, so each stage's hidden layer is an outer product and
-every sum over hidden units is a matrix-vector product.  A second, duck-typed
-copy of the forward sweep runs on `autodiff.Var` nodes; it is kept only as the
-reference the adjoint is tested against.
+every sum over hidden units is a matrix-vector product.  The fixed-point
+inverse evaluates each residual k(z) with the forward sweep's stage code.
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -31,12 +30,11 @@ the overlap integral).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Var
 from .hermite import eval_hermite_functions
 
 __all__ = [
@@ -96,8 +94,10 @@ class FlowParams:
     lipschitz_margin: float = 0.97
 
     def __post_init__(self):
-        if isinstance(self.alpha, (int, float, np.floating)) and not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not 0.0 < self.lipschitz_margin < 1.0:
             raise ValueError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
 
@@ -131,19 +131,6 @@ class FlowParams:
             blocks.append(ResidualBlock(w_in, b_in, w_out, b_out))
         return FlowParams(blocks, float(theta[pos]), float(theta[pos + 1]), self.lipschitz_margin)
 
-    def taped(self):
-        """View of these parameters with `Var` leaves, plus the leaf list."""
-        leaves = []
-        blocks = []
-        for b in self.blocks:
-            vs = [Var(b.w_in), Var(b.b_in), Var(b.w_out), Var(np.float64(b.b_out))]
-            leaves.extend(vs)
-            blocks.append(ResidualBlock(*vs))
-        alpha, beta = Var(np.float64(self.alpha)), Var(np.float64(self.beta))
-        leaves.extend([alpha, beta])
-        view = FlowParams(blocks, alpha, beta, self.lipschitz_margin)
-        return view, leaves
-
 
 @dataclass
 class Jet2:
@@ -164,25 +151,24 @@ def lipswish(x):
     return x / (1.1 * (1.0 + np.exp(-x)))
 
 
-def _sigmoid_jets(p0, p1, p2):
-    s = 1.0 / (1.0 + ad.exp(-p0))
-    sp = s * (1.0 - s)
-    spp = sp * (1.0 - 2.0 * s)
-    return s, sp * p1, spp * p1 * p1 + sp * p2
+def _swish(pre):
+    """sigma(pre) and f(pre) = pre sigma(pre), where lipswish = f / 1.1."""
+    sig = 1.0 / (1.0 + np.exp(-pre))
+    return sig, pre * sig
 
 
-def _lipswish_jets(p0, p1, p2):
-    s0, s1, s2 = _sigmoid_jets(p0, p1, p2)
-    v = p0 * s0 / 1.1
-    d1 = (p1 * s0 + p0 * s1) / 1.1
-    d2 = (p2 * s0 + 2.0 * p1 * s1 + p0 * s2) / 1.1
-    return v, d1, d2
+def _swish_derivatives(pre, sig):
+    """sigma', sigma'', f' and f'' at pre, given sig = sigma(pre)."""
+    sig1 = sig * (1.0 - sig)
+    sig2 = sig1 * (1.0 - 2.0 * sig)
+    return sig1, sig2, sig + pre * sig1, 2.0 * sig1 + pre * sig2
 
 
 def lipswish_jet(j: Jet2) -> Jet2:
     """Lipswish applied to a jet (value with d/dx and d2/dx2 attached)."""
-    v, d1, d2 = _lipswish_jets(j.value, j.d1, j.d2)
-    return Jet2(v, d1, d2)
+    sig, f0 = _swish(j.value)
+    _, _, f1, f2 = _swish_derivatives(j.value, sig)
+    return Jet2(f0 / 1.1, f1 * j.d1 / 1.1, (f2 * j.d1 * j.d1 + f1 * j.d2) / 1.1)
 
 
 def spectral_norm(W: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
@@ -224,7 +210,7 @@ def _block_scales(block: ResidualBlock, c: float):
     target = np.sqrt(c)
     scales = []
     for w in (block.w_in, block.w_out):
-        sig = np.linalg.norm(w.value if isinstance(w, Var) else w)
+        sig = np.linalg.norm(w)
         scales.append(1.0 if sig <= target else target / sig)
     return scales[0], scales[1]
 
@@ -246,75 +232,36 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
 # ---------------------------------------------------------------------------
 
 
-def _leaf(x):
-    return x.reshape(-1) if isinstance(x, Var) else np.ravel(x)
+def _scaled_weights(block: ResidualBlock, margin: float):
+    """s_in, s_out and the stage's scaled weights a = s_in w_in and c = s_out w_out / 1.1."""
+    s_in, s_out = _block_scales(block, margin)
+    return s_in, s_out, s_in * np.ravel(block.w_in), s_out * np.ravel(block.w_out) / 1.1
 
 
-# Points per block of `_residual_value`, times the hidden width.  Each (hidden, points)
+def _preactivation(a, b_in, z0):
+    """pre0 = a z0 + b_in, a (hidden, points) array."""
+    # one rank-two product, which is cheaper than an outer product
+    return np.column_stack((a, b_in)) @ np.vstack((z0, np.ones_like(z0)))
+
+
+# Points per block of `_residual`, times the hidden width.  Each (hidden, points)
 # temporary then stays near 128 KB, memory the allocator reuses; a whole (128, 2001)
 # temporary is 2 MB, which was faulted in afresh at every fixed-point iteration.
 _BLOCK_ELEMENTS = 16_384
 
 
-def _residual_value(block: ResidualBlock, s_in: float, s_out: float, u):
-    """k(u) on plain values at the points of the 1-d array u, a block of points at a time."""
-    a = (s_in * np.ravel(block.w_in))[:, None]
-    c = s_out * np.ravel(block.w_out)
-    b_in = block.b_in[:, None]
-    u = np.asarray(u, dtype=float)
-    k = np.empty_like(u)
-    step = max(1, _BLOCK_ELEMENTS // a.shape[0])
-    for lo in range(0, u.size, step):
-        k[lo : lo + step] = c @ lipswish(a * u[None, lo : lo + step] + b_in)
+def _residual(block: ResidualBlock, a, c, z):
+    """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time."""
+    k = np.empty_like(z)
+    step = max(1, _BLOCK_ELEMENTS // a.size)
+    for lo in range(0, z.size, step):
+        k[lo : lo + step] = c @ _swish(_preactivation(a, block.b_in, z[lo : lo + step]))[1]
     return k + block.b_out
-
-
-def _residual_jets(block: ResidualBlock, s_in: float, s_out: float, z0, z1, z2):
-    """Jets of k at z; works on Var and ndarray backends alike."""
-    w_in = _leaf(block.w_in).reshape((-1, 1)) * s_in
-    w_out = _leaf(block.w_out).reshape((-1, 1)) * s_out
-    b_in = _leaf(block.b_in).reshape((-1, 1))
-    pre0 = w_in * z0 + b_in
-    pre1 = w_in * z1
-    pre2 = w_in * z2
-    a0, a1, a2 = _lipswish_jets(pre0, pre1, pre2)
-    k0 = (w_out * a0).sum(axis=0) + block.b_out
-    k1 = (w_out * a1).sum(axis=0)
-    k2 = (w_out * a2).sum(axis=0)
-    return k0, k1, k2
 
 
 def _map_jets(params: FlowParams, x: np.ndarray):
     """(G(x), G'(x), G''(x)) at the given points."""
-    if isinstance(params.alpha, Var):
-        return _taped_map_jets(params, x)
     return _jets_forward(params, x)[0]
-
-
-def _taped_map_jets(params: FlowParams, x: np.ndarray):
-    """The jets on a taped view of the parameters: the adjoint's test reference."""
-    x = np.asarray(x, dtype=float)
-    c = params.lipschitz_margin
-    lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
-    raw = (x - params.beta) / params.alpha
-    t0 = ad.clip(raw, lo, hi)
-    inside = ((raw.value > lo) & (raw.value < hi)).astype(float)
-    t1 = inside / params.alpha
-    # u = atanh(t)
-    u0 = ad.atanh(t0)
-    den = 1.0 - t0 * t0
-    up = 1.0 / den
-    z0, z1, z2 = u0, up * t1, (2.0 * t0 * up * up) * t1 * t1
-    for block in params.blocks:
-        s_in, s_out = _block_scales(block, c)
-        k0, k1, k2 = _residual_jets(block, s_in, s_out, z0, z1, z2)
-        z0, z1, z2 = z0 + k0, z1 + k1, z2 + k2
-    g = ad.tanh(z0)
-    gp = 1.0 - g * g
-    gpp = -2.0 * g * gp
-    d1 = gp * z1
-    d2 = gpp * z1 * z1 + gp * z2
-    return g * params.alpha + params.beta, d1 * params.alpha, d2 * params.alpha
 
 
 def _jets_forward(params: FlowParams, x: np.ndarray):
@@ -339,19 +286,12 @@ def _jets_forward(params: FlowParams, x: np.ndarray):
     z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
     stages = []
     for block in params.blocks:
-        s_in, s_out = _block_scales(block, margin)
-        a = s_in * np.ravel(block.w_in)
-        c = s_out * np.ravel(block.w_out) / 1.1
+        s_in, s_out, a, c = _scaled_weights(block, margin)
         u = c * a
         v = u * a
-        # a z0 + b_in as one rank-two product, which is cheaper than an outer product
-        pre = np.column_stack((a, block.b_in)) @ np.vstack((z0, np.ones_like(z0)))
-        sig = 1.0 / (1.0 + np.exp(-pre))
-        sig1 = sig * (1.0 - sig)
-        sig2 = sig1 * (1.0 - 2.0 * sig)
-        f0 = pre * sig
-        f1 = sig + pre * sig1
-        f2 = 2.0 * sig1 + pre * sig2
+        pre = _preactivation(a, block.b_in, z0)
+        sig, f0 = _swish(pre)
+        sig1, sig2, f1, f2 = _swish_derivatives(pre, sig)
         p1, p2 = u @ f1, v @ f2
         stages.append(
             (s_in, s_out, a, c, u, v, z0, z1, z2, pre, sig, sig1, sig2, f0, f1, f2, p1, p2)
@@ -369,7 +309,7 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     """Reverse sweep of `_jets_forward`.
 
     Given the adjoints dL/dG, dL/dG', dL/dG'' at each point, returns dL/dtheta
-    in `params.pack()` order.  The weight scales are held fixed, as on the tape.
+    in `params.pack()` order.  The weight scales are held fixed (detached).
     A stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar +
     f'''(pre0) v p2_bar (outer products of hidden and point vectors); it is
     used only through its sums against 1, z0 and a, so it is never formed.
@@ -421,8 +361,6 @@ def flow_forward(params: FlowParams, x):
     """G(x) for a scalar or array of points inside the sandwich interval."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     g, _, _ = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
-    if isinstance(g, Var):
-        return g
     if not np.all(np.isfinite(g)):
         bad = np.atleast_1d(x)[~np.isfinite(g)][0]
         raise FlowNumericsError(f"flow evaluation produced a non-finite value at x={bad}")
@@ -433,8 +371,6 @@ def flow_jet(params: FlowParams, x) -> Jet2:
     """G, G' and G'' at x (scalar in, scalar jet out; arrays pass through)."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     g, d1, d2 = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
-    if isinstance(g, Var):
-        return Jet2(g, d1, d2)
     stacked = np.stack([g, d1, d2])
     if not np.all(np.isfinite(stacked)):
         bad = np.atleast_1d(x)[~np.isfinite(stacked).all(axis=0)][0]
@@ -463,15 +399,14 @@ def flow_inverse(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    c = params.lipschitz_margin
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     w = np.arctanh(np.clip((y - params.beta) / params.alpha, lo, hi))
     total_iters = 0
     for block in reversed(params.blocks):
-        s_in, s_out = _block_scales(block, c)
+        _, _, a, c = _scaled_weights(block, params.lipschitz_margin)
         z = w.copy()
         for _ in range(max_iter):
-            z_next = w - _residual_value(block, s_in, s_out, z)
+            z_next = w - _residual(block, a, c, z)
             total_iters += 1
             step = np.abs(z_next - z).max()
             z = z_next
@@ -569,16 +504,17 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
     alpha = float(header["alpha"])
     beta = float(header["beta"])
     seed = int(header["seed"])
+    if hidden < 1 or n_blocks < 1:
+        raise ValueError(f"{path}: hidden and blocks must be >= 1, got {hidden} and {n_blocks}")
     theta = np.array([float(v) for v in lines[body_at:]])
     if theta.size != n_blocks * (3 * hidden + 1):
         raise ValueError(f"{path}: expected {n_blocks * (3 * hidden + 1)} weights, got {theta.size}")
-    template = FlowParams(
-        [
-            ResidualBlock(np.zeros((hidden, 1)), np.zeros(hidden), np.zeros((1, hidden)), 0.0)
-            for _ in range(n_blocks)
-        ],
-        alpha,
-        beta,
-        margin,
-    )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"{path}: non-finite weight at index {np.flatnonzero(~np.isfinite(theta))[0]}")
+    # the template only gives `with_vector` the block shapes
+    zero = ResidualBlock(np.zeros((hidden, 1)), np.zeros(hidden), np.zeros((1, hidden)), 0.0)
+    try:
+        template = FlowParams([zero] * n_blocks, alpha, beta, margin)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return template.with_vector(np.concatenate([theta, [alpha, beta]])), seed

@@ -73,7 +73,8 @@ class Potential:
 
     Training needs the exact derivative; assembly needs only the values.  The
     callable must be written in elementary arithmetic (+, *, integer powers)
-    so it can also be evaluated on taped values.
+    so it can also be evaluated on complex values, which the complex-step
+    check of the trace-loss gradient needs.
     """
 
     func: Callable

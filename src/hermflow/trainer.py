@@ -49,6 +49,7 @@ __all__ = [
     "make_trace_loss",
     "trace_loss",
     "gradient",
+    "finite_diff_gradient",
     "adam_step",
     "train",
 ]
@@ -137,8 +138,8 @@ class TrainingTrace:
 class TraceLoss:
     """The trace loss at one basis size, rule and potential.
 
-    Calling it on a plain `FlowParams`, on a taped view of one, or on None
-    (identity warp) gives the loss; `gradient` differentiates it.
+    Calling it on a `FlowParams`, or on None (identity warp), gives the loss;
+    `gradient` differentiates it.
     """
 
     nodes: np.ndarray
@@ -149,7 +150,7 @@ class TraceLoss:
     potential: Potential
 
     def head(self, g, g1, g2):
-        """The loss from the jets at the nodes; runs on arrays and on taped values."""
+        """The loss from the jets at the nodes."""
         r = g2 / g1
         kinetic = 0.5 * (self.s2 - self.s1 * r + 0.25 * self.s0 * (r * r)) / (g1 * g1)
         return ((kinetic + self.s0 * self.potential(g)) * self.weights).sum()
@@ -198,6 +199,21 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite adjoint at parameter index {bad}")
     return value, grad
+
+
+def finite_diff_gradient(loss, params: FlowParams, step: float) -> np.ndarray:
+    """Central-difference gradient of `loss`, one parameter at a time."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    theta = params.pack()
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        up = theta.copy()
+        up[i] += step
+        down = theta.copy()
+        down[i] -= step
+        grad[i] = (loss(params.with_vector(up)) - loss(params.with_vector(down))) / (2.0 * step)
+    return grad
 
 
 def trace_loss(config: TrainingConfig, params: FlowParams | None, V: Potential) -> float:

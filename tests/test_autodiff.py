@@ -1,18 +1,19 @@
+"""The Var engine, the trace-loss adjoint against central differences, and the
+central-difference helper itself."""
+
 import numpy as np
 import pytest
 
 from hermflow import (
     FlowParams,
     ResidualBlock,
-    Var,
     anharmonic_potential,
     finite_diff_gradient,
-    flow_forward,
     gauss_hermite_rule,
     gradient,
-    init_flow_params,
     make_trace_loss,
 )
+from hermflow.autodiff import Var
 from conftest import make_feasible_params
 
 
@@ -69,27 +70,7 @@ class TestVarEngine:
 
 
 class TestGradient:
-    def test_quadratic_through_alpha_slot(self):
-        # loss(theta) = theta^2 with theta := alpha = 3 -> value 9, slope 6
-        params = tiny_params(alpha=3.0)
-        value, grad = gradient(lambda p: (p.alpha * p.alpha).sum(), params)
-        assert value == pytest.approx(9.0, abs=1e-14)
-        assert grad[-2] == pytest.approx(6.0, abs=1e-12)
-        others = np.delete(grad, grad.size - 2)
-        np.testing.assert_allclose(others, 0.0, atol=1e-15)
-
-    def test_flow_forward_alpha_beta_vs_fd(self):
-        params = init_flow_params(hidden=8, alpha=2.0, beta=0.1, seed=4)
-
-        def loss(p):
-            return flow_forward(p, 0.5).sum() if isinstance(p.alpha, Var) else float(
-                flow_forward(p, 0.5)
-            )
-
-        _, grad = gradient(loss, params)
-        fd = finite_diff_gradient(loss, params, 1e-6)
-        for slot in (-2, -1):  # alpha, beta
-            assert grad[slot] == pytest.approx(fd[slot], rel=1e-6)
+    """The adjoint `hermflow.gradient` (`trainer.gradient`) against central differences."""
 
     def test_trace_loss_vs_fd(self, rng):
         rule = gauss_hermite_rule(30)
@@ -119,18 +100,6 @@ class TestGradient:
             worst = max(worst, (np.abs(grad - fd)[mask] / mag[mask]).max())
         assert worst <= 1e-5
 
-    def test_linearity(self, rng):
-        rule = gauss_hermite_rule(20)
-        V = anharmonic_potential()
-        l1 = make_trace_loss(3, rule, V)
-        l2 = make_trace_loss(4, rule, V)
-        params = make_feasible_params(6, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
-        a, b = 2.5, -0.75
-        _, g1 = gradient(l1, params)
-        _, g2 = gradient(l2, params)
-        _, g12 = gradient(lambda p: a * l1(p) + b * l2(p), params)
-        np.testing.assert_allclose(g12, a * g1 + b * g2, atol=1e-12)
-
     def test_determinism(self, rng):
         rule = gauss_hermite_rule(25)
         loss = make_trace_loss(4, rule, anharmonic_potential())
@@ -149,10 +118,6 @@ class TestGradient:
         mag = np.maximum(np.abs(grad), np.abs(fd))
         mask = mag > 1e-8
         assert (np.abs(grad - fd)[mask] / mag[mask]).max() <= 1e-5
-
-    def test_rejects_untaped_loss(self):
-        with pytest.raises(TypeError):
-            gradient(lambda p: 1.0, tiny_params())
 
 
 class TestFiniteDiffGradient:

@@ -218,6 +218,15 @@ class TestAnalyze:
     def test_missing_input_exits_2(self, tmp_path):
         assert run(["analyze", tmp_path / "nope.csv", "--n-ref", 5]) == 2
 
+    @pytest.mark.parametrize("row", ["hermite,1", "hermite,1,0,abc"])
+    def test_malformed_row_exits_2_before_any_output(self, tmp_path, capsys, row):
+        spectra = tmp_path / "spectra.csv"
+        spectra.write_text(f"# hermflow spectra csv v1\nscheme,N,n,E\n{row}\n")
+        out = tmp_path / "an"
+        assert run(["analyze", spectra, "--n-ref", 1, "--output-dir", out]) == 2
+        assert f"{spectra}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reference_below_analyzed_sizes_exits_2(self, sweep_dir, tmp_path):
         code = run(
             ["analyze", sweep_dir / "spectra.csv", "--n-ref", 12,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,11 +116,11 @@ class TestNormalizeBlock:
         scaled = normalize_block(block, c)
         params = FlowParams([scaled], 5.0, 0.0, c)
         xs = rng.uniform(-4, 4, size=(1000, 2))
-        from hermflow.flow import _block_scales, _residual_value
+        from hermflow.flow import _residual, _scaled_weights
 
-        s_in, s_out = _block_scales(scaled, c)
-        k1 = _residual_value(scaled, s_in, s_out, xs[:, 0])
-        k2 = _residual_value(scaled, s_in, s_out, xs[:, 1])
+        _, _, a, c_scaled = _scaled_weights(scaled, c)
+        k1 = _residual(scaled, a, c_scaled, xs[:, 0])
+        k2 = _residual(scaled, a, c_scaled, xs[:, 1])
         ratios = np.abs(k1 - k2) / np.abs(xs[:, 0] - xs[:, 1])
         assert ratios.max() <= c + 1e-9
         assert params.lipschitz_margin == c
@@ -312,6 +313,13 @@ class TestInitialization:
         with pytest.raises(ValueError):
             FlowParams([], alpha=-1.0, beta=0.0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(np.int64(-3), 0.0), (math.inf, 0.0), (math.nan, 0.0), (2.0, math.nan)]
+    )
+    def test_alpha_and_beta_must_be_finite(self, alpha, beta):
+        with pytest.raises(ValueError):
+            FlowParams([], alpha=alpha, beta=beta)
+
 
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path, rng):
@@ -327,6 +335,27 @@ class TestCheckpoint:
         path = tmp_path / "junk.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line,text", [(4, "alpha = inf"), (5, "beta = nan"), (-1, "nan")])
+    def test_rejects_non_finite_warp(self, tmp_path, rng, line, text):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = path.read_text().splitlines()
+        lines[line] = text  # header alpha, header beta, or the last weight
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("hidden,blocks", [(0, 1), (4, 0)])
+    def test_rejects_empty_network(self, tmp_path, hidden, blocks):
+        path = tmp_path / "flow.txt"
+        path.write_text(
+            f"hermflow-checkpoint v1\nhidden = {hidden}\nblocks = {blocks}\n"
+            "lipschitz_margin = 0.97\nalpha = 5.0\nbeta = 0.0\nseed = 0\nparams:\n"
+            + "0.0\n" * (blocks * (3 * hidden + 1))
+        )
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_checkpoint(path)
 
     def test_version_line_present(self, tmp_path):
