@@ -20,6 +20,15 @@ weights are rank-one, so each stage's hidden layer is an outer product and
 every sum over hidden units is a matrix-vector product.  The fixed-point
 inverse evaluates each residual k(z) with the forward sweep's stage code.
 
+The stage code writes each stage's (hidden, points) arrays into stage
+buffers, which a caller that sweeps more than once owns and passes again,
+rather than into fresh temporaries.  Fresh temporaries are returned to
+the system when freed, once the top of the heap exceeds glibc's trim threshold
+(128 KB) or a single array its mmap threshold, so every sweep faulted its
+pages in again.  Training reuses one buffer set per stage across its Adam
+steps (`trainer.TraceLoss`); `_map_jets` and the inverse run large point sets
+a block of points at a time through one small buffer set.
+
 Warped-basis functions are recovered from the inverse map:
 
     phi_n^aug(x) = phi_n(G^-1(x)) / sqrt(G'(G^-1(x))),
@@ -60,6 +69,7 @@ ATANH_CLIP = 1e-7  # guards the open endpoints of the sandwich interval
 
 _CHECKPOINT_MAGIC = "hermflow-checkpoint"
 _CHECKPOINT_VERSION = 1
+_CHECKPOINT_HEADER = ("hidden", "blocks", "lipschitz_margin", "alpha", "beta", "seed")
 
 
 class FlowNumericsError(RuntimeError):
@@ -151,23 +161,76 @@ def lipswish(x):
     return x / (1.1 * (1.0 + np.exp(-x)))
 
 
-def _swish(pre):
-    """sigma(pre) and f(pre) = pre sigma(pre), where lipswish = f / 1.1."""
-    sig = 1.0 / (1.0 + np.exp(-pre))
-    return sig, pre * sig
+def _stage_buffers(shape, dtype=float) -> list:
+    """Room for one stage's arrays at `shape`: pre, sig, sig1, sig2, f0, f1, f2, f3
+    and a scratch array.
+
+    They are nine arrays, not one stacked array: at hidden 128 and Q 90 each is
+    92 KB, below glibc's 128 KB mmap threshold, so they come from the heap.  A
+    freed mapping of 128 KB or more would raise glibc's mmap and trim
+    thresholds for the rest of the process, and so change how all the code
+    around it allocates (and how fast it runs).
+    """
+    return [np.empty(shape, dtype) for _ in range(9)]
 
 
-def _swish_derivatives(pre, sig):
-    """sigma', sigma'', f' and f'' at pre, given sig = sigma(pre)."""
-    sig1 = sig * (1.0 - sig)
-    sig2 = sig1 * (1.0 - 2.0 * sig)
-    return sig1, sig2, sig + pre * sig1, 2.0 * sig1 + pre * sig2
+def _stage_views(store: list, hidden: int, points: int) -> list:
+    """Contiguous (hidden, points) views over the fronts of a flat stage buffer set."""
+    return [flat[: hidden * points].reshape(hidden, points) for flat in store]
+
+
+# The stage code writes every (hidden, points) array into its stage buffers by
+# ufunc `out=`, in the order of operations of the expression quoted beside it,
+# so reused buffers give the same bits as fresh arrays.
+
+
+def _swish(buf):
+    """sig = sigma(pre) and f0 = f(pre) = pre sig, where lipswish = f / 1.1."""
+    pre, sig, _, _, f0 = buf[:5]
+    np.negative(pre, out=sig)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    np.divide(1.0, sig, out=sig)  # 1 / (1 + exp(-pre))
+    np.multiply(pre, sig, out=f0)
+
+
+def _swish_derivatives(buf):
+    """sig1, sig2, f1, f2 = sigma', sigma'', f' and f'' at pre, given sig."""
+    pre, sig, sig1, sig2, _, f1, f2, _, tmp = buf
+    np.subtract(1.0, sig, out=sig1)
+    np.multiply(sig, sig1, out=sig1)  # sig (1 - sig)
+    np.multiply(2.0, sig, out=sig2)
+    np.subtract(1.0, sig2, out=sig2)
+    np.multiply(sig1, sig2, out=sig2)  # sig1 (1 - 2 sig)
+    np.multiply(pre, sig1, out=f1)
+    np.add(sig, f1, out=f1)  # sig + pre sig1
+    np.multiply(2.0, sig1, out=tmp)
+    np.multiply(pre, sig2, out=f2)
+    np.add(tmp, f2, out=f2)  # 2 sig1 + pre sig2
+
+
+def _swish_third_derivative(buf):
+    """f3 = f''' at pre, given sig, sig1 and sig2."""
+    pre, sig, sig1, sig2, _, _, _, f3, tmp = buf
+    np.multiply(2.0, sig, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.multiply(sig2, tmp, out=tmp)
+    np.multiply(2.0, sig1, out=f3)
+    np.multiply(f3, sig1, out=f3)
+    np.subtract(tmp, f3, out=tmp)
+    np.multiply(pre, tmp, out=tmp)
+    np.multiply(3.0, sig2, out=f3)
+    np.add(f3, tmp, out=f3)  # 3 sig2 + pre (sig2 (1 - 2 sig) - 2 sig1 sig1)
 
 
 def lipswish_jet(j: Jet2) -> Jet2:
     """Lipswish applied to a jet (value with d/dx and d2/dx2 attached)."""
-    sig, f0 = _swish(j.value)
-    _, _, f1, f2 = _swish_derivatives(j.value, sig)
+    value = np.atleast_1d(j.value)
+    buf = _stage_buffers(value.shape, np.result_type(value, 1.0))
+    buf[0][...] = value
+    _swish(buf)
+    _swish_derivatives(buf)
+    f0, f1, f2 = (f.reshape(np.shape(j.value)) for f in buf[4:7])
     return Jet2(f0 / 1.1, f1 * j.d1 / 1.1, (f2 * j.d1 * j.d1 + f1 * j.d2) / 1.1)
 
 
@@ -238,33 +301,73 @@ def _scaled_weights(block: ResidualBlock, margin: float):
     return s_in, s_out, s_in * np.ravel(block.w_in), s_out * np.ravel(block.w_out) / 1.1
 
 
-def _preactivation(a, b_in, z0):
-    """pre0 = a z0 + b_in, a (hidden, points) array."""
+def _preactivation(a, b_in, z0, out):
+    """pre0 = a z0 + b_in, into the (hidden, points) array `out`."""
     # one rank-two product, which is cheaper than an outer product
-    return np.column_stack((a, b_in)) @ np.vstack((z0, np.ones_like(z0)))
+    np.matmul(np.column_stack((a, b_in)), np.vstack((z0, np.ones_like(z0))), out=out)
 
 
-# Points per block of `_residual`, times the hidden width.  Each (hidden, points)
-# temporary then stays near 128 KB, memory the allocator reuses; a whole (128, 2001)
-# temporary is 2 MB, which was faulted in afresh at every fixed-point iteration.
+# Points per block of `_residual` and `_map_jets`, times the hidden width.  A block's
+# stage buffers (9 arrays of 128 KB) are made once per call and reused for every
+# block; whole (128, 2001) temporaries are 2 MB each, which glibc maps afresh and
+# returns on free, so every evaluation faulted them in again.
 _BLOCK_ELEMENTS = 16_384
 
 
-def _residual(block: ResidualBlock, a, c, z):
-    """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time."""
+def _block_points(hidden: int) -> int:
+    """Points per block: the largest power of two in _BLOCK_ELEMENTS // hidden, at least 32.
+
+    Block edges at multiples of 32 points fall on the column groups of the BLAS
+    kernels, so the blocks' products give the bits of one whole product (checked
+    with OpenBLAS 0.3.31 for widths 1 to 3,000 on 30 to 2,001 points); other
+    block sizes moved G'' by up to 36 ulps at widths such as 129.
+    """
+    return max(32, 1 << (max(1, _BLOCK_ELEMENTS // hidden).bit_length() - 1))
+
+
+def _block_store(params: FlowParams, points: int) -> list:
+    """Flat stage buffers that hold any stage's arrays for a block of at most `points` points."""
+    size = max((b.hidden * min(points, _block_points(b.hidden)) for b in params.blocks), default=0)
+    return _stage_buffers(size)
+
+
+def _residual(block: ResidualBlock, a, c, z, store=None):
+    """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time.
+
+    `store` (see `_block_store`) is the work space; a caller iterating on z passes
+    the same one every time.
+    """
     k = np.empty_like(z)
-    step = max(1, _BLOCK_ELEMENTS // a.size)
+    step = _block_points(a.size)
+    if store is None:
+        store = _stage_buffers(a.size * min(step, z.size))
     for lo in range(0, z.size, step):
-        k[lo : lo + step] = c @ _swish(_preactivation(a, block.b_in, z[lo : lo + step]))[1]
+        chunk = z[lo : lo + step]
+        buf = _stage_views(store, a.size, chunk.size)
+        _preactivation(a, block.b_in, chunk, buf[0])
+        _swish(buf)
+        k[lo : lo + step] = c @ buf[4]
     return k + block.b_out
 
 
 def _map_jets(params: FlowParams, x: np.ndarray):
-    """(G(x), G'(x), G''(x)) at the given points."""
-    return _jets_forward(params, x)[0]
+    """(G(x), G'(x), G''(x)) at the given points, a block of points at a time.
+
+    One set of stage buffers serves every stage and every block, since nothing
+    is kept for a reverse sweep.
+    """
+    x = np.asarray(x, dtype=float)
+    step = _block_points(max((b.hidden for b in params.blocks), default=1))
+    store = _block_store(params, x.size)
+    jets = np.empty((3, x.size))
+    for lo in range(0, x.size, step):
+        chunk = x[lo : lo + step]
+        views = [_stage_views(store, b.hidden, chunk.size) for b in params.blocks]
+        jets[:, lo : lo + step] = _jets_forward(params, chunk, views)[0]
+    return tuple(jets)
 
 
-def _jets_forward(params: FlowParams, x: np.ndarray):
+def _jets_forward(params: FlowParams, x: np.ndarray, buffers=None):
     """Forward sweep: ((G, G', G''), what `_jets_reverse` needs) at the points x.
 
     In a stage with scaled weights a = s_in w_in and c = s_out w_out / 1.1
@@ -274,6 +377,12 @@ def _jets_forward(params: FlowParams, x: np.ndarray):
         k0 = c.f(pre0) + b_out,  k1 = z1 (u.f'(pre0)),
         k2 = z1^2 (v.f''(pre0)) + z2 (u.f'(pre0)),
     so only pre0 and f, f', f'' are (hidden, points) arrays.
+
+    `buffers`, if given, holds one set of stage buffers (`_stage_buffers`) of
+    shape (hidden, points) per stage; the stage's arrays are written there and
+    `saved` refers to them, so they must stay untouched until the reverse
+    sweep.  Otherwise each stage gets fresh buffers of its inputs' dtype,
+    which lets complex parameters through.
     """
     x = np.asarray(x, dtype=float)
     alpha, beta, margin = params.alpha, params.beta, params.lipschitz_margin
@@ -285,18 +394,20 @@ def _jets_forward(params: FlowParams, x: np.ndarray):
     up = 1.0 / (1.0 - t0 * t0)
     z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
     stages = []
-    for block in params.blocks:
+    for i, block in enumerate(params.blocks):
         s_in, s_out, a, c = _scaled_weights(block, margin)
         u = c * a
         v = u * a
-        pre = _preactivation(a, block.b_in, z0)
-        sig, f0 = _swish(pre)
-        sig1, sig2, f1, f2 = _swish_derivatives(pre, sig)
-        p1, p2 = u @ f1, v @ f2
-        stages.append(
-            (s_in, s_out, a, c, u, v, z0, z1, z2, pre, sig, sig1, sig2, f0, f1, f2, p1, p2)
-        )
-        z0, z1, z2 = z0 + c @ f0 + block.b_out, z1 + z1 * p1, z2 + z1 * z1 * p2 + z2 * p1
+        if buffers is None:
+            buf = _stage_buffers((a.size, z0.size), np.result_type(a, block.b_in, z0))
+        else:
+            buf = buffers[i]
+        _preactivation(a, block.b_in, z0, buf[0])
+        _swish(buf)
+        _swish_derivatives(buf)
+        p1, p2 = u @ buf[5], v @ buf[6]
+        stages.append((s_in, s_out, a, c, u, v, z0, z1, z2, buf, p1, p2))
+        z0, z1, z2 = z0 + c @ buf[4] + block.b_out, z1 + z1 * p1, z2 + z1 * z1 * p2 + z2 * p1
     g = np.tanh(z0)
     gp = 1.0 - g * g
     gpp = -2.0 * g * gp
@@ -326,13 +437,12 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     z1_bar = alpha * (bar1 * gp + 2.0 * bar2 * gpp * z1)
     z2_bar = alpha * bar2 * gp
     pieces = []
-    for (s_in, s_out, a, c, u, v, z0, z1, z2, pre, sig, sig1, sig2, f0, f1, f2, p1, p2) in reversed(
-        stages
-    ):
+    for s_in, s_out, a, c, u, v, z0, z1, z2, buf, p1, p2 in reversed(stages):
         # z + k(z): the identity passes the adjoints through, k adds to them
         p1_bar = z1_bar * z1 + z2_bar * z2
         p2_bar = z2_bar * z1 * z1
-        f3 = 3.0 * sig2 + pre * (sig2 * (1.0 - 2.0 * sig) - 2.0 * sig1 * sig1)
+        _swish_third_derivative(buf)
+        f0, f1, f2, f3 = buf[4:8]
         m1 = f1 @ np.column_stack((z0_bar, z0_bar * z0))
         m2 = f2 @ np.column_stack((p1_bar, p1_bar * z0))
         m3 = f3 @ np.column_stack((p2_bar, p2_bar * z0))
@@ -402,11 +512,12 @@ def flow_inverse(
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     w = np.arctanh(np.clip((y - params.beta) / params.alpha, lo, hi))
     total_iters = 0
+    store = _block_store(params, y.size)
     for block in reversed(params.blocks):
         _, _, a, c = _scaled_weights(block, params.lipschitz_margin)
         z = w.copy()
         for _ in range(max_iter):
-            z_next = w - _residual(block, a, c, z)
+            z_next = w - _residual(block, a, c, z, store)
             total_iters += 1
             step = np.abs(z_next - z).max()
             z = z_next
@@ -495,9 +606,15 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
             body_at = i + 1
             break
         key, _, val = ln.partition("=")
-        header[key.strip()] = val.strip()
+        key = key.strip()
+        if key in header:
+            raise ValueError(f"{path}: header key {key!r} is repeated")
+        header[key] = val.strip()
     if body_at is None:
         raise ValueError(f"{path}: missing parameter section")
+    for key in _CHECKPOINT_HEADER:
+        if key not in header:
+            raise ValueError(f"{path}: header key {key!r} is missing")
     hidden = int(header["hidden"])
     n_blocks = int(header["blocks"])
     margin = float(header["lipschitz_margin"])

@@ -20,9 +20,10 @@ with its own transpose is exactly symmetric, so the raw asymmetry of T + V is
 the rounding of the potential product alone (at most 1.1e-12 over N <= 180,
 Q in {40, 90, 200}).  The assembly's asymmetry check therefore detects non-finite
 matrix elements and faults in the assembly, not an underresolved quadrature;
-the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  One
-table phi_0 .. phi_N per assembly gives the values phi_0 .. phi_{N-1} and, by
-the ladder identity, their derivatives.
+the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  The
+first N + 1 rows phi_0 .. phi_N of the rule's Hermite table give the values
+phi_0 .. phi_{N-1} and, by the ladder identity, their derivatives, so assembly
+builds no table of its own.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def assemble_hamiltonian(
     The kinetic part is exactly symmetric and the potential part's asymmetry
     is rounding, so the check fails only on non-finite matrix elements (a NaN
     anywhere fails it) or on a fault in the assembly; an underresolved
-    quadrature passes it.  The jets and one Hermite table phi_0 .. phi_N are
-    computed once and shared by both terms.
+    quadrature passes it.  The jets are computed once and shared by both terms,
+    as are the rows phi_0 .. phi_N of the rule's Hermite table.
     """
     if rule.order < 2 * spec.size + 10:
         warnings.warn(
@@ -200,7 +201,7 @@ def assemble_hamiltonian(
         warnings.simplefilter("ignore")  # order warnings already issued above
         _check_orders(spec, rule)
         y, g1, g2 = _node_jets(rule, params)
-        table = eval_hermite_functions(spec.size, rule.nodes)  # phi_0 .. phi_N
+        table = rule.hermite_table[: spec.size + 1]  # phi_0 .. phi_N
         phi, dphi = table[:-1], hermite_derivatives_from_table(table)
         H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)

@@ -15,6 +15,11 @@ Each rule also carries "lifted" weights w_q * exp(x_q^2) for integrands
 that contain their own Gaussian decay (products of Hermite functions); by
 the identity above the lift is simply 1 / sum_k phi_k(x_q)^2, which never
 overflows even at the outermost node of a high-order rule.
+
+The table phi_0 .. phi_Q at the nodes is kept with the rule: its first Q rows
+give the weights, and assembly at any basis size N <= Q slices its first N + 1
+rows.  A row of the recurrence does not depend on how many rows follow it, so
+the slice equals a table built for N alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ _TESTED_ORDER = 100
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite rule: ascending nodes, positive weights, lifted weights."""
+    """Gauss-Hermite rule: ascending nodes, positive weights, lifted weights,
+    and the Hermite functions phi_0 .. phi_order at the nodes, one row each."""
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
     lifted_weights: np.ndarray
+    hermite_table: np.ndarray
 
 
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
@@ -66,12 +73,15 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
 def _build_rule(Q: int) -> QuadratureRule:
     """The order-Q rule, built once per order; its arrays are read-only, as callers share them."""
     nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(0.5 * np.arange(1, Q))).eigenvalues
-    phi = eval_hermite_functions(Q - 1, nodes)
+    table = eval_hermite_functions(Q, nodes)
+    phi = table[:Q]
     lifted = 1.0 / (phi * phi).sum(axis=0)
     weights = lifted * np.exp(-nodes * nodes)
-    for arr in (nodes, weights, lifted):
+    for arr in (nodes, weights, lifted, table):
         arr.flags.writeable = False
-    return QuadratureRule(order=Q, nodes=nodes, weights=weights, lifted_weights=lifted)
+    return QuadratureRule(
+        order=Q, nodes=nodes, weights=weights, lifted_weights=lifted, hermite_table=table
+    )
 
 
 def integrate_lifted(values_at_nodes, rule: QuadratureRule) -> float:

@@ -12,7 +12,11 @@ trace down tightens every level at once.
 
 The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node)
 pulled back through the map's jets by their hand-written reverse sweep
-(`flow._jets_reverse`).
+(`flow._jets_reverse`).  Both sweeps write their (hidden, Q) arrays into stage
+buffers that the `TraceLoss` keeps from one call to the next, so an Adam step
+allocates none: freed, they went back to the system at every step (glibc
+trims the top of the heap beyond 128 KB), and the next step faulted the same
+pages in again.
 
 Training starts from the exact identity warp (see `flow.init_flow_params`),
 so the iteration-0 loss reproduces the plain Hermite trace, and re-projects
@@ -33,6 +37,7 @@ from .flow import (
     _jets_forward,
     _jets_reverse,
     _map_jets,
+    _stage_buffers,
     init_flow_params,
     normalize_block,
 )
@@ -148,6 +153,15 @@ class TraceLoss:
     s1: np.ndarray
     s2: np.ndarray
     potential: Potential
+    # one set of stage buffers per stage for `gradient`'s sweeps, kept from call to call
+    _stages: list = field(default_factory=list, init=False, repr=False)
+
+    def stage_buffers(self, params: FlowParams) -> list:
+        """Stage buffers for `params` at the nodes, made on first use and then reused."""
+        shapes = [(b.hidden, self.nodes.size) for b in params.blocks]
+        if [buf[0].shape for buf in self._stages] != shapes:
+            self._stages[:] = [_stage_buffers(shape) for shape in shapes]
+        return self._stages
 
     def head(self, g, g1, g2):
         """The loss from the jets at the nodes."""
@@ -190,7 +204,7 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """
     if loss.potential.derivative is None:
         raise ValueError(f"potential {loss.potential.descriptor!r} has no derivative; cannot train")
-    jets, saved = _jets_forward(params, loss.nodes)
+    jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
     value = float(loss.head(*jets))
     if not np.isfinite(value):
         raise FloatingPointError(f"loss evaluated to a non-finite value: {value}")

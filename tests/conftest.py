@@ -41,28 +41,43 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
     The complex step has no subtractive cancellation, so the derivative is
     exact to rounding for any h small enough that h^2 vanishes against 1.
     Each evaluation runs the production forward sweep and loss head on a
-    `FlowParams` built from the real parameters whose arrays are then
-    replaced by complex ones.  The weight norms stay real (|w + i h e| = |w|
-    to rounding), so the Lipschitz scales are held fixed, as in the adjoint.
+    `FlowParams` built from the real parameters, in which only the arrays of
+    the block that holds theta_i (or alpha and beta, if theta_i is one of
+    them) are replaced by complex ones.  The sweep takes each stage's dtype
+    from its inputs, so the stages before that block run on real arrays.  The
+    weight norms stay real (|w + i h e| = |w| to rounding), so the Lipschitz
+    scales are held fixed, as in the adjoint.
     """
     theta = params.pack()
     grad = np.empty_like(theta)
+    starts = np.cumsum([0] + [3 * block.hidden + 1 for block in params.blocks])
     for i in range(theta.size):
         shifted = theta.astype(complex)
         shifted[i] += 1j * h
-        view = params.with_vector(theta)
-        pos = 0
-        for block in view.blocks:
-            n = block.hidden
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        view = complex_params(params, shifted, k if k < len(params.blocks) else "sandwich")
+        value = loss.head(*_jets_forward(view, loss.nodes)[0])
+        grad[i] = value.imag / h
+    return float(value.real), grad
+
+
+def complex_params(params: FlowParams, shifted, part="all") -> FlowParams:
+    """A copy of `params` whose arrays of block `part` (an index), of alpha and
+    beta (part="sandwich") or of every parameter (part="all") are taken from
+    the complex vector `shifted`, in `pack()` order."""
+    view = params.with_vector(params.pack())
+    pos = 0
+    for k, block in enumerate(view.blocks):
+        n = block.hidden
+        if part in ("all", k):
             block.w_in = shifted[pos : pos + n].reshape(n, 1)
             block.b_in = shifted[pos + n : pos + 2 * n]
             block.w_out = shifted[pos + 2 * n : pos + 3 * n].reshape(1, n)
             block.b_out = shifted[pos + 3 * n]
-            pos += 3 * n + 1
+        pos += 3 * n + 1
+    if part in ("all", "sandwich"):
         view.alpha, view.beta = shifted[pos], shifted[pos + 1]
-        value = loss.head(*_jets_forward(view, loss.nodes)[0])
-        grad[i] = value.imag / h
-    return float(value.real), grad
+    return view
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,36 @@ class TestFlowJet:
             assert np.all(flow_jet(params, rule.nodes).d1 > 0)
 
 
+class TestManyPointJets:
+    """`flow_jet` on many points runs the forward sweep a block of points at a time."""
+
+    @pytest.mark.parametrize("hidden", [8, 128, 300])
+    def test_blocks_match_one_sweep(self, rng, hidden):
+        # 2,001 points are 1, 16 and 63 blocks at these widths, the last one short
+        from hermflow.flow import _jets_forward
+
+        params = make_feasible_params(hidden, 9.0, 0.1, rng, n_blocks=2)
+        xs = np.linspace(-8.5, 8.5, 2001)
+        j = flow_jet(params, xs)
+        for got, want in zip((j.value, j.d1, j.d2), _jets_forward(params, xs)[0]):
+            # equal bit for bit with OpenBLAS; the bound allows a BLAS whose
+            # matrix-vector products sum a short block in another order
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(flow_forward(params, xs), j.value)
+
+    def test_memory_stays_below_one_whole_stage_array(self, rng):
+        params = make_feasible_params(128, 9.0, 0.1, rng, n_blocks=2)
+        xs = np.linspace(-8.5, 8.5, 2001)
+        flow_jet(params, xs)
+        tracemalloc.start()
+        try:
+            flow_jet(params, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2001 * 8
+
+
 class TestFlowInverse:
     def test_identity(self):
         params = zero_block_params(alpha=5.0)
@@ -356,6 +387,26 @@ class TestCheckpoint:
             + "0.0\n" * (blocks * (3 * hidden + 1))
         )
         with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["hidden", "blocks", "lipschitz_margin", "alpha", "beta", "seed"]
+    )
+    def test_rejects_missing_header_key(self, tmp_path, rng, key):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith(f"{key} =")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'{key}'"):
+            load_checkpoint(path)
+
+    def test_rejects_repeated_header_key(self, tmp_path, rng):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = path.read_text().splitlines()
+        lines.insert(5, "alpha = 3.0")  # a second alpha after the first
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'alpha'.*repeated"):
             load_checkpoint(path)
 
     def test_version_line_present(self, tmp_path):

@@ -175,7 +175,7 @@ class TestAssembleHamiltonian:
         scale = np.abs(H).max()
         assert np.abs(H - exact).max() <= 4 * np.spacing(scale)
 
-    def test_one_table_per_assembly(self, monkeypatch, rng):
+    def test_no_table_built_per_assembly(self, monkeypatch, rng):
         from hermflow import galerkin
 
         calls = {"functions": 0, "derivatives": 0}
@@ -198,7 +198,29 @@ class TestAssembleHamiltonian:
         rule = gauss_hermite_rule(90)
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params)
-        assert calls == {"functions": 1, "derivatives": 0}
+        assert calls == {"functions": 0, "derivatives": 0}  # the rule's table serves
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_plain_ladder_equals_assembly_from_a_fresh_table(self):
+        # slicing the rule's table changes no bit of a plain-Hermite matrix or spectrum
+        from hermflow.galerkin import _kinetic_part, _potential_part
+        from hermflow.hermite import hermite_derivatives_from_table
+
+        V = anharmonic_potential()
+        for Q in (40, 200):
+            rule = gauss_hermite_rule(Q)
+            ones, zeros = np.ones(Q), np.zeros(Q)
+            for N in range(1, min(Q, 180) + 1, 13):
+                table = eval_hermite_functions(N, rule.nodes)
+                phi, dphi = table[:-1], hermite_derivatives_from_table(table)
+                H = _kinetic_part(rule, phi, dphi, ones, zeros) + _potential_part(
+                    rule, phi, V, rule.nodes
+                )
+                got = assemble_hamiltonian(BasisSpec(N), rule, V).entries
+                np.testing.assert_array_equal(got, 0.5 * (H + H.T))
+                np.testing.assert_array_equal(
+                    eigh(got).eigenvalues, eigh(0.5 * (H + H.T)).eigenvalues
+                )
 
     def test_parts_exactly_symmetric_on_a_warp(self, rng):
         rule = gauss_hermite_rule(90)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hermflow import eval_hermite_functions, gauss_hermite_rule, integrate_lifted
+from hermflow.eigensolver import eigh_tridiagonal
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -82,9 +83,27 @@ class TestRuleConstruction:
     def test_built_once_per_order_and_read_only(self):
         rule = gauss_hermite_rule(37)
         assert gauss_hermite_rule(np.int64(37)) is rule
-        for arr in (rule.nodes, rule.weights, rule.lifted_weights):
+        for arr in (rule.nodes, rule.weights, rule.lifted_weights, rule.hermite_table):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+    @pytest.mark.parametrize("Q", [1, 2, 40, 90, 200])
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_hermite_table_rows_equal_fresh_tables(self, Q):
+        # the table's rows are those of a table built for any smaller basis, bit for bit,
+        # and keeping it leaves the nodes and weights of a rule built without it unchanged
+        rule = gauss_hermite_rule(Q)
+        assert rule.hermite_table.shape == (Q + 1, Q)
+        for N in sorted({0, 1, Q // 2, Q - 1, Q}):
+            np.testing.assert_array_equal(
+                rule.hermite_table[: N + 1], eval_hermite_functions(N, rule.nodes)
+            )
+        nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(0.5 * np.arange(1, Q))).eigenvalues
+        phi = eval_hermite_functions(Q - 1, nodes)
+        lifted = 1.0 / (phi * phi).sum(axis=0)
+        np.testing.assert_array_equal(rule.nodes, nodes)
+        np.testing.assert_array_equal(rule.lifted_weights, lifted)
+        np.testing.assert_array_equal(rule.weights, lifted * np.exp(-nodes * nodes))
 
     def test_checks_repeat_on_every_call(self):
         for _ in range(2):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from hermflow import (
 from hermflow import trainer
 from hermflow.galerkin import Potential
 from hermflow.trainer import TrainingAborted
-from conftest import complex_step_gradient, make_feasible_params
+from hermflow.flow import _jets_forward
+from conftest import complex_params, complex_step_gradient, make_feasible_params
 
 
 class TestTraceLoss:
@@ -106,6 +109,64 @@ class TestAdjointGradient:
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
         with pytest.raises(ValueError, match="derivative"):
             trainer.gradient(loss, params)
+
+
+class TestStageBuffers:
+    """`gradient` writes its sweeps' (hidden, Q) arrays into buffers its loss keeps."""
+
+    def test_warm_gradient_allocates_less_than_one_stage_array(self, rng):
+        rule = gauss_hermite_rule(90)
+        loss = make_trace_loss(5, rule, anharmonic_potential())
+        params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
+        trainer.gradient(loss, params)
+        tracemalloc.start()
+        try:
+            trainer.gradient(loss, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 90 * 8
+
+    def test_reused_buffers_give_the_results_of_fresh_ones(self, rng):
+        rule = gauss_hermite_rule(90)
+        V = anharmonic_potential()
+        alpha = 1.05 * np.abs(rule.nodes).max()
+        theta_a = make_feasible_params(128, alpha, 0.1, rng, n_blocks=2)
+        theta_b = make_feasible_params(128, alpha, -0.2, rng, n_blocks=2)
+        theta_c = make_feasible_params(16, alpha, 0.0, rng)  # other shapes: new buffers
+        loss = make_trace_loss(12, rule, V)
+        results = [trainer.gradient(loss, p) for p in (theta_a, theta_b, theta_a, theta_c, theta_a)]
+        first = results[0][1].copy()
+        trainer.gradient(loss, theta_b)
+        assert np.array_equal(results[0][1], first)  # a later call leaves earlier results alone
+        for p, (value, grad) in zip((theta_a, theta_b, theta_a, theta_c, theta_a), results):
+            fresh_value, fresh_grad = trainer.gradient(make_trace_loss(12, rule, V), p)
+            assert value == fresh_value
+            assert np.array_equal(grad, fresh_grad)
+
+    def test_buffers_kept_between_calls(self, rng):
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(5, rule, anharmonic_potential())
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
+        buffers = [list(stage) for stage in loss.stage_buffers(params)]
+        assert [[b.shape for b in stage] for stage in buffers] == [[(8, 30)] * 9] * 2
+        trainer.gradient(loss, params)
+        for kept, stage in zip(buffers, loss.stage_buffers(params)):
+            assert all(a is b for a, b in zip(kept, stage))
+
+    def test_complex_parameters_match_the_adjoint(self, rng):
+        # one complex step along a random direction: every stage runs on complex arrays
+        rule = gauss_hermite_rule(40)
+        loss = make_trace_loss(6, rule, anharmonic_potential())
+        params = make_feasible_params(32, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
+        value, grad = trainer.gradient(loss, params)
+        direction = rng.standard_normal(params.n_parameters)
+        view = complex_params(params, params.pack() + 1e-40j * direction)
+        jets, _ = _jets_forward(view, loss.nodes)
+        assert all(np.iscomplexobj(j) for j in jets)
+        shifted = loss.head(*jets)
+        assert shifted.real == pytest.approx(value, rel=1e-12)
+        assert shifted.imag / 1e-40 == pytest.approx(grad @ direction, rel=1e-10)
 
 
 class TestAdamStep:
