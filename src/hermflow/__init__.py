@@ -13,11 +13,9 @@ from .analysis import (
     ConvergenceReport,
     ReferenceEnergies,
     band_average_errors,
-    band_sums,
     build_convergence_report,
     linear_fit,
     q_sequence,
-    reference_energies,
     window_sum,
 )
 from . import autodiff  # noqa: F401 - benchmarks/tracing.py binds autodiff.Var.backward
@@ -32,7 +30,6 @@ from .flow import (
     flow_jet,
     init_flow_params,
     lipswish,
-    lipswish_jet,
     load_checkpoint,
     normalize_block,
     save_checkpoint,
@@ -44,13 +41,11 @@ from .galerkin import (
     anharmonic_potential,
     assemble_hamiltonian,
     harmonic_potential,
-    kinetic_matrix,
     overlap_matrix,
     potential_from_descriptor,
-    potential_matrix,
 )
 from .hermite import BasisSpec, eval_hermite_derivatives, eval_hermite_functions
-from .quadrature import QuadratureRule, gauss_hermite_rule, integrate_lifted
+from .quadrature import QuadratureRule, gauss_hermite_rule
 from .trainer import (
     AdamState,
     TrainingConfig,
@@ -59,7 +54,6 @@ from .trainer import (
     finite_diff_gradient,
     gradient,
     make_trace_loss,
-    trace_loss,
     train,
 )
 

@@ -1,4 +1,4 @@
-"""Convergence diagnostics: energy bands, error ratios, reference spectra.
+"""Convergence diagnostics: banded errors, error ratios, rate fits, CSV writers.
 
 Convergence in the basis size N is summarized two ways:
 
@@ -11,33 +11,27 @@ Convergence in the basis size N is summarized two ways:
   an ordinary least-squares line.
 
 Each discretization scheme is always compared against its own converged
-reference spectrum, never against the other scheme's.
+reference spectrum, never against the other scheme's: the spectrum of its
+own sweep at the reference basis size N_ref.  This layer works on spectra it
+is given and runs no solver; it imports no other hermflow module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .eigensolver import eigh
-from .galerkin import Potential, assemble_hamiltonian
-from .hermite import BasisSpec
-from .quadrature import gauss_hermite_rule
-from .trainer import TrainingConfig, train
-
 __all__ = [
     "ReferenceEnergies",
     "ConvergenceReport",
-    "band_sums",
     "band_average_errors",
     "window_sum",
     "q_sequence",
     "linear_fit",
     "build_convergence_report",
-    "reference_energies",
     "write_spectra_csv",
     "write_rates_csv",
     "write_fits_csv",
@@ -70,18 +64,6 @@ class ConvergenceReport:
 
 def _values(spectrum):
     return np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=float)
-
-
-def band_sums(spectrum, band_size: int) -> np.ndarray:
-    """Sums of consecutive bands of `band_size` eigenvalues (ascending).
-
-    A trailing incomplete band is dropped.
-    """
-    if band_size < 1:
-        raise ValueError(f"band_size must be >= 1, got {band_size}")
-    vals = _values(spectrum)
-    n_bands = vals.size // band_size
-    return vals[: n_bands * band_size].reshape(n_bands, band_size).sum(axis=1)
 
 
 def band_average_errors(spectrum, reference, band_size: int, relative: bool = False) -> np.ndarray:
@@ -172,28 +154,6 @@ def build_convergence_report(
         fit=fit,
         reference=reference,
     )
-
-
-def reference_energies(
-    scheme: str,
-    V: Potential,
-    N_ref: int,
-    config: TrainingConfig | None = None,
-) -> ReferenceEnergies:
-    """Converged eigenvalues of the requested scheme at basis size N_ref.
-
-    The augmented scheme is fully trained first (the reference must come
-    from the same discretization it serves, see ConvergenceReport).
-    """
-    if scheme not in ("hermite", "augmented"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    config = TrainingConfig(N=N_ref) if config is None else replace(config, N=N_ref)
-    rule = gauss_hermite_rule(config.Q)
-    params = None
-    if scheme == "augmented":
-        params, _ = train(config, V)
-    H = assemble_hamiltonian(BasisSpec(N_ref), rule, V, params)
-    return ReferenceEnergies(values=eigh(H.entries).eigenvalues, scheme=scheme, n_ref=N_ref)
 
 
 # ---------------------------------------------------------------------------

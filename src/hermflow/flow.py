@@ -53,7 +53,6 @@ __all__ = [
     "FlowNumericsError",
     "ConvergenceError",
     "lipswish",
-    "lipswish_jet",
     "spectral_norm",
     "normalize_block",
     "flow_forward",
@@ -69,7 +68,9 @@ ATANH_CLIP = 1e-7  # guards the open endpoints of the sandwich interval
 
 _CHECKPOINT_MAGIC = "hermflow-checkpoint"
 _CHECKPOINT_VERSION = 1
-_CHECKPOINT_HEADER = ("hidden", "blocks", "lipschitz_margin", "alpha", "beta", "seed")
+_CHECKPOINT_HEADER = {
+    "hidden": int, "blocks": int, "lipschitz_margin": float, "alpha": float, "beta": float, "seed": int
+}
 
 
 class FlowNumericsError(RuntimeError):
@@ -223,45 +224,16 @@ def _swish_third_derivative(buf):
     np.add(f3, tmp, out=f3)  # 3 sig2 + pre (sig2 (1 - 2 sig) - 2 sig1 sig1)
 
 
-def lipswish_jet(j: Jet2) -> Jet2:
-    """Lipswish applied to a jet (value with d/dx and d2/dx2 attached)."""
-    value = np.atleast_1d(j.value)
-    buf = _stage_buffers(value.shape, np.result_type(value, 1.0))
-    buf[0][...] = value
-    _swish(buf)
-    _swish_derivatives(buf)
-    f0, f1, f2 = (f.reshape(np.shape(j.value)) for f in buf[4:7])
-    return Jet2(f0 / 1.1, f1 * j.d1 / 1.1, (f2 * j.d1 * j.d1 + f1 * j.d2) / 1.1)
+def spectral_norm(W: np.ndarray) -> float:
+    """Largest singular value of the matrix W; 0 for a zero matrix.
 
-
-def spectral_norm(W: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
-    """Largest singular value by power iteration on W^T W.
-
-    Starts from the normalized all-ones vector for reproducibility; stops at
-    relative tolerance `tol` or after `iters` rounds.  The rank-one layer
-    matrices used by the flow converge in a single round; the generous
-    default budget covers dense matrices with small spectral gaps too.  A
-    zero matrix returns 0 (callers must guard before dividing).
+    The flow's weights are rank-one, and `_block_scales` takes their norms in
+    closed form; this general norm serves callers outside the solver.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {W.shape}")
-    v = np.full(W.shape[1], 1.0 / np.sqrt(W.shape[1]))
-    sigma = 0.0
-    for _ in range(iters):
-        u = W @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        v = W.T @ (u / nu)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-        if abs(nv - sigma) <= tol * nv:
-            return float(nv)
-        sigma = nv
-    return float(sigma)
+    return float(np.linalg.norm(W, 2))
 
 
 def _block_scales(block: ResidualBlock, c: float):
@@ -331,7 +303,7 @@ def _block_store(params: FlowParams, points: int) -> list:
     return _stage_buffers(size)
 
 
-def _residual(block: ResidualBlock, a, c, z, store=None):
+def _residual(block: ResidualBlock, a, c, z, store):
     """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time.
 
     `store` (see `_block_store`) is the work space; a caller iterating on z passes
@@ -339,8 +311,6 @@ def _residual(block: ResidualBlock, a, c, z, store=None):
     """
     k = np.empty_like(z)
     step = _block_points(a.size)
-    if store is None:
-        store = _stage_buffers(a.size * min(step, z.size))
     for lo in range(0, z.size, step):
         chunk = z[lo : lo + step]
         buf = _stage_views(store, a.size, chunk.size)
@@ -573,12 +543,18 @@ def init_flow_params(
 
 
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
-    """Write a versioned text checkpoint (architecture, alpha/beta, flat weights)."""
+    """Write a versioned text checkpoint (architecture, alpha/beta, flat weights).
+
+    The header has one `hidden` for every block, so a warp with no blocks, or
+    with blocks of different widths, is refused before the file is opened.
+    """
+    widths = [b.hidden for b in params.blocks]
+    if not widths or len(set(widths)) > 1:
+        raise ValueError(f"{path}: a checkpoint holds one or more blocks of one width, got {widths}")
     theta = params.pack()[:-2]  # block parameters only; alpha/beta are header fields
-    hidden = params.blocks[0].hidden if params.blocks else 0
     lines = [
         f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",
-        f"hidden = {hidden}",
+        f"hidden = {widths[0]}",
         f"blocks = {len(params.blocks)}",
         f"lipschitz_margin = {float(params.lipschitz_margin)!r}",
         f"alpha = {float(params.alpha)!r}",
@@ -589,6 +565,14 @@ def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     lines.extend(repr(float(v)) for v in theta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _parse(path, what: str, text: str, kind):
+    """kind(text), or a ValueError naming the file and what the text is."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{path}: {what} is not a valid {kind.__name__}: {text!r}") from None
 
 
 def load_checkpoint(path) -> tuple[FlowParams, int]:
@@ -612,18 +596,17 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
         header[key] = val.strip()
     if body_at is None:
         raise ValueError(f"{path}: missing parameter section")
-    for key in _CHECKPOINT_HEADER:
+    fields = []
+    for key, kind in _CHECKPOINT_HEADER.items():
         if key not in header:
             raise ValueError(f"{path}: header key {key!r} is missing")
-    hidden = int(header["hidden"])
-    n_blocks = int(header["blocks"])
-    margin = float(header["lipschitz_margin"])
-    alpha = float(header["alpha"])
-    beta = float(header["beta"])
-    seed = int(header["seed"])
+        fields.append(_parse(path, f"header key {key!r}", header[key], kind))
+    hidden, n_blocks, margin, alpha, beta, seed = fields
     if hidden < 1 or n_blocks < 1:
         raise ValueError(f"{path}: hidden and blocks must be >= 1, got {hidden} and {n_blocks}")
-    theta = np.array([float(v) for v in lines[body_at:]])
+    theta = np.array(
+        [_parse(path, f"weight at index {i}", v, float) for i, v in enumerate(lines[body_at:])]
+    )
     if theta.size != n_blocks * (3 * hidden + 1):
         raise ValueError(f"{path}: expected {n_blocks * (3 * hidden + 1)} weights, got {theta.size}")
     if not np.all(np.isfinite(theta)):

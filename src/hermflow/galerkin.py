@@ -23,7 +23,8 @@ matrix elements and faults in the assembly, not an underresolved quadrature;
 the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  The
 first N + 1 rows phi_0 .. phi_N of the rule's Hermite table give the values
 phi_0 .. phi_{N-1} and, by the ladder identity, their derivatives, so assembly
-builds no table of its own.
+builds no table of its own.  `assemble_hamiltonian` is the one assembly path:
+it computes the jets once for both terms, and T and V are not formed apart.
 """
 
 from __future__ import annotations
@@ -35,12 +36,8 @@ from typing import Callable
 import numpy as np
 
 from .flow import FlowParams, _map_jets
-from .hermite import (
-    BasisSpec,
-    eval_hermite_derivatives,
-    eval_hermite_functions,
-    hermite_derivatives_from_table,
-)
+from .hermite import BasisSpec, eval_hermite_functions, hermite_derivatives_from_table
+from .hermite import eval_hermite_derivatives  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -51,8 +48,6 @@ __all__ = [
     "harmonic_potential",
     "anharmonic_potential",
     "potential_from_descriptor",
-    "potential_matrix",
-    "kinetic_matrix",
     "assemble_hamiltonian",
     "overlap_matrix",
 ]
@@ -116,25 +111,6 @@ class HamiltonianMatrix:
     scheme: str  # "hermite" | "augmented"
 
 
-def _check_orders(spec: BasisSpec, rule: QuadratureRule):
-    if rule.order < spec.size:
-        raise ValueError(f"quadrature order {rule.order} is below basis size {spec.size}")
-    if rule.order < 2 * spec.size:
-        warnings.warn(
-            f"quadrature order {rule.order} < 2N = {2 * spec.size}; matrix elements may be "
-            "underresolved",
-            stacklevel=3,
-        )
-
-
-def _node_jets(rule: QuadratureRule, params: FlowParams | None):
-    """(G, G', G'') at the quadrature nodes; identity data when params is None."""
-    if params is None:
-        x = rule.nodes
-        return x, np.ones_like(x), np.zeros_like(x)
-    return _map_jets(params, rule.nodes)
-
-
 def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
     vvals = np.asarray(V(y), dtype=float)
     if not np.all(np.isfinite(vvals)):
@@ -150,31 +126,6 @@ def _kinetic_part(rule: QuadratureRule, phi, dphi, g1, g2) -> np.ndarray:
     A = dphi - 0.5 * phi * (g2 / g1)
     B = A * (np.sqrt(rule.lifted_weights) / g1)
     return 0.5 * (B @ B.T)  # a product with its own transpose: exactly symmetric
-
-
-def potential_matrix(
-    spec: BasisSpec,
-    rule: QuadratureRule,
-    V: Potential,
-    params: FlowParams | None = None,
-) -> np.ndarray:
-    """N x N matrix of the (pulled-back) potential."""
-    _check_orders(spec, rule)
-    y, _, _ = _node_jets(rule, params)
-    return _potential_part(rule, eval_hermite_functions(spec.size - 1, rule.nodes), V, y)
-
-
-def kinetic_matrix(
-    spec: BasisSpec,
-    rule: QuadratureRule,
-    params: FlowParams | None = None,
-) -> np.ndarray:
-    """N x N matrix of -1/2 d^2/dx^2 in the (possibly warped) basis."""
-    _check_orders(spec, rule)
-    _, g1, g2 = _node_jets(rule, params)
-    phi = eval_hermite_functions(spec.size - 1, rule.nodes)
-    dphi = eval_hermite_derivatives(spec.size - 1, rule.nodes)
-    return _kinetic_part(rule, phi, dphi, g1, g2)
 
 
 def assemble_hamiltonian(
@@ -197,13 +148,15 @@ def assemble_hamiltonian(
             "drop below the variational limit",
             stacklevel=2,
         )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # order warnings already issued above
-        _check_orders(spec, rule)
-        y, g1, g2 = _node_jets(rule, params)
-        table = rule.hermite_table[: spec.size + 1]  # phi_0 .. phi_N
-        phi, dphi = table[:-1], hermite_derivatives_from_table(table)
-        H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
+    if rule.order < spec.size:
+        raise ValueError(f"quadrature order {rule.order} is below basis size {spec.size}")
+    if params is None:
+        y, g1, g2 = rule.nodes, np.ones_like(rule.nodes), np.zeros_like(rule.nodes)
+    else:
+        y, g1, g2 = _map_jets(params, rule.nodes)
+    table = rule.hermite_table[: spec.size + 1]  # phi_0 .. phi_N
+    phi, dphi = table[:-1], hermite_derivatives_from_table(table)
+    H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)
     if not asym <= _ASYMMETRY_TOL:  # also true when H holds a NaN
         raise AssemblyError(
@@ -216,18 +169,13 @@ def assemble_hamiltonian(
     )
 
 
-def overlap_matrix(
-    spec: BasisSpec,
-    rule: QuadratureRule,
-    params: FlowParams | None = None,
-) -> tuple[np.ndarray, float]:
+def overlap_matrix(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, float]:
     """Quadrature Gram matrix of the basis and its max deviation from identity.
 
     The warped overlap integral pulls back to the plain Hermite one for any
-    parameters, so this diagnostic is flow-independent; deviations measure
-    quadrature underresolution only.
+    warp parameters, so this diagnostic takes none and serves both schemes;
+    deviations measure quadrature underresolution only.
     """
-    del params  # overlap is invariant under the warp
     B = eval_hermite_functions(spec.size - 1, rule.nodes) * np.sqrt(rule.lifted_weights)
     S = B @ B.T
     dev = float(np.abs(S - np.eye(spec.size)).max())

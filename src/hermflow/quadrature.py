@@ -12,7 +12,8 @@ the outermost nodes (components shrink like exp(-x^2/2)), while the
 Hermite-function sum is computed by a stable recurrence at every node.
 
 Each rule also carries "lifted" weights w_q * exp(x_q^2) for integrands
-that contain their own Gaussian decay (products of Hermite functions); by
+that contain their own Gaussian decay (products of Hermite functions), whose
+integral over the real line is `rule.lifted_weights @ f(rule.nodes)`; by
 the identity above the lift is simply 1 / sum_k phi_k(x_q)^2, which never
 overflows even at the outermost node of a high-order rule.
 
@@ -33,7 +34,7 @@ import numpy as np
 from .eigensolver import eigh_tridiagonal
 from .hermite import eval_hermite_functions
 
-__all__ = ["QuadratureRule", "gauss_hermite_rule", "integrate_lifted"]
+__all__ = ["QuadratureRule", "gauss_hermite_rule"]
 
 MAX_ORDER = 200
 _TESTED_ORDER = 100
@@ -83,14 +84,3 @@ def _build_rule(Q: int) -> QuadratureRule:
         order=Q, nodes=nodes, weights=weights, lifted_weights=lifted, hermite_table=table
     )
 
-
-def integrate_lifted(values_at_nodes, rule: QuadratureRule) -> float:
-    """Integrate f over the real line given f(x_q) at the rule's nodes.
-
-    The integrand must carry its own Gaussian decay; the lifted weights
-    remove the exp(-x^2) folded into the plain rule.
-    """
-    values = np.asarray(values_at_nodes, dtype=float)
-    if values.shape != (rule.order,):
-        raise ValueError(f"expected {rule.order} node values, got shape {values.shape}")
-    return float(rule.lifted_weights @ values)

@@ -52,12 +52,15 @@ __all__ = [
     "TrainingAborted",
     "TraceLoss",
     "make_trace_loss",
-    "trace_loss",
     "gradient",
     "finite_diff_gradient",
     "adam_step",
     "train",
 ]
+
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingAborted(RuntimeError):
@@ -111,9 +114,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, n_params: int) -> "AdamState":
@@ -230,12 +230,6 @@ def finite_diff_gradient(loss, params: FlowParams, step: float) -> np.ndarray:
     return grad
 
 
-def trace_loss(config: TrainingConfig, params: FlowParams | None, V: Potential) -> float:
-    """Trace of the projected Hamiltonian for the given warp parameters."""
-    rule = gauss_hermite_rule(config.Q)
-    return float(make_trace_loss(config.N, rule, V)(params))
-
-
 def adam_step(
     state: AdamState,
     grad: np.ndarray,
@@ -251,15 +245,14 @@ def adam_step(
     if grad.shape != state.m.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    theta = params.pack() - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = _BETA1 * state.m + (1.0 - _BETA1) * grad
+    v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
+    m_hat = m / (1.0 - _BETA1**t)
+    v_hat = v / (1.0 - _BETA2**t)
+    theta = params.pack() - lr * m_hat / (np.sqrt(v_hat) + _EPS)
     new_params = params.with_vector(theta)
     new_params.blocks = [normalize_block(b, params.lipschitz_margin) for b in new_params.blocks]
-    new_state = AdamState(m=m, v=v, t=t, beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_state, new_params
+    return AdamState(m=m, v=v, t=t), new_params
 
 
 def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTrace]:

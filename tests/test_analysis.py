@@ -1,44 +1,26 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hermflow import (
+    BasisSpec,
     TrainingConfig,
     anharmonic_potential,
+    assemble_hamiltonian,
     band_average_errors,
-    band_sums,
+    eigh,
+    gauss_hermite_rule,
     harmonic_potential,
     linear_fit,
     q_sequence,
-    reference_energies,
+    train,
     window_sum,
 )
 from hermflow.analysis import write_fits_csv, write_rates_csv, write_spectra_csv
-
-
-class TestBandSums:
-    def test_harmonic_first_band(self):
-        assert band_sums(np.arange(5) + 0.5, 5).tolist() == [12.5]
-
-    def test_trailing_incomplete_band_dropped(self):
-        sums = band_sums(np.arange(7.0), 5)
-        assert sums.tolist() == [10.0]
-
-    def test_matches_manual_grouping(self):
-        vals = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
-        np.testing.assert_allclose(band_sums(vals, 2), [3.0, 12.0, 48.0])
-
-    def test_band_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            band_sums(np.arange(4.0), 0)
-
-    def test_accepts_spectrum_objects(self):
-        from hermflow import Spectrum
-
-        spec = Spectrum(eigenvalues=np.arange(5.0), eigenvectors=np.eye(5))
-        np.testing.assert_allclose(band_sums(spec, 5), [10.0])
 
 
 class TestBandAverageErrors:
@@ -65,6 +47,12 @@ class TestWindowSum:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             window_sum(np.arange(12.0), (7, 3))
+
+    def test_accepts_spectrum_objects(self):
+        from hermflow import Spectrum
+
+        spec = Spectrum(eigenvalues=np.arange(5.0), eigenvectors=np.eye(5))
+        assert window_sum(spec, (0, 4)) == 10.0
 
 
 class TestQSequence:
@@ -120,28 +108,28 @@ class TestLinearFit:
             linear_fit([(0.0, 1.0), (1.0, math.nan)])
 
 
+def converged_levels(V, N, Q, params=None):
+    """Eigenvalues of the basis-size-N projection on the order-Q rule, as a sweep computes them."""
+    return eigh(assemble_hamiltonian(BasisSpec(N), gauss_hermite_rule(Q), V, params).entries).eigenvalues
+
+
 class TestReferenceEnergies:
     def test_harmonic_both_schemes(self):
         cfg = TrainingConfig(N=6, Q=40, hidden=16, iterations=50, seed=3)
-        for scheme in ("hermite", "augmented"):
-            ref = reference_energies(scheme, harmonic_potential(), 6, cfg)
-            np.testing.assert_allclose(ref.values, np.arange(6) + 0.5, atol=1e-8)
-            assert ref.scheme == scheme and ref.n_ref == 6
+        for params in (None, train(cfg, harmonic_potential())[0]):
+            levels = converged_levels(harmonic_potential(), 6, 40, params)
+            np.testing.assert_allclose(levels, np.arange(6) + 0.5, atol=1e-8)
 
     def test_hermite_self_convergence_profile(self):
         # low levels converge first: at N_ref = 29 vs 45 the bottom four
         # eigenvalues agree to 1e-6 while level 9 still moves by ~6e-3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            e29 = reference_energies("hermite", anharmonic_potential(), 29, TrainingConfig(N=29, Q=90))
-            e45 = reference_energies("hermite", anharmonic_potential(), 45, TrainingConfig(N=45, Q=130))
-        diff = np.abs(e29.values[:10] - e45.values[:10])
+            e29 = converged_levels(anharmonic_potential(), 29, 90)
+            e45 = converged_levels(anharmonic_potential(), 45, 130)
+        diff = np.abs(e29[:10] - e45[:10])
         assert diff[:4].max() < 1e-6
         assert diff.max() < 5e-2
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            reference_energies("spectral", harmonic_potential(), 5)
 
 
 class TestConvergenceReport:
@@ -182,3 +170,16 @@ class TestCsvWriters:
         write_fits_csv(tmp_path / "f.csv", [("hermite", -0.1, 1.0)])
         assert (tmp_path / "r.csv").read_text().startswith("# hermflow rates csv v1")
         assert (tmp_path / "f.csv").read_text().splitlines()[1] == "scheme,slope,intercept"
+
+
+def test_analysis_imports_no_hermflow_module():
+    """The analysis layer works on spectra it is given: it runs no solver."""
+    source = Path(__file__).resolve().parents[1] / "src" / "hermflow" / "analysis.py"
+    imported = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported  # the parse found the module's imports
+    assert [m for m in imported if m.startswith(".") or m.split(".")[0] == "hermflow"] == []

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import sys
 from dataclasses import fields
@@ -327,3 +329,38 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
         if not callable(getattr(owner, name, None)):
             missing.append(f"{path}.{name}" if path else name)
     assert bindings and not missing
+
+
+def test_names_used_by_demos_and_benchmarks_resolve():
+    """Every name the demos and the benchmark take from hermflow is still there.
+
+    Checked: each `from hermflow... import name`, and each attribute chain that
+    starts at `hermflow`, `flow` or `cli` (the benchmark's `from hermflow import
+    cli, flow`).
+    """
+    roots = {"hermflow": hermflow, "flow": hermflow.flow, "cli": importlib.import_module("hermflow.cli")}
+    used, missing = 0, []
+    for path in sorted([*REPO.glob("demos/*.py"), *REPO.glob("benchmarks/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hermflow":
+                owner = importlib.import_module(node.module)
+                chains = [(owner, [alias.name]) for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                attrs = []
+                while isinstance(node, ast.Attribute):
+                    attrs.insert(0, node.attr)
+                    node = node.value
+                if not (isinstance(node, ast.Name) and node.id in roots):
+                    continue
+                chains = [(roots[node.id], attrs)]
+            else:
+                continue
+            for owner, attrs in chains:
+                used += 1
+                name = f"{path.parent.name}/{path.name}: {owner.__name__}.{'.'.join(attrs)}"
+                for attr in attrs:
+                    if not hasattr(owner, attr):
+                        missing.append(name)
+                        break
+                    owner = getattr(owner, attr)
+    assert used and not missing

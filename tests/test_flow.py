@@ -7,7 +7,6 @@ import pytest
 
 from hermflow import (
     FlowParams,
-    Jet2,
     ResidualBlock,
     eval_hermite_functions,
     evaluate_augmented_basis,
@@ -17,7 +16,6 @@ from hermflow import (
     gauss_hermite_rule,
     init_flow_params,
     lipswish,
-    lipswish_jet,
     load_checkpoint,
     normalize_block,
     save_checkpoint,
@@ -50,14 +48,21 @@ class TestLipswish:
         assert lipswish(1.0) == pytest.approx(0.6645987078454589, rel=1e-12)
 
     def test_jet_matches_finite_differences(self):
+        # the stage code's f, f' and f'' at pre-activations, where lipswish = f / 1.1
+        from hermflow.flow import _stage_buffers, _swish, _swish_derivatives
+
         h1, h2 = 1e-5, 1e-4  # wider step for the second difference (roundoff)
-        for x in (-2.3, -0.4, 0.0, 0.9, 3.1):
-            j = lipswish_jet(Jet2(x, 1.0, 0.0))
-            assert j.value == pytest.approx(lipswish(x), rel=1e-14)
+        xs = [-2.3, -0.4, 0.0, 0.9, 3.1]
+        buf = _stage_buffers(len(xs))
+        buf[0][...] = xs
+        _swish(buf)
+        _swish_derivatives(buf)
+        for x, f0, f1, f2 in zip(xs, buf[4], buf[5], buf[6]):
+            assert f0 / 1.1 == pytest.approx(lipswish(x), rel=1e-14)
             d1 = (lipswish(x + h1) - lipswish(x - h1)) / (2 * h1)
             d2 = (lipswish(x + h2) - 2 * lipswish(x) + lipswish(x - h2)) / h2**2
-            assert j.d1 == pytest.approx(d1, abs=1e-9)
-            assert j.d2 == pytest.approx(d2, abs=1e-6)
+            assert f1 / 1.1 == pytest.approx(d1, abs=1e-9)
+            assert f2 / 1.1 == pytest.approx(d2, abs=1e-6)
 
     def test_lipschitz_constant_below_one(self):
         xs = np.linspace(-30, 30, 20001)
@@ -117,17 +122,18 @@ class TestNormalizeBlock:
         scaled = normalize_block(block, c)
         params = FlowParams([scaled], 5.0, 0.0, c)
         xs = rng.uniform(-4, 4, size=(1000, 2))
-        from hermflow.flow import _residual, _scaled_weights
+        from hermflow.flow import _block_store, _residual, _scaled_weights
 
         _, _, a, c_scaled = _scaled_weights(scaled, c)
-        k1 = _residual(scaled, a, c_scaled, xs[:, 0])
-        k2 = _residual(scaled, a, c_scaled, xs[:, 1])
+        store = _block_store(params, xs.shape[0])
+        k1 = _residual(scaled, a, c_scaled, xs[:, 0], store)
+        k2 = _residual(scaled, a, c_scaled, xs[:, 1], store)
         ratios = np.abs(k1 - k2) / np.abs(xs[:, 0] - xs[:, 1])
         assert ratios.max() <= c + 1e-9
         assert params.lipschitz_margin == c
 
     def test_scales_match_power_method(self, rng):
-        # rank-one weights: the closed-form norm gives the power method's scales
+        # rank-one weights: the closed-form norm gives the general matrix norm's scales
         from hermflow.flow import _block_scales
 
         c = 0.97
@@ -408,6 +414,38 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'alpha'.*repeated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key,text", [("hidden", "four"), ("blocks", "1.0"), ("alpha", "wide"), ("seed", "x")]
+    )
+    def test_rejects_non_numeric_header_value(self, tmp_path, rng, key, text):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = [f"{key} = {text}" if ln.startswith(f"{key} =") else ln
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'{key}'.*'{text}'"):
+            load_checkpoint(path)
+
+    def test_rejects_non_numeric_weight(self, tmp_path, rng):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = path.read_text().splitlines()
+        lines[lines.index("params:") + 1 + 3] = "oops"  # the weight at index 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*index 3.*'oops'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("widths", [(8, 4), ()])
+    def test_save_refuses_what_load_cannot_read(self, tmp_path, widths):
+        # one header `hidden` describes every block, and a checkpoint needs one
+        blocks = [zero_block_params(hidden=h).blocks[0] for h in widths]
+        params = FlowParams(blocks, 5.0, 0.0, 0.97)
+        np.testing.assert_allclose(flow_forward(params, [-1.0, 2.0]), [-1.0, 2.0], atol=1e-12)
+        path = tmp_path / "flow.txt"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            save_checkpoint(params, path)
+        assert not path.exists()
 
     def test_version_line_present(self, tmp_path):
         params = zero_block_params(hidden=3)

@@ -16,11 +16,10 @@ from hermflow import (
     gauss_hermite_rule,
     harmonic_potential,
     init_flow_params,
-    kinetic_matrix,
     overlap_matrix,
     potential_from_descriptor,
-    potential_matrix,
 )
+from hermflow import galerkin
 from hermflow.galerkin import AssemblyError, MonotonicityError
 from conftest import make_feasible_params
 
@@ -35,20 +34,34 @@ def harmonic_x2_matrix(N):
     return M
 
 
+def assembled_parts(monkeypatch, spec, rule, V, params=None):
+    """The kinetic and potential matrices that `assemble_hamiltonian` adds, before it symmetrizes."""
+    parts = {}
+    for name in ("_kinetic_part", "_potential_part"):
+
+        def spy(*args, name=name, real=getattr(galerkin, name)):
+            parts[name] = real(*args)
+            return parts[name]
+
+        monkeypatch.setattr(galerkin, name, spy)
+    assemble_hamiltonian(spec, rule, V, params)
+    return parts["_kinetic_part"], parts["_potential_part"]
+
+
 class TestPotentialMatrix:
-    def test_harmonic_band_structure(self):
+    def test_harmonic_band_structure(self, monkeypatch):
         rule = gauss_hermite_rule(20)
-        M = potential_matrix(BasisSpec(4), rule, harmonic_potential())
+        _, M = assembled_parts(monkeypatch, BasisSpec(4), rule, harmonic_potential())
         np.testing.assert_allclose(M, harmonic_x2_matrix(4), atol=1e-13)
         assert M[0, 0] == pytest.approx(0.25, abs=1e-14)
 
-    def test_quartic_ground_state_entry(self):
+    def test_quartic_ground_state_entry(self, monkeypatch):
         rule = gauss_hermite_rule(20)
         quartic = Potential(lambda x: 0.25 * (x * x) * (x * x), "x^4/4")
-        M = potential_matrix(BasisSpec(3), rule, quartic)
+        _, M = assembled_parts(monkeypatch, BasisSpec(3), rule, quartic)
         assert M[0, 0] == pytest.approx(3.0 / 16.0, rel=1e-13)
 
-    def test_random_flow_vs_trapezoid_oracle(self, rng):
+    def test_random_flow_vs_trapezoid_oracle(self, rng, monkeypatch):
         rule = gauss_hermite_rule(90)
         alpha = 1.05 * float(np.abs(rule.nodes).max())
         V = anharmonic_potential()
@@ -56,7 +69,7 @@ class TestPotentialMatrix:
             params = make_feasible_params(
                 8, alpha, float(rng.uniform(-0.2, 0.2)), rng, weight_scale=0.9, bias_scale=0.4
             )
-            M = potential_matrix(BasisSpec(8), rule, V, params)
+            _, M = assembled_parts(monkeypatch, BasisSpec(8), rule, V, params)
             grid = np.linspace(
                 params.beta - 0.999 * alpha, params.beta + 0.999 * alpha, 120_001
             )
@@ -73,36 +86,33 @@ class TestPotentialMatrix:
         rule = gauss_hermite_rule(5)  # odd order has a node at x = 0
         bad = Potential(lambda x: np.where(np.abs(x) < 1e-12, np.inf, x), "1/x-ish")
         with pytest.raises(AssemblyError, match="node"):
-            potential_matrix(BasisSpec(3), rule, bad)
+            assemble_hamiltonian(BasisSpec(3), rule, bad)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_quadrature_below_basis_rejected(self):
         with pytest.raises(ValueError):
-            potential_matrix(BasisSpec(10), gauss_hermite_rule(9), harmonic_potential())
-
-    def test_warns_when_underresolved(self):
-        with pytest.warns(UserWarning, match="underresolved"):
-            potential_matrix(BasisSpec(10), gauss_hermite_rule(15), harmonic_potential())
+            assemble_hamiltonian(BasisSpec(10), gauss_hermite_rule(9), harmonic_potential())
 
 
 class TestKineticMatrix:
-    def test_ground_state_energy(self):
+    def test_ground_state_energy(self, monkeypatch):
         rule = gauss_hermite_rule(20)
-        T = kinetic_matrix(BasisSpec(4), rule)
+        T, _ = assembled_parts(monkeypatch, BasisSpec(4), rule, harmonic_potential())
         assert T[0, 0] == pytest.approx(0.25, abs=1e-14)
 
     def test_harmonic_oscillator_spectrum(self):
         rule = gauss_hermite_rule(40)
         spec = BasisSpec(10)
-        H = kinetic_matrix(spec, rule) + potential_matrix(spec, rule, harmonic_potential())
-        E = np.linalg.eigvalsh(0.5 * (H + H.T))
+        H = assemble_hamiltonian(spec, rule, harmonic_potential()).entries
+        E = np.linalg.eigvalsh(H)
         np.testing.assert_allclose(E, np.arange(10) + 0.5, atol=1e-10)
 
-    def test_random_flow_vs_grid_derivative_oracle(self, rng):
+    def test_random_flow_vs_grid_derivative_oracle(self, rng, monkeypatch):
         # 1/2 int (phi_i^aug)' (phi_j^aug)' dx with centered differences on a grid
         rule = gauss_hermite_rule(90)
         alpha = 1.05 * float(np.abs(rule.nodes).max())
         params = make_feasible_params(8, alpha, 0.1, rng, weight_scale=0.9, bias_scale=0.4)
-        T = kinetic_matrix(BasisSpec(6), rule, params)
+        T, _ = assembled_parts(monkeypatch, BasisSpec(6), rule, anharmonic_potential(), params)
         from hermflow import evaluate_augmented_basis
 
         grid = np.linspace(params.beta - 0.995 * alpha, params.beta + 0.995 * alpha, 160_001)
@@ -120,7 +130,7 @@ class TestKineticMatrix:
         rule = gauss_hermite_rule(30)
         params = init_flow_params(hidden=4, alpha=1.0, seed=0)
         with pytest.raises(MonotonicityError):
-            kinetic_matrix(BasisSpec(4), rule, params)
+            assemble_hamiltonian(BasisSpec(4), rule, harmonic_potential(), params)
 
 
 class TestAssembleHamiltonian:
@@ -176,8 +186,6 @@ class TestAssembleHamiltonian:
         assert np.abs(H - exact).max() <= 4 * np.spacing(scale)
 
     def test_no_table_built_per_assembly(self, monkeypatch, rng):
-        from hermflow import galerkin
-
         calls = {"functions": 0, "derivatives": 0}
 
         def counted(name, fn):
@@ -222,18 +230,16 @@ class TestAssembleHamiltonian:
                     eigh(got).eigenvalues, eigh(0.5 * (H + H.T)).eigenvalues
                 )
 
-    def test_parts_exactly_symmetric_on_a_warp(self, rng):
+    def test_parts_exactly_symmetric_on_a_warp(self, rng, monkeypatch):
         rule = gauss_hermite_rule(90)
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
-        T = kinetic_matrix(BasisSpec(12), rule, params)
-        S, _ = overlap_matrix(BasisSpec(12), rule, params)
+        T, _ = assembled_parts(monkeypatch, BasisSpec(12), rule, anharmonic_potential(), params)
+        S, _ = overlap_matrix(BasisSpec(12), rule)
         assert np.array_equal(T, T.T)
         assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("fault", ["asymmetric", "nan"])
     def test_asymmetry_check_catches_faults(self, monkeypatch, fault):
-        from hermflow import galerkin
-
         real = galerkin._potential_part
 
         def faulty(*args):
@@ -247,17 +253,6 @@ class TestAssembleHamiltonian:
         monkeypatch.setattr(galerkin, "_potential_part", faulty)
         with pytest.raises(AssemblyError, match="asymmetry"):
             assemble_hamiltonian(BasisSpec(6), gauss_hermite_rule(30), harmonic_potential())
-
-    def test_equals_sum_of_kinetic_and_potential_matrices(self, rng):
-        # the shared jets and tables give bit for bit what the two parts give alone
-        rule = gauss_hermite_rule(90)
-        V = anharmonic_potential()
-        for params in (None, make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)):
-            H = assemble_hamiltonian(BasisSpec(12), rule, V, params).entries
-            parts = kinetic_matrix(BasisSpec(12), rule, params) + potential_matrix(
-                BasisSpec(12), rule, V, params
-            )
-            assert np.array_equal(H, 0.5 * (parts + parts.T))
 
     def test_zero_weight_network_reduces_numerically(self):
         # an all-zero residual runs the actual tanh/atanh sandwich; reduction
@@ -296,13 +291,6 @@ class TestOverlapMatrix:
     def test_default_production_orders(self):
         _, dev = overlap_matrix(BasisSpec(30), gauss_hermite_rule(90))
         assert dev < 1e-10
-
-    def test_flow_independent(self, rng):
-        rule = gauss_hermite_rule(40)
-        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
-        S0, _ = overlap_matrix(BasisSpec(10), rule)
-        S1, _ = overlap_matrix(BasisSpec(10), rule, params)
-        assert np.array_equal(S0, S1)
 
 
 class TestPotentialDerivative:

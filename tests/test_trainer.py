@@ -17,7 +17,6 @@ from hermflow import (
     harmonic_potential,
     init_flow_params,
     make_trace_loss,
-    trace_loss,
     train,
 )
 from hermflow import trainer
@@ -29,31 +28,29 @@ from conftest import complex_params, complex_step_gradient, make_feasible_params
 
 class TestTraceLoss:
     def test_harmonic_identity(self):
-        cfg = TrainingConfig(N=5, Q=40)
-        assert trace_loss(cfg, None, harmonic_potential()) == pytest.approx(12.5, abs=1e-10)
+        loss = make_trace_loss(5, gauss_hermite_rule(40), harmonic_potential())
+        assert loss(None) == pytest.approx(12.5, abs=1e-10)
 
     def test_anharmonic_identity(self):
         # quartic diagonal <n|x^4|n> = (3/4)(2n^2+2n+1):
         # 12.5 + (3/16)(1+5+13+25+41) = 12.5 + 255/16
-        cfg = TrainingConfig(N=5, Q=90)
+        loss = make_trace_loss(5, gauss_hermite_rule(90), anharmonic_potential())
         expected = 12.5 + (3.0 / 16.0) * (1 + 5 + 13 + 25 + 41)
-        assert trace_loss(cfg, None, anharmonic_potential()) == pytest.approx(expected, abs=1e-10)
+        assert loss(None) == pytest.approx(expected, abs=1e-10)
 
     def test_equals_eigenvalue_sum_for_random_flow(self, rng):
         rule = gauss_hermite_rule(60)
         V = anharmonic_potential()
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
-        cfg = TrainingConfig(N=8, Q=60)
         H = assemble_hamiltonian(BasisSpec(8), rule, V, params)
         eig_sum = eigh(H.entries).eigenvalues.sum()
-        assert trace_loss(cfg, params, V) == pytest.approx(eig_sum, abs=1e-10)
+        assert make_trace_loss(8, rule, V)(params) == pytest.approx(eig_sum, abs=1e-10)
 
     def test_identity_params_match_identity_value(self):
         rule = gauss_hermite_rule(40)
-        cfg = TrainingConfig(N=6, Q=40)
         params = init_flow_params(hidden=32, alpha=1.05 * np.abs(rule.nodes).max(), seed=2)
-        V = anharmonic_potential()
-        assert trace_loss(cfg, params, V) == pytest.approx(trace_loss(cfg, None, V), abs=1e-10)
+        loss = make_trace_loss(6, rule, anharmonic_potential())
+        assert loss(params) == pytest.approx(loss(None), abs=1e-10)
 
 
 class TestAdjointGradient:
@@ -227,13 +224,15 @@ class TestTrain:
         assert len(trace) == 0
         rule = gauss_hermite_rule(30)
         assert np.abs(flow_forward(params, rule.nodes) - rule.nodes).max() < 1e-12
-        assert trace_loss(cfg, params, V) == pytest.approx(trace_loss(cfg, None, V), abs=1e-10)
+        loss = make_trace_loss(cfg.N, rule, V)
+        assert loss(params) == pytest.approx(loss(None), abs=1e-10)
 
     def test_initial_loss_is_hermite_trace(self):
         cfg = TrainingConfig(N=5, Q=40, hidden=16, iterations=3, seed=0)
         V = anharmonic_potential()
         _, trace = train(cfg, V)
-        assert trace.losses[0] == pytest.approx(trace_loss(cfg, None, V), abs=1e-10)
+        loss = make_trace_loss(cfg.N, gauss_hermite_rule(cfg.Q), V)
+        assert trace.losses[0] == pytest.approx(loss(None), abs=1e-10)
 
     def test_loss_decreases(self):
         cfg = TrainingConfig(N=5, Q=60, hidden=32, iterations=120, seed=0)
