@@ -32,6 +32,7 @@ __all__ = [
     "q_sequence",
     "linear_fit",
     "build_convergence_report",
+    "write_csv",
     "write_spectra_csv",
     "write_rates_csv",
     "write_fits_csv",
@@ -68,6 +69,8 @@ def _values(spectrum):
 
 def band_average_errors(spectrum, reference, band_size: int, relative: bool = False) -> np.ndarray:
     """Mean absolute (or relative) eigenvalue error per complete band."""
+    if band_size < 1:
+        raise ValueError(f"band_size must be >= 1, got {band_size}")
     vals = _values(spectrum)
     ref = _values(reference)[: vals.size]
     if ref.size < vals.size:
@@ -161,37 +164,30 @@ def build_convergence_report(
 # ---------------------------------------------------------------------------
 
 
+def write_csv(path, kind: str, columns: str, rows, labels: int) -> None:
+    """`# hermflow <kind> csv v1`, the columns, then rows: `labels` fields by str, the rest by repr."""
+    line = ",".join(["%s"] * labels + ["%r"] * (columns.count(",") + 1 - labels)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# hermflow {kind} csv v1\n{columns}\n")
+        for row in rows:
+            fh.write(line % (*row[:labels], *map(float, row[labels:])))
+
+
 def write_spectra_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, n, E)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# hermflow spectra csv v1\n")
-        fh.write("scheme,N,n,E\n")
-        for scheme, N, n, E in rows:
-            fh.write(f"{scheme},{N},{n},{float(E)!r}\n")
+    write_csv(path, "spectra", "scheme,N,n,E", rows, labels=3)
 
 
 def write_rates_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, e_N); undefined ratios written as nan."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# hermflow rates csv v1\n")
-        fh.write("scheme,N,e_N\n")
-        for scheme, N, e in rows:
-            fh.write(f"{scheme},{N},{float(e)!r}\n")
+    write_csv(path, "rates", "scheme,N,e_N", rows, labels=2)
 
 
 def write_fits_csv(path, rows) -> None:
     """rows: iterable of (scheme, slope, intercept)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# hermflow fits csv v1\n")
-        fh.write("scheme,slope,intercept\n")
-        for scheme, slope, intercept in rows:
-            fh.write(f"{scheme},{float(slope)!r},{float(intercept)!r}\n")
+    write_csv(path, "fits", "scheme,slope,intercept", rows, labels=1)
 
 
 def write_bands_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, band, abs_error, rel_error)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# hermflow bands csv v1\n")
-        fh.write("scheme,N,band,abs_error,rel_error\n")
-        for scheme, N, band, abs_err, rel_err in rows:
-            fh.write(f"{scheme},{N},{band},{float(abs_err)!r},{float(rel_err)!r}\n")
+    write_csv(path, "bands", "scheme,N,band,abs_error,rel_error", rows, labels=3)

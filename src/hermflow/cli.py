@@ -100,12 +100,10 @@ class _ExperimentMethods:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         try:
             potential_from_descriptor(self.potential)
-            # TrainingConfig checks every training setting, and N when it is given.
+            # TrainingConfig checks every training setting, and N (N <= Q) when it is given.
             self.training_config(1 if self.N is None else self.N, self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.N is not None and self.N > self.Q:
-            raise ConfigError(f"basis size N = {self.N} exceeds the quadrature order Q = {self.Q}")
         return self
 
     def training_config(self, N: int, seed: int) -> TrainingConfig:

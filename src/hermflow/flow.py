@@ -589,8 +589,10 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
         if ln == "params:":
             body_at = i + 1
             break
-        key, _, val = ln.partition("=")
+        key, sep, val = ln.partition("=")
         key = key.strip()
+        if not sep or key not in _CHECKPOINT_HEADER:
+            raise ValueError(f"{path}: unknown header line {ln!r}")
         if key in header:
             raise ValueError(f"{path}: header key {key!r} is repeated")
         header[key] = val.strip()

@@ -21,17 +21,17 @@ the rounding of the potential product alone (at most 1.1e-12 over N <= 180,
 Q in {40, 90, 200}).  The assembly's asymmetry check therefore detects non-finite
 matrix elements and faults in the assembly, not an underresolved quadrature;
 the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  The
-first N + 1 rows phi_0 .. phi_N of the rule's Hermite table give the values
-phi_0 .. phi_{N-1} and, by the ladder identity, their derivatives, so assembly
-builds no table of its own.  `assemble_hamiltonian` is the one assembly path:
-it computes the jets once for both terms, and T and V are not formed apart.
+assembly and the trace loss (`trainer`) read the same inputs: phi_0 .. phi_{N-1}
+and their derivatives from rows 0 .. N of the rule's Hermite table
+(`_basis_at_nodes`), and V and V' from one `Potential`'s coefficients.
+`assemble_hamiltonian` is the one assembly path: it computes the jets once
+for both terms, and T and V are not formed apart.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,32 +65,38 @@ class MonotonicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class Potential:
-    """Scalar potential with a human-readable descriptor and its derivative V'.
+    """V(x) = sum_k c_k x^k from its coefficients (c_0, c_1, ...), named by a descriptor.
 
-    Training needs the exact derivative; assembly needs only the values.  The
-    callable must be written in elementary arithmetic (+, *, integer powers)
-    so it can also be evaluated on complex values, which the complex-step
-    check of the trace-loss gradient needs.
+    Assembly reads V and training V', both from the one coefficient tuple, so they
+    cannot disagree; both take complex x, which the complex-step gradient check needs.
     """
 
-    func: Callable
+    coefficients: tuple[float, ...]
     descriptor: str
-    derivative: Callable | None = None
 
     def __call__(self, x):
-        return self.func(x)
+        return _polynomial(self.coefficients, x)
+
+    def derivative(self, x):
+        return _polynomial(tuple(k * c for k, c in enumerate(self.coefficients))[1:], x)
+
+
+def _polynomial(coefficients, x):
+    """sum_k c_k x^k over the nonzero c_k by ascending degree, with x^k = x^(k - k//2) x^(k//2),
+    so 0.5 x^2 + 0.25 x^4 has the bits of 0.5*x*x + 0.25*(x*x)*(x*x), and x + x^3 of x + x*x*x."""
+    powers = [1.0, x]
+    for k in range(2, len(coefficients)):
+        powers.append(powers[k - k // 2] * powers[k // 2])
+    terms = [p if c == 1 else c * p for c, p in zip(coefficients, powers) if c]
+    return sum(terms[1:], terms[0]) if terms else 0.0 * x
 
 
 def harmonic_potential() -> Potential:
-    return Potential(lambda x: 0.5 * x * x, "harmonic: 0.5*x^2", lambda x: x)
+    return Potential((0.0, 0.0, 0.5), "harmonic: 0.5*x^2")
 
 
 def anharmonic_potential() -> Potential:
-    return Potential(
-        lambda x: 0.5 * x * x + 0.25 * (x * x) * (x * x),
-        "anharmonic: 0.5*x^2 + 0.25*x^4",
-        lambda x: x + x * x * x,
-    )
+    return Potential((0.0, 0.0, 0.5, 0.0, 0.25), "anharmonic: 0.5*x^2 + 0.25*x^4")
 
 
 def potential_from_descriptor(name: str) -> Potential:
@@ -109,6 +115,13 @@ class HamiltonianMatrix:
     size: int
     entries: np.ndarray
     scheme: str  # "hermite" | "augmented"
+
+
+def _basis_at_nodes(N: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """phi_0 .. phi_{N-1} and their derivatives at the nodes, from the rule's table."""
+    if rule.order < N:
+        raise ValueError(f"quadrature order {rule.order} is below basis size {N}")
+    return rule.hermite_table[:N], hermite_derivatives_from_table(rule.hermite_table[: N + 1])
 
 
 def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
@@ -140,7 +153,7 @@ def assemble_hamiltonian(
     is rounding, so the check fails only on non-finite matrix elements (a NaN
     anywhere fails it) or on a fault in the assembly; an underresolved
     quadrature passes it.  The jets are computed once and shared by both terms,
-    as are the rows phi_0 .. phi_N of the rule's Hermite table.
+    as are the rows phi_0 .. phi_N of the rule's Hermite table; N > Q raises ValueError.
     """
     if rule.order < 2 * spec.size + 10:
         warnings.warn(
@@ -148,14 +161,11 @@ def assemble_hamiltonian(
             "drop below the variational limit",
             stacklevel=2,
         )
-    if rule.order < spec.size:
-        raise ValueError(f"quadrature order {rule.order} is below basis size {spec.size}")
+    phi, dphi = _basis_at_nodes(spec.size, rule)
     if params is None:
         y, g1, g2 = rule.nodes, np.ones_like(rule.nodes), np.zeros_like(rule.nodes)
     else:
         y, g1, g2 = _map_jets(params, rule.nodes)
-    table = rule.hermite_table[: spec.size + 1]  # phi_0 .. phi_N
-    phi, dphi = table[:-1], hermite_derivatives_from_table(table)
     H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)
     if not asym <= _ASYMMETRY_TOL:  # also true when H holds a NaN

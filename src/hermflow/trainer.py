@@ -41,8 +41,10 @@ from .flow import (
     init_flow_params,
     normalize_block,
 )
-from .galerkin import Potential
-from .hermite import eval_hermite_derivatives, eval_hermite_functions
+from .analysis import write_csv
+from .galerkin import Potential, _basis_at_nodes
+from .hermite import eval_hermite_derivatives  # noqa: F401 - benchmarks/tracing.py binds it here
+from .hermite import eval_hermite_functions  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import MAX_ORDER, QuadratureRule, gauss_hermite_rule
 
 __all__ = [
@@ -91,6 +93,8 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 1 <= self.Q <= MAX_ORDER:
             raise ValueError(f"Q must lie in [1, {MAX_ORDER}], got {self.Q}")
+        if self.N > self.Q:
+            raise ValueError(f"basis size N = {self.N} exceeds the quadrature order Q = {self.Q}")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.iterations is not None and self.iterations < 0:
@@ -132,19 +136,15 @@ class TrainingTrace:
         return self.losses.size
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# hermflow trace csv v1\n")
-            fh.write("iteration,loss,grad_norm,wall_ms\n")
-            for i, (lo, gn, wm) in enumerate(zip(self.losses, self.grad_norms, self.wall_ms)):
-                fh.write(f"{i},{float(lo)!r},{float(gn)!r},{float(wm)!r}\n")
+        rows = zip(range(len(self)), self.losses, self.grad_norms, self.wall_ms)
+        write_csv(path, "trace", "iteration,loss,grad_norm,wall_ms", rows, labels=1)
 
 
 @dataclass(frozen=True, eq=False)
 class TraceLoss:
     """The trace loss at one basis size, rule and potential.
 
-    Calling it on a `FlowParams`, or on None (identity warp), gives the loss;
-    `gradient` differentiates it.
+    Calling it on a `FlowParams` gives the loss; `gradient` differentiates it.
     """
 
     nodes: np.ndarray
@@ -178,22 +178,17 @@ class TraceLoss:
         bar2 = self.weights * inv3 * (0.25 * self.s0 * r - 0.5 * self.s1)
         return bar0, bar1, bar2
 
-    def __call__(self, params):
-        if params is None:
-            x = self.nodes
-            return self.head(x, np.ones_like(x), np.zeros_like(x))
+    def __call__(self, params: FlowParams):
         return self.head(*_map_jets(params, self.nodes))
 
 
 def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
-    """The trace loss of an N-function basis on the given rule and potential."""
-    x = rule.nodes
-    phi = eval_hermite_functions(N - 1, x)
-    dphi = eval_hermite_derivatives(N - 1, x)
+    """The trace of `assemble_hamiltonian`'s matrix as a loss on the warp, from the same table rows."""
+    phi, dphi = _basis_at_nodes(N, rule)
     s0 = (phi * phi).sum(axis=0)
     s1 = (phi * dphi).sum(axis=0)
     s2 = (dphi * dphi).sum(axis=0)
-    return TraceLoss(x, rule.lifted_weights, s0, s1, s2, V)
+    return TraceLoss(rule.nodes, rule.lifted_weights, s0, s1, s2, V)
 
 
 def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
@@ -202,8 +197,6 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     Returns (loss value, flat gradient) with entries in `params.pack()` order;
     raises FloatingPointError if either is non-finite.
     """
-    if loss.potential.derivative is None:
-        raise ValueError(f"potential {loss.potential.descriptor!r} has no derivative; cannot train")
     jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
     value = float(loss.head(*jets))
     if not np.isfinite(value):

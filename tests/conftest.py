@@ -1,10 +1,20 @@
 """Shared helpers for the test suite."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hermflow
 from hermflow import FlowParams, ResidualBlock, spectral_norm
 from hermflow.flow import _jets_forward
+
+HERMFLOW_MODULES = [hermflow] + [
+    importlib.import_module(f"hermflow.{path.stem}")
+    for path in sorted(Path(hermflow.__file__).parent.glob("*.py"))
+    if path.stem != "__init__"
+]
 
 
 def make_feasible_params(
@@ -78,6 +88,30 @@ def complex_params(params: FlowParams, shifted, part="all") -> FlowParams:
     if part in ("all", "sandwich"):
         view.alpha, view.beta = shifted[pos], shifted[pos + 1]
     return view
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts of Hermite tables built from now on, through any hermflow module's binding.
+
+    A rule's own table is built with the rule, once per order and process: build
+    the rules a test uses before taking this fixture's counts.
+    """
+    calls = {"functions": 0, "derivatives": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in HERMFLOW_MODULES:
+        for kind in calls:
+            name = f"eval_hermite_{kind}"
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(kind, getattr(module, name)))
+    return calls
 
 
 @pytest.fixture

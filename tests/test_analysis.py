@@ -20,7 +20,13 @@ from hermflow import (
     train,
     window_sum,
 )
-from hermflow.analysis import write_fits_csv, write_rates_csv, write_spectra_csv
+from hermflow.analysis import (
+    build_convergence_report,
+    write_bands_csv,
+    write_fits_csv,
+    write_rates_csv,
+    write_spectra_csv,
+)
 
 
 class TestBandAverageErrors:
@@ -35,6 +41,14 @@ class TestBandAverageErrors:
     def test_reference_too_short_rejected(self):
         with pytest.raises(ValueError):
             band_average_errors(np.arange(5.0), np.arange(3.0), 5)
+
+    @pytest.mark.parametrize("band_size", [0, -1])
+    def test_band_size_must_be_positive(self, band_size):
+        spectra = {N: np.arange(N) + 0.5 for N in (11, 12)}
+        with pytest.raises(ValueError, match="band_size"):
+            band_average_errors(spectra[12], spectra[12], band_size)
+        with pytest.raises(ValueError, match="band_size"):
+            build_convergence_report("hermite", spectra, n_ref=12, band_size=band_size)
 
 
 class TestWindowSum:
@@ -164,6 +178,15 @@ class TestCsvWriters:
 
         data = read_spectra_csv(path)
         np.testing.assert_allclose(data["hermite"][2], [0.5, 1.5])
+
+    def test_layouts_byte_for_byte(self, tmp_path):
+        # labels by str (numpy ints too), values by repr(float(.)) (ints in value columns too)
+        write_bands_csv(tmp_path / "b.csv", [("augmented", np.int64(7), 1, np.float64(0.1), 2)])
+        write_rates_csv(tmp_path / "r.csv", [("hermite", 6, math.nan)])
+        assert (tmp_path / "b.csv").read_text() == (
+            "# hermflow bands csv v1\nscheme,N,band,abs_error,rel_error\naugmented,7,1,0.1,2.0\n"
+        )
+        assert (tmp_path / "r.csv").read_text() == "# hermflow rates csv v1\nscheme,N,e_N\nhermite,6,nan\n"
 
     def test_rates_and_fits_have_versioned_headers(self, tmp_path):
         write_rates_csv(tmp_path / "r.csv", [("hermite", 5, 0.5)])

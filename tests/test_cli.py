@@ -331,6 +331,40 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
     assert bindings and not missing
 
 
+def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):
+    """Each hermflow import marked as bound by benchmarks/tracing.py is still bound there.
+
+    Such an import is used by no code of its module; once the tracer stops
+    patching it, it is dead and must go with the binding.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", REPO / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = [
+        ".".join(filter(None, (owner, name)))
+        for owner, name, _ in tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS
+    ]
+    marked, dead = 0, []
+    for path in sorted((REPO / "src" / "hermflow").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        module = "" if path.stem == "__init__" else path.stem
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or not any(
+                "benchmarks/tracing.py" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                continue
+            for alias in node.names:
+                marked += 1
+                bound = ".".join(filter(None, (module, alias.asname or alias.name)))
+                if not any(t == bound or t.startswith(bound + ".") for t in traced):
+                    dead.append(f"{path.name}: {alias.asname or alias.name}")
+    assert marked and not dead
+
+
 def test_names_used_by_demos_and_benchmarks_resolve():
     """Every name the demos and the benchmark take from hermflow is still there.
 

@@ -415,6 +415,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'alpha'.*repeated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("text", ["hiden = 9", "garbage line"])
+    def test_rejects_unknown_header_line(self, tmp_path, rng, text):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)
+        lines = path.read_text().splitlines()
+        lines.insert(2, text)  # among the known keys, before "params:"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'{text}'"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "key,text", [("hidden", "four"), ("blocks", "1.0"), ("alpha", "wide"), ("seed", "x")]
     )

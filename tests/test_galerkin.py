@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -57,7 +58,7 @@ class TestPotentialMatrix:
 
     def test_quartic_ground_state_entry(self, monkeypatch):
         rule = gauss_hermite_rule(20)
-        quartic = Potential(lambda x: 0.25 * (x * x) * (x * x), "x^4/4")
+        quartic = Potential((0.0, 0.0, 0.0, 0.0, 0.25), "x^4/4")
         _, M = assembled_parts(monkeypatch, BasisSpec(3), rule, quartic)
         assert M[0, 0] == pytest.approx(3.0 / 16.0, rel=1e-13)
 
@@ -81,10 +82,10 @@ class TestPotentialMatrix:
             )
             assert np.abs(M - oracle).max() < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
     def test_nonfinite_potential_names_node(self):
-        rule = gauss_hermite_rule(5)  # odd order has a node at x = 0
-        bad = Potential(lambda x: np.where(np.abs(x) < 1e-12, np.inf, x), "1/x-ish")
+        rule = gauss_hermite_rule(5)  # nodes 0, +-0.96, +-2.02: x^4 > 1 at the outer two
+        bad = Potential((0.0, 0.0, 0.0, 0.0, 1e308), "overflowing quartic")
         with pytest.raises(AssemblyError, match="node"):
             assemble_hamiltonian(BasisSpec(3), rule, bad)
 
@@ -185,28 +186,15 @@ class TestAssembleHamiltonian:
         scale = np.abs(H).max()
         assert np.abs(H - exact).max() <= 4 * np.spacing(scale)
 
-    def test_no_table_built_per_assembly(self, monkeypatch, rng):
-        calls = {"functions": 0, "derivatives": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            galerkin, "eval_hermite_functions", counted("functions", galerkin.eval_hermite_functions)
-        )
-        monkeypatch.setattr(
-            galerkin,
-            "eval_hermite_derivatives",
-            counted("derivatives", galerkin.eval_hermite_derivatives),
-        )
+    def test_no_table_built_per_assembly(self, request, rng):
         rule = gauss_hermite_rule(90)
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
+        calls = request.getfixturevalue("table_builds")  # counts from here on
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params)
+        assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential())
         assert calls == {"functions": 0, "derivatives": 0}  # the rule's table serves
+        overlap_matrix(BasisSpec(12), rule)  # builds its own, so the spy sees it
+        assert calls == {"functions": 1, "derivatives": 0}
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_plain_ladder_equals_assembly_from_a_fresh_table(self):
@@ -294,6 +282,25 @@ class TestOverlapMatrix:
 
 
 class TestPotentialDerivative:
+    def test_builtins_equal_the_plain_expressions(self):
+        # the coefficients give the bits of the expressions V and V' were written as
+        rng = np.random.default_rng(7)
+        nodes = gauss_hermite_rule(90).nodes
+        harmonic, anharmonic = harmonic_potential(), anharmonic_potential()
+        for x in (nodes, nodes + 1e-40j * rng.standard_normal(90),
+                  rng.standard_normal(64) * 4 + 1j * rng.standard_normal(64)):
+            assert np.array_equal(harmonic(x), 0.5 * x * x)
+            assert np.array_equal(harmonic.derivative(x), x)
+            assert np.array_equal(anharmonic(x), 0.5 * x * x + 0.25 * (x * x) * (x * x))
+            assert np.array_equal(anharmonic.derivative(x), x + x * x * x)
+
+    def test_derivative_is_read_from_the_coefficients(self):
+        assert [f.name for f in dataclasses.fields(Potential)] == ["coefficients", "descriptor"]
+        cubic = Potential((1.0, -2.0, 0.0, 3.0), "1 - 2x + 3x^3")
+        x = np.linspace(-2.0, 2.0, 9)
+        np.testing.assert_allclose(cubic(x), 1.0 - 2.0 * x + 3.0 * x**3, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(cubic.derivative(x), -2.0 + 9.0 * x**2, rtol=1e-15, atol=1e-15)
+
     def test_builtins_match_central_differences(self):
         x = np.linspace(-6.0, 6.0, 25)
         h = 1e-5
