@@ -7,41 +7,30 @@ plain Hermite result, and every later iterate re-projects the residual
 weights onto the contraction constraint that keeps the warp invertible.
 """
 
-import numpy as np
-
-from hermflow import (
-    BasisSpec,
-    TrainingConfig,
-    anharmonic_potential,
-    assemble_hamiltonian,
-    eigh,
-    gauss_hermite_rule,
-    save_checkpoint,
-    train,
-)
+from hermflow import save_checkpoint
+from hermflow.cli import ExperimentConfig, solve_case
 
 
 def main():
-    V = anharmonic_potential()
-    config = TrainingConfig(N=5, Q=90, hidden=128, blocks=1, learning_rate=1e-3,
-                            iterations=500, seed=0)
-    print(f"Training warp for {V.descriptor}, N={config.N}, "
-          f"{config.resolved_iterations} Adam iterations...")
-    params, trace = train(config, V)
+    config = ExperimentConfig(potential="anharmonic", Q=90, hidden=128, blocks=1,
+                              learning_rate=1e-3, iterations=500, seed=0)
+    N = 5
+    print(f"Training warp for the {config.potential} well, N={N}, "
+          f"{config.iterations} Adam iterations...")
+    warped = solve_case(config, "augmented", N, config.seed)
+    plain = solve_case(config, "hermite", N, config.seed)
+    params, trace = warped.params, warped.training
 
     print("\n  iter      loss        |grad|")
     for i in (0, 10, 25, 50, 100, 200, 499):
         print(f"  {i:>4} {trace.losses[i]:>12.6f} {trace.grad_norms[i]:>12.3e}")
 
-    rule = gauss_hermite_rule(config.Q)
-    spec = BasisSpec(config.N)
-    E_plain = eigh(assemble_hamiltonian(spec, rule, V).entries).eigenvalues
-    E_warp = eigh(assemble_hamiltonian(spec, rule, V, params).entries).eigenvalues
+    E_plain, E_warp = plain.eigenvalues, warped.eigenvalues
     print(f"\n  {'n':>3} {'plain Hermite':>16} {'warped':>16}")
-    for n in range(config.N):
+    for n in range(N):
         print(f"  {n:>3} {E_plain[n]:>16.9f} {E_warp[n]:>16.9f}")
-    print(f"\n  trace: {E_plain.sum():.6f} -> {E_warp.sum():.6f} "
-          f"(drop {E_plain.sum() - E_warp.sum():.4f})")
+    print(f"\n  trace: {plain.trace:.6f} -> {warped.trace:.6f} "
+          f"(drop {plain.trace - warped.trace:.4f})")
     print(f"  learned scale alpha = {params.alpha:.4f}, shift beta = {params.beta:+.4f}")
 
     save_checkpoint(params, "warp_N5.txt", seed=config.seed)

@@ -12,21 +12,8 @@ Runtime is a couple of minutes (every N trains its own warp).
 
 import math
 
-import numpy as np
-
-from hermflow import (
-    BasisSpec,
-    TrainingConfig,
-    anharmonic_potential,
-    assemble_hamiltonian,
-    band_average_errors,
-    eigh,
-    gauss_hermite_rule,
-    linear_fit,
-    q_sequence,
-    train,
-    window_sum,
-)
+from hermflow import band_average_errors, linear_fit, q_sequence, window_sum
+from hermflow.cli import ExperimentConfig, solve_case
 
 N_VALUES = range(5, 22)
 N_REF = max(N_VALUES)
@@ -34,17 +21,11 @@ WINDOW = (5, 10)
 
 
 def main():
-    V = anharmonic_potential()
-    rule = gauss_hermite_rule(90)
+    config = ExperimentConfig(potential="anharmonic", Q=90, iterations=800)
     spectra = {"hermite": {}, "augmented": {}}
     for N in N_VALUES:
-        spec = BasisSpec(N)
-        spectra["hermite"][N] = eigh(assemble_hamiltonian(spec, rule, V).entries).eigenvalues
-        config = TrainingConfig(N=N, Q=90, iterations=800, seed=N)
-        params, _ = train(config, V)
-        spectra["augmented"][N] = eigh(
-            assemble_hamiltonian(spec, rule, V, params).entries
-        ).eigenvalues
+        for scheme, by_n in spectra.items():
+            by_n[N] = solve_case(config, scheme, N, seed=N).eigenvalues
         print(f"  solved N={N} (both schemes)")
 
     print("\nBand-1 (states 0-4) average error vs own reference at "

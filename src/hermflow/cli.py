@@ -2,10 +2,12 @@
 
 Subcommands:
 
-* ``solve``   - assemble (and for the augmented scheme, train), diagonalize,
-  write a spectrum CSV plus checkpoint, print a one-line summary.
-* ``sweep``   - run ``solve`` over a range of basis sizes with per-N seeds
-  derived from the master seed, aggregating one spectra CSV and a manifest.
+* ``solve``   - solve each scheme's case with `solve_case` (train the warp for
+  the augmented scheme, assemble, diagonalize), write a spectrum CSV plus the
+  warp's checkpoint and loss trace, print a one-line summary.
+* ``sweep``   - the same over a range of basis sizes with per-N seeds derived
+  from the master seed, aggregating one spectra CSV (an N's rows only once
+  every scheme has solved) and a manifest.
 * ``analyze`` - turn sweep spectra into band-error, convergence-rate and
   linear-fit CSVs against each scheme's own reference spectrum.
 
@@ -32,7 +34,7 @@ import os
 import sys
 from dataclasses import field, fields, make_dataclass
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -45,13 +47,14 @@ from .analysis import (
     write_spectra_csv,
 )
 from .eigensolver import eigh
-from .flow import save_checkpoint
+from .flow import FlowParams, save_checkpoint
 from .galerkin import assemble_hamiltonian, potential_from_descriptor
 from .hermite import BasisSpec
 from .quadrature import gauss_hermite_rule
-from .trainer import TrainingConfig, train
+from .trainer import TrainingConfig, TrainingTrace, train
 
-__all__ = ["ExperimentConfig", "ConfigError", "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case",
+           "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
 
 OUTPUT_ROOT_ENV = "HERMFLOW_OUTPUT_ROOT"
 
@@ -177,20 +180,32 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _solve_one(config: ExperimentConfig, scheme: str, N: int, seed: int, outdir: Path):
-    """Solve one (scheme, N) case; returns spectra rows and the trace."""
+class CaseResult(NamedTuple):
+    """One solved (scheme, N) case; `params` and `training` are None for the hermite scheme."""
+
+    eigenvalues: np.ndarray
+    trace: float  # of the projected Hamiltonian
+    params: FlowParams | None
+    training: TrainingTrace | None
+
+
+def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> CaseResult:
+    """Train (augmented scheme only), assemble and diagonalize one case; writes no file."""
     V = potential_from_descriptor(config.potential)
     rule = gauss_hermite_rule(config.Q)
-    params = None
+    params = training = None
     if scheme == "augmented":
-        tc = config.training_config(N, seed)
-        params, trace_rec = train(tc, V)
-        trace_rec.write_csv(outdir / f"trace_augmented_N{N}.csv")
-        save_checkpoint(params, outdir / f"checkpoint_augmented_N{N}.txt", seed=seed)
+        params, training = train(config.training_config(N, seed), V)
     H = assemble_hamiltonian(BasisSpec(N), rule, V, params)
-    spectrum = eigh(H.entries)
-    rows = [(scheme, N, n, E) for n, E in enumerate(spectrum.eigenvalues)]
-    return rows, float(np.trace(H.entries))
+    return CaseResult(eigh(H.entries).eigenvalues, float(np.trace(H.entries)), params, training)
+
+
+def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) -> list[tuple]:
+    """Write an augmented case's trace CSV and checkpoint; return the case's spectra rows."""
+    if case.params is not None:
+        case.training.write_csv(outdir / f"trace_augmented_N{N}.csv")
+        save_checkpoint(case.params, outdir / f"checkpoint_augmented_N{N}.txt", seed=seed)
+    return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues)]
 
 
 def cmd_solve(config: ExperimentConfig) -> int:
@@ -200,11 +215,11 @@ def cmd_solve(config: ExperimentConfig) -> int:
     outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for scheme in config.schemes():
-        rows, trace = _solve_one(config, scheme, config.N, config.seed, outdir)
-        path = outdir / f"spectrum_{scheme}_N{config.N}.csv"
-        write_spectra_csv(path, rows)
-        first = ", ".join(f"{E:.10g}" for _, _, _, E in rows[:5])
-        print(f"solve scheme={scheme} N={config.N} Q={config.Q} trace={trace:.12g} E[0:5]=[{first}]")
+        case = solve_case(config, scheme, config.N, config.seed)
+        rows = _write_case(outdir, scheme, config.N, config.seed, case)
+        write_spectra_csv(outdir / f"spectrum_{scheme}_N{config.N}.csv", rows)
+        first = ", ".join(f"{E:.10g}" for E in case.eigenvalues[:5])
+        print(f"solve scheme={scheme} N={config.N} Q={config.Q} trace={case.trace:.12g} E[0:5]=[{first}]")
     return 0
 
 
@@ -220,9 +235,10 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     for N in n_values:
         seed_n = config.seed + N  # per-N seeds: fixed offset from the master seed
         try:
+            rows = []  # an N's rows are kept only once every scheme has succeeded
             for scheme in config.schemes():
-                rows, _ = _solve_one(config, scheme, N, seed_n, outdir)
-                all_rows.extend(rows)
+                rows += _write_case(outdir, scheme, N, seed_n, solve_case(config, scheme, N, seed_n))
+            all_rows.extend(rows)
             completed.append(N)
             print(f"sweep N={N} done")
         except Exception as exc:  # noqa: BLE001 - record and continue the sweep

@@ -26,7 +26,6 @@ the slice equals a table built for N alone, bit for bit.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ from .hermite import eval_hermite_functions
 __all__ = ["QuadratureRule", "gauss_hermite_rule"]
 
 MAX_ORDER = 200
-_TESTED_ORDER = 100
 
 
 @dataclass(frozen=True)
@@ -55,18 +53,11 @@ class QuadratureRule:
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
     """Construct the order-Q Gauss-Hermite rule.
 
-    Q must lie in [1, 200]; orders above 100 carry an accuracy warning since
-    node generation at such degrees is only lightly exercised.  Each order is
-    built once per process and shared: the returned arrays are read-only.
+    Q must lie in [1, 200].  Each order is built once per process and shared:
+    the returned arrays are read-only.
     """
     if not isinstance(Q, (int, np.integer)) or Q < 1 or Q > MAX_ORDER:
         raise ValueError(f"quadrature order must be an integer in [1, {MAX_ORDER}], got {Q!r}")
-    if Q > _TESTED_ORDER:
-        warnings.warn(
-            f"Gauss-Hermite order {Q} exceeds the well-tested range (<= {_TESTED_ORDER}); "
-            "node accuracy may degrade",
-            stacklevel=2,
-        )
     return _build_rule(int(Q))
 
 

@@ -2,13 +2,14 @@
 
 import importlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import hermflow
-from hermflow import FlowParams, ResidualBlock, spectral_norm
-from hermflow.flow import _jets_forward
+from hermflow import FlowParams, ResidualBlock, flow, spectral_norm
+from hermflow.flow import _jets_forward, _preactivation
 
 HERMFLOW_MODULES = [hermflow] + [
     importlib.import_module(f"hermflow.{path.stem}")
@@ -57,17 +58,28 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
     from its inputs, so the stages before that block run on real arrays.  The
     weight norms stay real (|w + i h e| = |w| to rounding), so the Lipschitz
     scales are held fixed, as in the adjoint.
+
+    A small float ufunc runs after each `_preactivation`: OpenBLAS's complex gemm
+    returns with the upper YMM state dirty, which makes the complex `exp` after it
+    (SSE code) 28x slower; numpy's AVX float loops end in `vzeroupper`.
     """
     theta = params.pack()
     grad = np.empty_like(theta)
     starts = np.cumsum([0] + [3 * block.hidden + 1 for block in params.blocks])
-    for i in range(theta.size):
-        shifted = theta.astype(complex)
-        shifted[i] += 1j * h
-        k = int(np.searchsorted(starts, i, side="right")) - 1
-        view = complex_params(params, shifted, k if k < len(params.blocks) else "sandwich")
-        value = loss.head(*_jets_forward(view, loss.nodes)[0])
-        grad[i] = value.imag / h
+    scratch = np.zeros(64)
+
+    def preactivation(*args):
+        _preactivation(*args)
+        np.add(scratch, 1.0, out=scratch)
+
+    with mock.patch.object(flow, "_preactivation", preactivation):
+        for i in range(theta.size):
+            shifted = theta.astype(complex)
+            shifted[i] += 1j * h
+            k = int(np.searchsorted(starts, i, side="right")) - 1
+            view = complex_params(params, shifted, k if k < len(params.blocks) else "sandwich")
+            value = loss.head(*_jets_forward(view, loss.nodes)[0])
+            grad[i] = value.imag / h
     return float(value.real), grad
 
 
@@ -112,6 +124,21 @@ def table_builds(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(kind, getattr(module, name)))
     return calls
+
+
+@pytest.fixture(scope="session")
+def sinc_dvr_reference():
+    """States 0-29 of -1/2 d^2/dx^2 + x^2/2 + x^4/4 on [-8, 8] in the sinc DVR (Colbert &
+    Miller 1992), which shares no code with the solver; stable to 1e-9 as the spacing halves."""
+    levels = []
+    for h in (0.1, 0.05):
+        x = np.arange(-round(8 / h), round(8 / h) + 1) * h
+        d = np.subtract.outer(np.arange(x.size), np.arange(x.size))
+        T = np.where(d == 0, np.pi**2 / 6, (-1.0) ** d / np.maximum(d * d, 1)) / h**2
+        levels.append(np.linalg.eigvalsh(T + np.diag(x**2 / 2 + x**4 / 4))[:30])
+    drift = float(np.abs(levels[0] - levels[1]).max())
+    assert drift <= 1e-9, f"sinc-DVR reference moves by {drift:.2e} when the spacing halves"
+    return levels[0]
 
 
 @pytest.fixture

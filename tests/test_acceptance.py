@@ -2,7 +2,8 @@
 
 The expensive part is a full training sweep of the augmented scheme over
 N = 5..29 (anharmonic potential, Q = 90, hidden 128, 1 block, lr 1e-3,
-500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N); it is
+500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N), each
+case solved by `hermflow.cli.solve_case`, as `hermflow sweep` solves it; it is
 computed once per session and shared by criteria 4-8.
 
 Notes on what three of the checks can and cannot claim:
@@ -13,14 +14,16 @@ Notes on what three of the checks can and cannot claim:
   0.9) overshoots once after the fast descent (rebound 0.03-0.34 around
   iteration 60-70) and then jitters by ~1e-4 at the optimum.  The count and
   size of those transient rises are printed with the clause.
-* criteria 7 and 8 compare against a plain-Hermite spectrum at N = 160,
-  Q = 200, whose convergence in states 0-29 is asserted against N = 180.
+* criteria 7 and 8 compare against two references: a plain-Hermite spectrum
+  at N = 160, Q = 200, whose convergence in states 0-29 is asserted against
+  N = 180, and a sinc-DVR spectrum (conftest), which shares no code with the
+  solver and is asserted to agree with it to 1e-9 in states 0-29.
   The variational bound promises E_n(trained) >= E_n(exact), not >= the
   eigenvalue of another truncated basis: the plain N = 29 and N = 45
   spectra carry truncation errors of 6e-3..1e+2 in mid- and high-spectrum
   states, which a trained N = 29 warp beats.  Criterion 7 prints the plain
-  N = 29 gap as a note; criterion 8 prints the underresolved Q = 40, N = 49
-  demonstration (dozens of states below the limit).
+  N = 29 gap as a note.  `demos/04_variational_limit_caveat.py` shows the
+  floor failing under an underresolved rule (Q = 40, N = 49).
 """
 
 import math
@@ -32,7 +35,6 @@ import pytest
 
 from hermflow import (
     BasisSpec,
-    TrainingConfig,
     anharmonic_potential,
     assemble_hamiltonian,
     eigh,
@@ -46,10 +48,9 @@ from hermflow import (
     linear_fit,
     make_trace_loss,
     q_sequence,
-    train,
     window_sum,
 )
-from hermflow.cli import main, read_spectra_csv
+from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case
 from hermflow.trainer import gradient
 from conftest import make_feasible_params
 
@@ -74,24 +75,24 @@ def rule90():
 
 
 @pytest.fixture(scope="module")
-def sweep(rule90):
-    """Both schemes over N = 5..29: spectra, loss traces, training times."""
-    V = anharmonic_potential()
+def sweep():
+    """Both schemes over N = 5..29, each case solved as `hermflow sweep` solves it:
+    spectra, loss traces, and the augmented cases' solve times."""
+    config = ExperimentConfig(potential="anharmonic", Q=90)
     out = {}
     for N in SWEEP_RANGE:
-        cfg = TrainingConfig(N=N, Q=90, seed=MASTER_SEED + N)
         tick = time.perf_counter()
-        params, trace = train(cfg, V)
+        aug = solve_case(config, "augmented", N, MASTER_SEED + N)
         seconds = time.perf_counter() - tick
-        aug = eigh(assemble_hamiltonian(BasisSpec(N), rule90, V, params).entries).eigenvalues
-        herm = eigh(assemble_hamiltonian(BasisSpec(N), rule90, V).entries).eigenvalues
-        out[N] = {"aug": aug, "herm": herm, "losses": trace.losses, "seconds": seconds}
+        herm = solve_case(config, "hermite", N, MASTER_SEED + N)
+        out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, losses=aug.training.losses, seconds=seconds)
     return out
 
 
 @pytest.fixture(scope="module")
-def converged_reference():
-    """Plain-Hermite spectrum at N = 160, Q = 200, checked against N = 180.
+def converged_reference(sinc_dvr_reference):
+    """Plain-Hermite spectrum at N = 160, Q = 200, checked against N = 180 and
+    against the sinc-DVR reference, which shares no code with the solver.
 
     The 2N+10 heuristic warning does not apply: all integrands are still
     polynomial-exact at this order.
@@ -106,6 +107,8 @@ def converged_reference():
         )
     drift = float(np.abs(E160[:30] - E180[:30]).max())
     assert drift <= 1e-9, f"N=160 reference not converged in states 0-29 (drift {drift:.2e})"
+    apart = float(np.abs(E160[:30] - sinc_dvr_reference).max())
+    assert apart <= 1e-9, f"N=160 and sinc-DVR references differ by {apart:.2e} in states 0-29"
     return E160
 
 
@@ -259,57 +262,43 @@ def test_criterion_06_convergence_rate_fits(sweep):
     )
 
 
-def test_criterion_07_cross_scheme_reference_discrepancy(sweep, converged_reference):
-    limit = converged_reference[5:11]
-    diffs = np.abs(sweep[29]["aug"][5:11] - limit)
-    plain = np.abs(sweep[29]["herm"][5:11] - limit)
+def test_criterion_07_cross_scheme_reference_discrepancy(sweep, converged_reference, sinc_dvr_reference):
+    references = {"Hermite N=160": converged_reference, "sinc DVR": sinc_dvr_reference}
+    plain = np.abs(sweep[29]["herm"][5:11] - converged_reference[5:11])
     print(
         "[criterion 07 note] plain N=29 gap to the converged limit, states 5-10: "
         + " ".join(f"{d:.2e}" for d in plain)
     )
     report(
         7,
-        "augmented N_ref=29 reference vs converged Hermite limit, states 5-10",
+        "augmented N_ref=29 reference vs converged limits, states 5-10",
         [
             (
-                f"state {5 + i}: |E*_augmented - E_converged| = {d:.2e} <= 5e-3",
+                f"state {5 + i} vs {name}: |E*_augmented - E_converged| = {d:.2e} <= 5e-3",
                 d <= 5e-3,
             )
-            for i, d in enumerate(diffs)
+            for name, limit in references.items()
+            for i, d in enumerate(np.abs(sweep[29]["aug"][5:11] - limit[5:11]))
         ],
     )
 
 
-def test_criterion_08_variational_floor(sweep, converged_reference):
+def test_criterion_08_variational_floor(sweep, converged_reference, sinc_dvr_reference):
     worst = 0.0
-    worst_at = (None, None)
-    for N in SWEEP_RANGE:
-        gap = sweep[N]["aug"] - converged_reference[:N]
-        if gap.min() < worst:
-            worst = float(gap.min())
-            worst_at = (N, int(np.argmin(gap)))
-    # documentation (not part of the assertion): the underresolved-quadrature
-    # caveat at Q=40, N=49
-    rule40 = gauss_hermite_rule(40)
-    phi = eval_hermite_functions(48, rule40.nodes)
-    dphi = eval_hermite_derivatives(48, rule40.nodes)
-    V = anharmonic_potential()
-    H = np.einsum("iq,q,jq->ij", phi, rule40.lifted_weights * V(rule40.nodes), phi)
-    H += 0.5 * np.einsum("iq,q,jq->ij", dphi, rule40.lifted_weights, dphi)
-    E_under = np.linalg.eigvalsh(0.5 * (H + H.T))
-    dips = E_under - converged_reference[:49]
-    print(
-        f"[criterion 08 note] underresolved demo (Q=40, N=49): "
-        f"{int((dips < -1e-6).sum())} of 49 states below the variational limit, "
-        f"worst {dips.min():.3f}"
-    )
+    worst_at = (None, None, None)
+    for name, reference in {"Hermite": converged_reference, "sinc DVR": sinc_dvr_reference}.items():
+        for N in SWEEP_RANGE:
+            gap = sweep[N]["aug"] - reference[:N]
+            if gap.min() < worst:
+                worst = float(gap.min())
+                worst_at = (N, int(np.argmin(gap)), name)
     report(
         8,
-        "trained eigenvalues vs converged N=160 Hermite reference (Q=90, N<=29)",
+        "trained eigenvalues vs converged N=160 Hermite and sinc-DVR references (Q=90, N<=29)",
         [
             (
                 f"no eigenvalue below reference - 1e-6 (worst {worst:.3e} at N={worst_at[0]}, "
-                f"n={worst_at[1]})",
+                f"n={worst_at[1]}, {worst_at[2]})",
                 worst >= -1e-6,
             )
         ],

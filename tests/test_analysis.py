@@ -1,6 +1,5 @@
 import ast
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,10 +136,8 @@ class TestReferenceEnergies:
     def test_hermite_self_convergence_profile(self):
         # low levels converge first: at N_ref = 29 vs 45 the bottom four
         # eigenvalues agree to 1e-6 while level 9 still moves by ~6e-3
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            e29 = converged_levels(anharmonic_potential(), 29, 90)
-            e45 = converged_levels(anharmonic_potential(), 45, 130)
+        e29 = converged_levels(anharmonic_potential(), 29, 90)
+        e45 = converged_levels(anharmonic_potential(), 45, 130)
         diff = np.abs(e29[:10] - e45[:10])
         assert diff[:4].max() < 1e-6
         assert diff.max() < 5e-2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hermflow
+from hermflow import cli, train
 from hermflow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +26,17 @@ REPO = Path(__file__).resolve().parents[1]
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def load_tracing(monkeypatch):
+    """benchmarks/tracing.py, loaded without writing bytecode into the benchmark's directory."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_tracing", REPO / "benchmarks" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 class TestConfigParsing:
@@ -169,15 +181,22 @@ class TestSweep:
         data = read_spectra_csv(out / "spectra.csv")["hermite"]
         assert sorted(data) == [2, 3]
 
-    def test_byte_identical_reruns(self, tmp_path):
-        args = ["sweep", "--potential", "anharmonic", "--scheme", "both",
-                "--N-range", "3..4", "--Q", 30, "--hidden", 8, "--iterations", 40,
-                "--seed", 11]
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(args + ["--output-dir", out1]) == 0
-        assert run(args + ["--output-dir", out2]) == 0
-        assert (out1 / "spectra.csv").read_bytes() == (out2 / "spectra.csv").read_bytes()
-        assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+    def test_failed_n_writes_no_rows(self, tmp_path, monkeypatch):
+        # N = 4's hermite case solves, then its training fails: neither scheme keeps its rows
+        import json
+
+        def train_failing_at_4(config, V):
+            if config.N == 4:
+                raise RuntimeError("training failed")
+            return train(config, V)
+
+        monkeypatch.setattr(cli, "train", train_failing_at_4)
+        assert run(["sweep", "--N-range", "3..5", "--Q", 30, "--hidden", 4, "--iterations", 3,
+                    "--output-dir", tmp_path]) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["completed"] == [3, 5] and list(manifest["failed"]) == ["4"]
+        data = read_spectra_csv(tmp_path / "spectra.csv")
+        assert sorted(data["hermite"]) == sorted(data["augmented"]) == [3, 5]
 
 
 class TestAnalyze:
@@ -314,12 +333,7 @@ class TestSettingsInStep:
 
 def test_benchmark_tracer_bindings_resolve(monkeypatch):
     """Every name the benchmark's tracer patches is still bound where it looks for it."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_tracing", REPO / "benchmarks" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing(monkeypatch)
     bindings = tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS
     missing = []
     for path, name, _ in bindings:
@@ -331,18 +345,29 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
     assert bindings and not missing
 
 
+def test_benchmark_cli_bindings_are_called(tmp_path, monkeypatch):
+    """Every `cli` name the benchmark's tracer patches is called by a tiny solve, sweep
+    and analyze: the tracer sees only the calls made through those names."""
+    tracing = load_tracing(monkeypatch)
+    bindings = tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS
+    names, fired = {name for owner, name, _ in bindings if owner == "cli"}, set()
+    for name in names:
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _fn=fn, **k: fired.add(_name) or _fn(*a, **k))
+    small = ["--Q", "20", "--hidden", "4", "--iterations", "3", "--output-dir", str(tmp_path)]
+    assert cli.main(["solve", "--scheme", "augmented", "--N", "3", *small]) == 0
+    assert cli.main(["sweep", "--N-range", "3..4", *small]) == 0
+    assert cli.main(["analyze", str(tmp_path / "spectra.csv"), "--n-ref", "4", *small[-2:]]) == 0
+    assert names and fired == names
+
+
 def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):
     """Each hermflow import marked as bound by benchmarks/tracing.py is still bound there.
 
     Such an import is used by no code of its module; once the tracer stops
     patching it, it is dead and must go with the binding.
     """
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(
-        "benchmark_tracing", REPO / "benchmarks" / "tracing.py"
-    )
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing(monkeypatch)
     traced = [
         ".".join(filter(None, (owner, name)))
         for owner, name, _ in tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS

@@ -149,22 +149,6 @@ class TestAssembleHamiltonian:
         H = assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params).entries
         assert np.array_equal(H, H.T)
 
-    def test_identity_value_matches_textbook_assembly(self):
-        # params=None must coincide with the direct Hermite-basis formulas
-        rule = gauss_hermite_rule(90)
-        N = 20
-        V = anharmonic_potential()
-        H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
-        phi = eval_hermite_functions(N - 1, rule.nodes)
-        dphi = eval_hermite_derivatives(N - 1, rule.nodes)
-        w = rule.lifted_weights
-        Vm = (phi * (w * V(rule.nodes))) @ phi.T
-        B = dphi * np.sqrt(w)
-        Tm = 0.5 * B @ B.T
-        Htext = Tm + Vm
-        Htext = 0.5 * (Htext + Htext.T)
-        assert np.abs(H - Htext).max() <= 1e-14
-
     def test_identity_value_within_4_ulps_of_exact_sums(self):
         # independent of the summation order: each entry against the exactly
         # rounded sum of its quadrature terms

@@ -20,6 +20,7 @@ from hermflow import (
     train,
 )
 from hermflow import trainer
+from hermflow.cli import ExperimentConfig, solve_case
 from hermflow.trainer import TrainingAborted
 from hermflow.flow import _jets_forward
 from conftest import complex_params, complex_step_gradient, make_feasible_params
@@ -276,22 +277,13 @@ class TestTrain:
             train(cfg, anharmonic_potential())
         assert len(err.value.trace) >= 1
 
-    def test_variational_floor_against_converged_reference(self):
+    def test_variational_floor_against_converged_reference(self, sinc_dvr_reference):
         # with Q = 90 the warped-basis quadrature stays faithful enough that
         # no trained Ritz value sinks below the true spectrum
-        import warnings
-
-        V = anharmonic_potential()
-        cfg = TrainingConfig(N=8, Q=90, seed=8)
-        params, _ = train(cfg, V)
-        rule = gauss_hermite_rule(90)
-        E = eigh(assemble_hamiltonian(BasisSpec(8), rule, V, params).entries).eigenvalues
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            big_rule = gauss_hermite_rule(200)
-            H_ref = assemble_hamiltonian(BasisSpec(80), big_rule, V)
-        reference = eigh(H_ref.entries).eigenvalues
-        assert (E - reference[:8]).min() >= -1e-6
+        E = solve_case(ExperimentConfig(potential="anharmonic", Q=90), "augmented", 8, 8).eigenvalues
+        H_ref = assemble_hamiltonian(BasisSpec(80), gauss_hermite_rule(200), anharmonic_potential())
+        for reference in (eigh(H_ref.entries).eigenvalues, sinc_dvr_reference):
+            assert (E - reference[:8]).min() >= -1e-6
 
     def test_no_table_built_in_training(self, request, rng):
         # the loss reads the rule's table, as assembly does
