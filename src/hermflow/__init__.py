@@ -11,12 +11,8 @@ the basis grows.
 
 from .analysis import (
     ConvergenceReport,
-    ReferenceEnergies,
     band_average_errors,
     build_convergence_report,
-    linear_fit,
-    q_sequence,
-    window_sum,
 )
 from . import autodiff  # noqa: F401 - benchmarks/tracing.py binds autodiff.Var.backward
 from .eigensolver import Spectrum, eigh, eigh_tridiagonal

@@ -12,8 +12,11 @@ Convergence in the basis size N is summarized two ways:
 
 Each discretization scheme is always compared against its own converged
 reference spectrum, never against the other scheme's: the spectrum of its
-own sweep at the reference basis size N_ref.  This layer works on spectra it
-is given and runs no solver; it imports no other hermflow module.
+own sweep at the reference basis size N_ref.  `build_convergence_report`
+computes both summaries for one scheme.  It is the one copy of them:
+``hermflow analyze`` writes its numbers, and the acceptance criteria and
+demo 03 read them.  This layer works on eigenvalue arrays it is given and
+runs no solver; it imports no other hermflow module.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Mapping
 import numpy as np
 
 __all__ = [
-    "ReferenceEnergies",
     "ConvergenceReport",
     "band_average_errors",
     "window_sum",
@@ -43,36 +45,22 @@ _DENOM_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class ReferenceEnergies:
-    """Converged eigenvalues with their provenance."""
-
-    values: np.ndarray
-    scheme: str
-    n_ref: int
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Diagnostics of one scheme over a sweep of basis sizes."""
 
     scheme: str
-    spectra: Mapping[int, np.ndarray]  # N -> eigenvalues
     band_errors: Mapping[int, np.ndarray]  # N -> per-band mean abs errors
     rates: Mapping[int, float]  # N -> e_N (NaN where undefined)
     fit: tuple[float, float]  # (slope, intercept) over defined rates
-    reference: ReferenceEnergies
-
-
-def _values(spectrum):
-    return np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=float)
+    reference: np.ndarray  # the spectrum at N_ref
 
 
 def band_average_errors(spectrum, reference, band_size: int, relative: bool = False) -> np.ndarray:
     """Mean absolute (or relative) eigenvalue error per complete band."""
     if band_size < 1:
         raise ValueError(f"band_size must be >= 1, got {band_size}")
-    vals = _values(spectrum)
-    ref = _values(reference)[: vals.size]
+    vals = np.asarray(spectrum, dtype=float)
+    ref = np.asarray(reference, dtype=float)[: vals.size]
     if ref.size < vals.size:
         raise ValueError(f"reference has {ref.size} levels, spectrum has {vals.size}")
     err = np.abs(vals - ref)
@@ -89,7 +77,7 @@ def window_sum(spectrum, window: tuple[int, int]) -> float | None:
     convergence-rate sequence then treats that N as undefined).
     """
     lo, hi = window
-    vals = _values(spectrum)
+    vals = np.asarray(spectrum, dtype=float)
     if lo < 0 or hi < lo:
         raise ValueError(f"bad state window {window}")
     if vals.size <= hi:
@@ -136,12 +124,11 @@ def build_convergence_report(
     """Summarize a sweep of one scheme against its own n_ref spectrum."""
     if n_ref not in spectra:
         raise ValueError(f"spectra lack the reference basis size N={n_ref}")
-    reference = ReferenceEnergies(np.asarray(spectra[n_ref], dtype=float), scheme, n_ref)
+    reference = np.asarray(spectra[n_ref], dtype=float)
     band_errors = {
-        N: band_average_errors(vals, reference.values[: len(vals)], band_size)
-        for N, vals in spectra.items()
+        N: band_average_errors(vals, reference[: len(vals)], band_size) for N, vals in spectra.items()
     }
-    x_star = window_sum(reference.values, window)
+    x_star = window_sum(reference, window)
     rates: dict[int, float] = {}
     fit = (math.nan, math.nan)
     if x_star is not None:
@@ -149,14 +136,7 @@ def build_convergence_report(
         defined = [(N, e) for N, e in rates.items() if math.isfinite(e)]
         if len(defined) >= 2:
             fit = linear_fit(defined)
-    return ConvergenceReport(
-        scheme=scheme,
-        spectra=dict(spectra),
-        band_errors=band_errors,
-        rates=rates,
-        fit=fit,
-        reference=reference,
-    )
+    return ConvergenceReport(scheme, band_errors, rates, fit, reference)
 
 
 # ---------------------------------------------------------------------------

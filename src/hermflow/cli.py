@@ -317,7 +317,7 @@ def cmd_analyze(
         for N in sorted(report.band_errors):
             abs_err = report.band_errors[N]
             rel_err = band_average_errors(
-                data[scheme][N], report.reference.values[:N], band_size, relative=True
+                data[scheme][N], report.reference[:N], band_size, relative=True
             )
             band_rows.extend(
                 (scheme, N, b, abs_err[b], rel_err[b]) for b in range(abs_err.size)

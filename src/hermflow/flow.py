@@ -545,13 +545,15 @@ def init_flow_params(
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     """Write a versioned text checkpoint (architecture, alpha/beta, flat weights).
 
-    The header has one `hidden` for every block, so a warp with no blocks, or
-    with blocks of different widths, is refused before the file is opened.
+    The header has one `hidden` for every block, and `load_checkpoint` reads
+    finite weights only, so a warp with no blocks, with blocks of different
+    widths, or with a non-finite weight is refused before the file is opened.
     """
     widths = [b.hidden for b in params.blocks]
     if not widths or len(set(widths)) > 1:
         raise ValueError(f"{path}: a checkpoint holds one or more blocks of one width, got {widths}")
     theta = params.pack()[:-2]  # block parameters only; alpha/beta are header fields
+    _check_finite_weights(path, theta)
     lines = [
         f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",
         f"hidden = {widths[0]}",
@@ -565,6 +567,13 @@ def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     lines.extend(repr(float(v)) for v in theta)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _check_finite_weights(path, theta: np.ndarray) -> None:
+    """Raise a ValueError naming the file and the first non-finite weight's index."""
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite weight at index {bad[0]}")
 
 
 def _parse(path, what: str, text: str, kind):
@@ -611,8 +620,7 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
     )
     if theta.size != n_blocks * (3 * hidden + 1):
         raise ValueError(f"{path}: expected {n_blocks * (3 * hidden + 1)} weights, got {theta.size}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError(f"{path}: non-finite weight at index {np.flatnonzero(~np.isfinite(theta))[0]}")
+    _check_finite_weights(path, theta)
     # the template only gives `with_vector` the block shapes
     zero = ResidualBlock(np.zeros((hidden, 1)), np.zeros(hidden), np.zeros((1, hidden)), 0.0)
     try:

@@ -4,7 +4,11 @@ The expensive part is a full training sweep of the augmented scheme over
 N = 5..29 (anharmonic potential, Q = 90, hidden 128, 1 block, lr 1e-3,
 500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N), each
 case solved by `hermflow.cli.solve_case`, as `hermflow sweep` solves it; it is
-computed once per session and shared by criteria 4-8.
+computed once per session and shared by criteria 4-8.  The criteria read the
+program's own results, not copies of its arithmetic: criterion 4 compares the
+traces that `solve_case` returns, and criteria 5 and 6 read each scheme's
+`build_convergence_report` against its own N = 29 spectrum, as
+``hermflow analyze --n-ref 29`` builds it.
 
 Notes on what three of the checks can and cannot claim:
 
@@ -45,11 +49,9 @@ from hermflow import (
     flow_inverse,
     gauss_hermite_rule,
     harmonic_potential,
-    linear_fit,
     make_trace_loss,
-    q_sequence,
-    window_sum,
 )
+from hermflow.analysis import build_convergence_report
 from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case
 from hermflow.trainer import gradient
 from conftest import make_feasible_params
@@ -77,7 +79,8 @@ def rule90():
 @pytest.fixture(scope="module")
 def sweep():
     """Both schemes over N = 5..29, each case solved as `hermflow sweep` solves it:
-    spectra, loss traces, and the augmented cases' solve times."""
+    spectra, traces of the projected Hamiltonians, loss traces, and the augmented
+    cases' solve times."""
     config = ExperimentConfig(potential="anharmonic", Q=90)
     out = {}
     for N in SWEEP_RANGE:
@@ -85,8 +88,19 @@ def sweep():
         aug = solve_case(config, "augmented", N, MASTER_SEED + N)
         seconds = time.perf_counter() - tick
         herm = solve_case(config, "hermite", N, MASTER_SEED + N)
-        out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, losses=aug.training.losses, seconds=seconds)
+        out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, trace=dict(aug=aug.trace, herm=herm.trace),
+                      losses=aug.training.losses, seconds=seconds)
     return out
+
+
+@pytest.fixture(scope="module")
+def reports(sweep):
+    """Each scheme's convergence report against its own N = 29 spectrum, band size 5,
+    window states 5-10, as `hermflow analyze --n-ref 29` builds it."""
+    return {
+        scheme: build_convergence_report(scheme, {N: sweep[N][scheme] for N in SWEEP_RANGE}, 29, 5, (5, 10))
+        for scheme in ("herm", "aug")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +190,7 @@ def test_criterion_04_training_trend(sweep):
     for N in range(5, 10):
         case = sweep[N]
         losses = case["losses"]
-        margin = case["herm"].sum() - case["aug"].sum()  # traces of the final matrices
+        margin = case["trace"]["herm"] - case["trace"]["aug"]  # traces of the final matrices
         checks.append((f"N={N}: final augmented trace below Hermite trace", margin > 0))
         if N == 5:
             checks.append((f"N=5 margin {margin:.3e} >= 1e-3", margin >= 1e-3))
@@ -199,12 +213,11 @@ def test_criterion_04_training_trend(sweep):
     report(4, "training lowers the trace (N=5..9, 500 iterations)", checks)
 
 
-def test_criterion_05_band_error_trend(sweep):
-    points = (5, 10, 15, 20, 25)
-    errors = {}
-    for scheme in ("herm", "aug"):
-        ref = sweep[29][scheme][:5]
-        errors[scheme] = [float(np.abs(sweep[N][scheme][:5] - ref).mean()) for N in points]
+def test_criterion_05_band_error_trend(reports):
+    errors = {
+        scheme: [float(report.band_errors[N][0]) for N in (5, 10, 15, 20, 25)]
+        for scheme, report in reports.items()
+    }
     checks = []
     for scheme in ("herm", "aug"):
         e = errors[scheme]
@@ -219,34 +232,25 @@ def test_criterion_05_band_error_trend(sweep):
     report(5, "band-1 average error vs own N=29 reference", checks)
 
 
-def _rate_fit(sweep, scheme):
-    ref = sweep[29][scheme]
-    x_star = window_sum(ref, (5, 10))
-    x_by_n = {N: window_sum(sweep[N][scheme], (5, 10)) for N in SWEEP_RANGE}
-    rates = q_sequence(x_by_n, x_star)
-    defined = sorted((N, e) for N, e in rates.items() if math.isfinite(e))
-    slope, intercept = linear_fit(defined)
-    return slope, intercept, defined
-
-
-def test_invariant_band_ordering_at_small_n(sweep):
+def test_invariant_band_ordering_at_small_n(reports):
     # after training, the warped band-1 error never exceeds the plain one
     # at any of the small basis sizes either
     for N in range(5, 10):
-        aug_err = np.abs(sweep[N]["aug"][:5] - sweep[29]["aug"][:5]).mean()
-        herm_err = np.abs(sweep[N]["herm"][:5] - sweep[29]["herm"][:5]).mean()
-        assert aug_err <= herm_err
+        assert reports["aug"].band_errors[N][0] <= reports["herm"].band_errors[N][0]
 
 
-def test_criterion_06_convergence_rate_fits(sweep):
-    herm_slope, herm_int, herm_pts = _rate_fit(sweep, "herm")
-    aug_slope, aug_int, aug_pts = _rate_fit(sweep, "aug")
-    grid = np.array([N for N, _ in herm_pts])
+def test_criterion_06_convergence_rate_fits(reports):
+    (herm_slope, herm_int), (aug_slope, aug_int) = reports["herm"].fit, reports["aug"].fit
+    defined = {
+        scheme: sorted((N, e) for N, e in report.rates.items() if math.isfinite(e))
+        for scheme, report in reports.items()
+    }
+    grid = np.array([N for N, _ in defined["herm"]])
     aug_line = aug_slope * grid + aug_int
     herm_line = herm_slope * grid + herm_int
     aug_below = bool(np.all(aug_line <= herm_line))
-    aug_mean_lower = float(np.mean([e for _, e in aug_pts])) < float(
-        np.mean([e for _, e in herm_pts])
+    aug_mean_lower = float(np.mean([e for _, e in defined["aug"]])) < float(
+        np.mean([e for _, e in defined["herm"]])
     )
     report(
         6,

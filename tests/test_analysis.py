@@ -14,13 +14,13 @@ from hermflow import (
     eigh,
     gauss_hermite_rule,
     harmonic_potential,
-    linear_fit,
-    q_sequence,
     train,
-    window_sum,
 )
 from hermflow.analysis import (
     build_convergence_report,
+    linear_fit,
+    q_sequence,
+    window_sum,
     write_bands_csv,
     write_fits_csv,
     write_rates_csv,
@@ -60,12 +60,6 @@ class TestWindowSum:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):
             window_sum(np.arange(12.0), (7, 3))
-
-    def test_accepts_spectrum_objects(self):
-        from hermflow import Spectrum
-
-        spec = Spectrum(eigenvalues=np.arange(5.0), eigenvectors=np.eye(5))
-        assert window_sum(spec, (0, 4)) == 10.0
 
 
 class TestQSequence:
@@ -126,7 +120,7 @@ def converged_levels(V, N, Q, params=None):
     return eigh(assemble_hamiltonian(BasisSpec(N), gauss_hermite_rule(Q), V, params).entries).eigenvalues
 
 
-class TestReferenceEnergies:
+class TestConvergedLevels:
     def test_harmonic_both_schemes(self):
         cfg = TrainingConfig(N=6, Q=40, hidden=16, iterations=50, seed=3)
         for params in (None, train(cfg, harmonic_potential())[0]):
@@ -145,14 +139,12 @@ class TestReferenceEnergies:
 
 class TestConvergenceReport:
     def test_geometric_sweep(self):
-        from hermflow import build_convergence_report
-
         # synthetic spectra converging geometrically to n + 1/2
         r = 0.5
         spectra = {N: np.arange(12) + 0.5 + r**N for N in range(8, 15)}
         report = build_convergence_report("hermite", spectra, n_ref=14, window=(5, 10))
         assert report.scheme == "hermite"
-        assert report.reference.n_ref == 14
+        np.testing.assert_array_equal(report.reference, spectra[14])
         np.testing.assert_allclose(report.band_errors[8], [r**8 - r**14] * 2, rtol=1e-9)
         defined = {N: e for N, e in report.rates.items() if math.isfinite(e)}
         # plateau: e_N = (r^N - r^14)/(r^(N-1) - r^14) -> about r away from N_ref
@@ -160,8 +152,6 @@ class TestConvergenceReport:
         assert report.fit[0] < 0
 
     def test_missing_reference_rejected(self):
-        from hermflow import build_convergence_report
-
         with pytest.raises(ValueError):
             build_convergence_report("hermite", {5: np.arange(5.0)}, n_ref=9)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hermflow
-from hermflow import cli, train
+from hermflow import build_convergence_report, cli, train
 from hermflow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -223,6 +223,26 @@ class TestAnalyze:
         assert len(fits) == 3  # header comment, column names, one scheme row
         _, slope, _ = fits[2].split(",")
         assert float(slope) < 0  # ratios shrink toward the reference
+
+    def test_writes_the_report_numbers_bit_for_bit(self, sweep_dir, tmp_path):
+        # the acceptance criteria read build_convergence_report, so analyze must write
+        # exactly its numbers: repr round-trips floats, and a NaN rate reads back as NaN
+        out = tmp_path / "an"
+        assert run(["analyze", sweep_dir / "spectra.csv", "--n-ref", 16, "--output-dir", out]) == 0
+        spectra = read_spectra_csv(sweep_dir / "spectra.csv")["hermite"]
+        report = build_convergence_report("hermite", spectra, 16, 5, (5, 10))
+
+        def bits(rows):
+            return [np.array(row, dtype=float).tobytes() for row in rows]
+
+        def written(name, columns):  # the rows after the two header lines, less the scheme
+            lines = (out / name).read_text().splitlines()[2:]
+            return bits([float(v) for v in line.split(",")[1:columns]] for line in lines)
+
+        bands = [(N, b, e) for N in sorted(report.band_errors) for b, e in enumerate(report.band_errors[N])]
+        assert written("bands.csv", 4) == bits(bands)  # N, band, abs_error
+        assert written("rates.csv", 3) == bits((N, report.rates[N]) for N in sorted(report.rates))
+        assert written("fits.csv", 3) == bits([report.fit])
 
     def test_harmonic_band_errors_vanish(self, tmp_path):
         out = tmp_path / "sweep"

@@ -457,6 +457,16 @@ class TestCheckpoint:
             save_checkpoint(params, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("index,value", [(5, math.nan), (12, math.inf)])  # b_in[1], b_out
+    def test_save_refuses_non_finite_weight(self, tmp_path, index, value):
+        params = init_flow_params(hidden=4, alpha=3.0)
+        theta = params.pack()
+        theta[index] = value
+        path = tmp_path / "flow.txt"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*index {index}$"):
+            save_checkpoint(params.with_vector(theta), path)
+        assert not path.exists()
+
     def test_version_line_present(self, tmp_path):
         params = zero_block_params(hidden=3)
         path = tmp_path / "flow.txt"
