@@ -90,14 +90,6 @@ class _ExperimentMethods:
     def schemes(self) -> tuple[str, ...]:
         return ("hermite", "augmented") if self.scheme == "both" else (self.scheme,)
 
-    def n_values(self) -> list[int]:
-        if self.N_range is not None:
-            lo, hi = parse_range(self.N_range, "N_range", 1)
-            return list(range(lo, hi + 1))
-        if self.N is None:
-            raise ConfigError("no basis size: set N (solve) or N_range (sweep)")
-        return [self.N]
-
     def validate(self) -> "ExperimentConfig":
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
@@ -191,6 +183,8 @@ class CaseResult(NamedTuple):
 
 def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> CaseResult:
     """Train (augmented scheme only), assemble and diagonalize one case; writes no file."""
+    if scheme not in ("hermite", "augmented"):
+        raise ValueError(f"solve_case takes scheme 'hermite' or 'augmented', got {scheme!r}")
     V = potential_from_descriptor(config.potential)
     rule = gauss_hermite_rule(config.Q)
     params = training = None
@@ -225,14 +219,14 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 def cmd_sweep(config: ExperimentConfig) -> int:
     config = config.validate()
-    n_values = config.n_values()
-    if len(n_values) < 1 or config.N_range is None:
+    if config.N_range is None:
         raise ConfigError("sweep needs N_range")
+    lo, hi = parse_range(config.N_range, "N_range", 1)
     outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     completed, failed = [], {}
-    for N in n_values:
+    for N in range(lo, hi + 1):
         seed_n = config.seed + N  # per-N seeds: fixed offset from the master seed
         try:
             rows = []  # an N's rows are kept only once every scheme has succeeded

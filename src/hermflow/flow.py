@@ -97,7 +97,9 @@ class ResidualBlock:
 
 @dataclass
 class FlowParams:
-    """All trainable parameters of the bijection."""
+    """All trainable parameters of the bijection: one or more residual blocks
+    of one positive hidden width, the sandwich's alpha and beta, and the
+    Lipschitz margin of every residual."""
 
     blocks: list
     alpha: float
@@ -105,6 +107,9 @@ class FlowParams:
     lipschitz_margin: float = 0.97
 
     def __post_init__(self):
+        widths = [b.hidden for b in self.blocks]
+        if not widths or len(set(widths)) > 1 or widths[0] < 1:
+            raise ValueError(f"a warp has one or more blocks of one positive width, got widths {widths}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if not math.isfinite(self.beta):
@@ -112,35 +117,43 @@ class FlowParams:
         if not 0.0 < self.lipschitz_margin < 1.0:
             raise ValueError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
 
-    # Flat parameter order: per block w_in (row-major), b_in, w_out (row-major),
-    # b_out; then alpha, beta.  Checkpoints, gradients and Adam all use it.
+    @property
+    def hidden(self) -> int:
+        return self.blocks[0].hidden
 
     @property
     def n_parameters(self) -> int:
-        return sum(3 * b.hidden + 1 for b in self.blocks) + 2
+        return len(self.blocks) * (3 * self.hidden + 1) + 2
 
     def pack(self) -> np.ndarray:
-        pieces = []
-        for b in self.blocks:
-            pieces.extend([np.ravel(b.w_in), np.ravel(b.b_in), np.ravel(b.w_out), [b.b_out]])
-        pieces.append([self.alpha, self.beta])
-        return np.concatenate([np.asarray(p, dtype=float) for p in pieces])
+        rows = [(b.w_in, b.b_in, b.w_out, b.b_out) for b in self.blocks]
+        return _to_vector(rows, self.alpha, self.beta)
 
     def with_vector(self, theta: np.ndarray) -> "FlowParams":
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise ValueError(f"expected {self.n_parameters} parameters, got shape {theta.shape}")
-        blocks = []
-        pos = 0
-        for b in self.blocks:
-            h = b.hidden
-            w_in = theta[pos : pos + h].reshape(h, 1)
-            b_in = theta[pos + h : pos + 2 * h].copy()
-            w_out = theta[pos + 2 * h : pos + 3 * h].reshape(1, h)
-            b_out = float(theta[pos + 3 * h])
-            pos += 3 * h + 1
-            blocks.append(ResidualBlock(w_in, b_in, w_out, b_out))
-        return FlowParams(blocks, float(theta[pos]), float(theta[pos + 1]), self.lipschitz_margin)
+        return _from_vector(theta, self.hidden, len(self.blocks), self.lipschitz_margin)
+
+
+# The flat parameter vector theta, which checkpoints, gradients and Adam all use:
+# per block a row of 3h + 1 values, w_in (h), b_in (h), w_out (h) and b_out; then
+# alpha and beta.  `_to_vector` writes it and `_from_vector` reads it.
+
+
+def _to_vector(rows, alpha, beta) -> np.ndarray:
+    """theta from each block's (w_in, b_in, w_out, b_out), in block order, and alpha and beta."""
+    return np.concatenate([np.ravel(p) for row in rows for p in row] + [[alpha, beta]], dtype=float)
+
+
+def _from_vector(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
+    """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta."""
+    h = hidden
+    blocks = [
+        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h].copy(), r[2 * h : -1].reshape(1, h), float(r[-1]))
+        for r in theta[:-2].reshape(n_blocks, 3 * h + 1)
+    ]
+    return FlowParams(blocks, float(theta[-2]), float(theta[-1]), margin)
 
 
 @dataclass
@@ -299,8 +312,7 @@ def _block_points(hidden: int) -> int:
 
 def _block_store(params: FlowParams, points: int) -> list:
     """Flat stage buffers that hold any stage's arrays for a block of at most `points` points."""
-    size = max((b.hidden * min(points, _block_points(b.hidden)) for b in params.blocks), default=0)
-    return _stage_buffers(size)
+    return _stage_buffers(params.hidden * min(points, _block_points(params.hidden)))
 
 
 def _residual(block: ResidualBlock, a, c, z, store):
@@ -327,17 +339,17 @@ def _map_jets(params: FlowParams, x: np.ndarray):
     is kept for a reverse sweep.
     """
     x = np.asarray(x, dtype=float)
-    step = _block_points(max((b.hidden for b in params.blocks), default=1))
+    step = _block_points(params.hidden)
     store = _block_store(params, x.size)
     jets = np.empty((3, x.size))
     for lo in range(0, x.size, step):
         chunk = x[lo : lo + step]
-        views = [_stage_views(store, b.hidden, chunk.size) for b in params.blocks]
+        views = [_stage_views(store, params.hidden, chunk.size)] * len(params.blocks)
         jets[:, lo : lo + step] = _jets_forward(params, chunk, views)[0]
     return tuple(jets)
 
 
-def _jets_forward(params: FlowParams, x: np.ndarray, buffers=None):
+def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     """Forward sweep: ((G, G', G''), what `_jets_reverse` needs) at the points x.
 
     In a stage with scaled weights a = s_in w_in and c = s_out w_out / 1.1
@@ -348,11 +360,11 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers=None):
         k2 = z1^2 (v.f''(pre0)) + z2 (u.f'(pre0)),
     so only pre0 and f, f', f'' are (hidden, points) arrays.
 
-    `buffers`, if given, holds one set of stage buffers (`_stage_buffers`) of
-    shape (hidden, points) per stage; the stage's arrays are written there and
-    `saved` refers to them, so they must stay untouched until the reverse
-    sweep.  Otherwise each stage gets fresh buffers of its inputs' dtype,
-    which lets complex parameters through.
+    `buffers` holds one set of stage buffers (`_stage_buffers`) of shape
+    (hidden, points) per stage, of the dtype of that stage's arrays (complex
+    from the first stage with complex inputs on).  The stage's arrays are
+    written there and `saved` refers to them, so they must stay untouched
+    until the reverse sweep.
     """
     x = np.asarray(x, dtype=float)
     alpha, beta, margin = params.alpha, params.beta, params.lipschitz_margin
@@ -364,14 +376,10 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers=None):
     up = 1.0 / (1.0 - t0 * t0)
     z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
     stages = []
-    for i, block in enumerate(params.blocks):
+    for block, buf in zip(params.blocks, buffers, strict=True):
         s_in, s_out, a, c = _scaled_weights(block, margin)
         u = c * a
         v = u * a
-        if buffers is None:
-            buf = _stage_buffers((a.size, z0.size), np.result_type(a, block.b_in, z0))
-        else:
-            buf = buffers[i]
         _preactivation(a, block.b_in, z0, buf[0])
         _swish(buf)
         _swish_derivatives(buf)
@@ -390,8 +398,8 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     """Reverse sweep of `_jets_forward`.
 
     Given the adjoints dL/dG, dL/dG', dL/dG'' at each point, returns dL/dtheta
-    in `params.pack()` order.  The weight scales are held fixed (detached).
-    A stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar +
+    in `params.pack()` order, written by `_to_vector`.  The weight scales are
+    held fixed (detached).  A stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar +
     f'''(pre0) v p2_bar (outer products of hidden and point vectors); it is
     used only through its sums against 1, z0 and a, so it is never formed.
     """
@@ -420,7 +428,7 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
         u_bar, v_bar = f1 @ p1_bar, f2 @ p2_bar
         a_bar = pre_bar_z0 + (u_bar + 2.0 * v_bar * a) * c
         c_bar = f0 @ z0_bar + (u_bar + v_bar * a) * a
-        pieces.append((s_in * a_bar, b_in_bar, (s_out / 1.1) * c_bar, [z0_bar.sum()]))
+        pieces.append((s_in * a_bar, b_in_bar, (s_out / 1.1) * c_bar, z0_bar.sum()))
         # z0 gains a.pre0_bar, where u.f' = p1 and v.f'' = p2
         z0_bar = z0_bar + p1 * z0_bar + p2 * p1_bar + ((v * a) @ f3) * p2_bar
         z1_bar, z2_bar = z1_bar + z1_bar * p1 + 2.0 * z2_bar * z1 * p2, z2_bar + z2_bar * p1
@@ -432,19 +440,12 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     # raw = (x - beta)/alpha, t1 = inside/alpha
     alpha_bar -= float(raw_bar @ raw + t1_bar @ t1) / alpha
     beta_bar -= float(raw_bar.sum()) / alpha
-    flat = [p for stage in reversed(pieces) for p in stage]
-    flat.append([alpha_bar, beta_bar])
-    return np.concatenate([np.ravel(p) for p in flat])
+    return _to_vector(reversed(pieces), alpha_bar, beta_bar)
 
 
 def flow_forward(params: FlowParams, x):
     """G(x) for a scalar or array of points inside the sandwich interval."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    g, _, _ = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
-    if not np.all(np.isfinite(g)):
-        bad = np.atleast_1d(x)[~np.isfinite(g)][0]
-        raise FlowNumericsError(f"flow evaluation produced a non-finite value at x={bad}")
-    return float(g[0]) if scalar else g
+    return flow_jet(params, x).value
 
 
 def flow_jet(params: FlowParams, x) -> Jet2:
@@ -489,7 +490,7 @@ def flow_inverse(
         for _ in range(max_iter):
             z_next = w - _residual(block, a, c, z, store)
             total_iters += 1
-            step = np.abs(z_next - z).max()
+            step = np.abs(z_next - z).max(initial=0.0)
             z = z_next
             if step < tol:
                 break
@@ -545,18 +546,14 @@ def init_flow_params(
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     """Write a versioned text checkpoint (architecture, alpha/beta, flat weights).
 
-    The header has one `hidden` for every block, and `load_checkpoint` reads
-    finite weights only, so a warp with no blocks, with blocks of different
-    widths, or with a non-finite weight is refused before the file is opened.
+    `load_checkpoint` reads finite weights only, so a warp with a non-finite
+    weight is refused before the file is opened.
     """
-    widths = [b.hidden for b in params.blocks]
-    if not widths or len(set(widths)) > 1:
-        raise ValueError(f"{path}: a checkpoint holds one or more blocks of one width, got {widths}")
     theta = params.pack()[:-2]  # block parameters only; alpha/beta are header fields
     _check_finite_weights(path, theta)
     lines = [
         f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",
-        f"hidden = {widths[0]}",
+        f"hidden = {params.hidden}",
         f"blocks = {len(params.blocks)}",
         f"lipschitz_margin = {float(params.lipschitz_margin)!r}",
         f"alpha = {float(params.alpha)!r}",
@@ -621,10 +618,7 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
     if theta.size != n_blocks * (3 * hidden + 1):
         raise ValueError(f"{path}: expected {n_blocks * (3 * hidden + 1)} weights, got {theta.size}")
     _check_finite_weights(path, theta)
-    # the template only gives `with_vector` the block shapes
-    zero = ResidualBlock(np.zeros((hidden, 1)), np.zeros(hidden), np.zeros((1, hidden)), 0.0)
     try:
-        template = FlowParams([zero] * n_blocks, alpha, beta, margin)
+        return _from_vector(np.concatenate([theta, [alpha, beta]]), hidden, n_blocks, margin), seed
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return template.with_vector(np.concatenate([theta, [alpha, beta]])), seed

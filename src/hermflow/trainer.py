@@ -36,7 +36,6 @@ from .flow import (
     FlowParams,
     _jets_forward,
     _jets_reverse,
-    _map_jets,
     _stage_buffers,
     init_flow_params,
     normalize_block,
@@ -144,7 +143,8 @@ class TrainingTrace:
 class TraceLoss:
     """The trace loss at one basis size, rule and potential.
 
-    Calling it on a `FlowParams` gives the loss; `gradient` differentiates it.
+    Calling it on a `FlowParams` gives the loss by the forward sweep that
+    `gradient` runs and differentiates.
     """
 
     nodes: np.ndarray
@@ -153,12 +153,12 @@ class TraceLoss:
     s1: np.ndarray
     s2: np.ndarray
     potential: Potential
-    # one set of stage buffers per stage for `gradient`'s sweeps, kept from call to call
+    # one set of stage buffers per stage for the sweeps, kept from call to call
     _stages: list = field(default_factory=list, init=False, repr=False)
 
     def stage_buffers(self, params: FlowParams) -> list:
         """Stage buffers for `params` at the nodes, made on first use and then reused."""
-        shapes = [(b.hidden, self.nodes.size) for b in params.blocks]
+        shapes = [(params.hidden, self.nodes.size)] * len(params.blocks)
         if [buf[0].shape for buf in self._stages] != shapes:
             self._stages[:] = [_stage_buffers(shape) for shape in shapes]
         return self._stages
@@ -179,7 +179,7 @@ class TraceLoss:
         return bar0, bar1, bar2
 
     def __call__(self, params: FlowParams):
-        return self.head(*_map_jets(params, self.nodes))
+        return self.head(*_jets_forward(params, self.nodes, self.stage_buffers(params))[0])
 
 
 def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:

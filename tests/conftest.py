@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import hermflow
-from hermflow import FlowParams, ResidualBlock, flow, spectral_norm
-from hermflow.flow import _jets_forward, _preactivation
+from hermflow import FlowParams, ResidualBlock, flow
+from hermflow.flow import _jets_forward, _preactivation, _stage_buffers
 
 HERMFLOW_MODULES = [hermflow] + [
     importlib.import_module(f"hermflow.{path.stem}")
@@ -37,9 +37,9 @@ def make_feasible_params(
     blocks = []
     for _ in range(n_blocks):
         w_in = rng.uniform(-1.0, 1.0, size=(hidden, 1))
-        w_in *= weight_scale * np.sqrt(margin) / spectral_norm(w_in)
+        w_in *= weight_scale * np.sqrt(margin) / np.linalg.norm(w_in, 2)
         w_out = rng.uniform(-1.0, 1.0, size=(1, hidden))
-        w_out *= weight_scale * np.sqrt(margin) / spectral_norm(w_out)
+        w_out *= weight_scale * np.sqrt(margin) / np.linalg.norm(w_out, 2)
         b_in = rng.uniform(-bias_scale, bias_scale, size=hidden)
         b_out = float(rng.uniform(-bias_scale, bias_scale))
         blocks.append(ResidualBlock(w_in, b_in, w_out, b_out))
@@ -54,10 +54,11 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
     Each evaluation runs the production forward sweep and loss head on a
     `FlowParams` built from the real parameters, in which only the arrays of
     the block that holds theta_i (or alpha and beta, if theta_i is one of
-    them) are replaced by complex ones.  The sweep takes each stage's dtype
-    from its inputs, so the stages before that block run on real arrays.  The
-    weight norms stay real (|w + i h e| = |w| to rounding), so the Lipschitz
-    scales are held fixed, as in the adjoint.
+    them) are replaced by complex ones.  The stages before that block run on
+    real stage buffers and the rest on complex ones (every stage, for alpha
+    and beta); both sets are made once per call.  The weight norms stay real
+    (|w + i h e| = |w| to rounding), so the Lipschitz scales are held fixed,
+    as in the adjoint.
 
     A small float ufunc runs after each `_preactivation`: OpenBLAS's complex gemm
     returns with the upper YMM state dirty, which makes the complex `exp` after it
@@ -65,7 +66,9 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
     """
     theta = params.pack()
     grad = np.empty_like(theta)
-    starts = np.cumsum([0] + [3 * block.hidden + 1 for block in params.blocks])
+    n_blocks, shape = len(params.blocks), (params.hidden, loss.nodes.size)
+    real = [_stage_buffers(shape) for _ in range(n_blocks)]
+    cplx = [_stage_buffers(shape, complex) for _ in range(n_blocks)]
     scratch = np.zeros(64)
 
     def preactivation(*args):
@@ -76,9 +79,12 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
         for i in range(theta.size):
             shifted = theta.astype(complex)
             shifted[i] += 1j * h
-            k = int(np.searchsorted(starts, i, side="right")) - 1
-            view = complex_params(params, shifted, k if k < len(params.blocks) else "sandwich")
-            value = loss.head(*_jets_forward(view, loss.nodes)[0])
+            k = i // (3 * params.hidden + 1)  # the block of theta_i; n_blocks for alpha and beta
+            if k < n_blocks:
+                view, buffers = complex_params(params, shifted, k), real[:k] + cplx[k:]
+            else:
+                view, buffers = complex_params(params, shifted, "sandwich"), cplx
+            value = loss.head(*_jets_forward(view, loss.nodes, buffers)[0])
             grad[i] = value.imag / h
     return float(value.real), grad
 
@@ -88,17 +94,15 @@ def complex_params(params: FlowParams, shifted, part="all") -> FlowParams:
     beta (part="sandwich") or of every parameter (part="all") are taken from
     the complex vector `shifted`, in `pack()` order."""
     view = params.with_vector(params.pack())
-    pos = 0
-    for k, block in enumerate(view.blocks):
-        n = block.hidden
+    n = params.hidden
+    for k, (block, row) in enumerate(zip(view.blocks, shifted[:-2].reshape(-1, 3 * n + 1))):
         if part in ("all", k):
-            block.w_in = shifted[pos : pos + n].reshape(n, 1)
-            block.b_in = shifted[pos + n : pos + 2 * n]
-            block.w_out = shifted[pos + 2 * n : pos + 3 * n].reshape(1, n)
-            block.b_out = shifted[pos + 3 * n]
-        pos += 3 * n + 1
+            block.w_in = row[:n].reshape(n, 1)
+            block.b_in = row[n : 2 * n]
+            block.w_out = row[2 * n : 3 * n].reshape(1, n)
+            block.b_out = row[3 * n]
     if part in ("all", "sandwich"):
-        view.alpha, view.beta = shifted[pos], shifted[pos + 1]
+        view.alpha, view.beta = shifted[-2], shifted[-1]
     return view
 
 

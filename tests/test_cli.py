@@ -17,7 +17,9 @@ from hermflow.cli import (
     load_config,
     main,
     parse_config_file,
+    parse_range,
     read_spectra_csv,
+    solve_case,
 )
 from hermflow.trainer import TrainingConfig
 
@@ -71,12 +73,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_file(cfg)
 
-    def test_n_range_parsing(self):
-        assert ExperimentConfig(N_range="3..5").n_values() == [3, 4, 5]
+    def test_n_range_parsing(self, tmp_path):
+        assert parse_range("3..5", "N_range", 1) == (3, 5)
         with pytest.raises(ConfigError):
-            ExperimentConfig(N_range="5..3").n_values()
+            parse_range("5..3", "N_range", 1)
         with pytest.raises(ConfigError):
-            ExperimentConfig(N_range="5-7").n_values()
+            parse_range("5-7", "N_range", 1)
+        assert run(["sweep", "--N-range", "5..3", "--output-dir", tmp_path / "x"]) == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestSolve:
@@ -149,6 +153,12 @@ class TestSolve:
             ["solve", "--scheme", "magic", "--N", 3, "--output-dir", tmp_path / "x"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("scheme", ["augmneted", "both"])
+    def test_solve_case_takes_one_scheme(self, scheme):
+        config = ExperimentConfig(potential="harmonic", Q=20, hidden=4, iterations=3)
+        with pytest.raises(ValueError, match=repr(scheme)):
+            solve_case(config, scheme, 4, 0)
 
 
 class TestSweep:

@@ -6,6 +6,8 @@ import pytest
 from hermflow import (
     AdamState,
     BasisSpec,
+    FlowParams,
+    ResidualBlock,
     TrainingConfig,
     adam_step,
     anharmonic_potential,
@@ -14,6 +16,7 @@ from hermflow import (
     finite_diff_gradient,
     flow_forward,
     gauss_hermite_rule,
+    gradient,
     harmonic_potential,
     init_flow_params,
     make_trace_loss,
@@ -22,7 +25,7 @@ from hermflow import (
 from hermflow import trainer
 from hermflow.cli import ExperimentConfig, solve_case
 from hermflow.trainer import TrainingAborted
-from hermflow.flow import _jets_forward
+from hermflow.flow import _jets_forward, _stage_buffers
 from conftest import complex_params, complex_step_gradient, make_feasible_params
 
 
@@ -35,6 +38,18 @@ def identity_value(loss):
 def hermite_trace(N, Q, V):
     """The trace of the plain Hermite matrix."""
     return np.trace(assemble_hamiltonian(BasisSpec(N), gauss_hermite_rule(Q), V).entries)
+
+
+def tiny_params(alpha=3.0, beta=0.5):
+    block = ResidualBlock(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), 0.0)
+    return FlowParams([block], alpha, beta, 0.97)
+
+
+def sum_all_entries(p):
+    total = p.blocks[0].b_out + p.alpha + p.beta
+    for arr in (p.blocks[0].w_in, p.blocks[0].b_in, p.blocks[0].w_out):
+        total = total + arr.sum()
+    return total
 
 
 class TestTraceLoss:
@@ -56,6 +71,14 @@ class TestTraceLoss:
         H = assemble_hamiltonian(BasisSpec(8), rule, V, params)
         eig_sum = eigh(H.entries).eigenvalues.sum()
         assert make_trace_loss(8, rule, V)(params) == pytest.approx(eig_sum, abs=1e-10)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_value_is_the_gradient_sweeps_bit_for_bit(self, n_blocks):
+        rule = gauss_hermite_rule(90)
+        loss = make_trace_loss(5, rule, anharmonic_potential())
+        rng = np.random.default_rng(7 + n_blocks)
+        params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=n_blocks)
+        assert loss(params) == gradient(loss, params)[0]
 
     def test_identity_params_match_identity_value(self):
         rule = gauss_hermite_rule(40)
@@ -112,6 +135,73 @@ class TestAdjointGradient:
             trainer.gradient(loss, params)
 
 
+class TestGradient:
+    """The adjoint `hermflow.gradient` (`trainer.gradient`) against central differences."""
+
+    def test_trace_loss_vs_fd(self, rng):
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(5, rule, anharmonic_potential())
+        alpha = 1.05 * np.abs(rule.nodes).max()
+        params = make_feasible_params(16, alpha, 0.1, rng)
+        _, grad = gradient(loss, params)
+        fd = finite_diff_gradient(loss, params, 1e-6)
+        mag = np.maximum(np.abs(grad), np.abs(fd))
+        mask = mag > 1e-8
+        assert (np.abs(grad - fd)[mask] / mag[mask]).max() <= 1e-5
+
+    def test_oracle_agreement_invariant(self, rng):
+        # 10 random draws across N in {3, 5}
+        V = anharmonic_potential()
+        rule = gauss_hermite_rule(30)
+        alpha = 1.05 * np.abs(rule.nodes).max()
+        worst = 0.0
+        for trial in range(10):
+            N = 3 if trial % 2 else 5
+            loss = make_trace_loss(N, rule, V)
+            params = make_feasible_params(8, alpha, float(rng.uniform(-0.2, 0.2)), rng)
+            _, grad = gradient(loss, params)
+            fd = finite_diff_gradient(loss, params, 1e-6)
+            mag = np.maximum(np.abs(grad), np.abs(fd))
+            mask = mag > 1e-8
+            worst = max(worst, (np.abs(grad - fd)[mask] / mag[mask]).max())
+        assert worst <= 1e-5
+
+    def test_determinism(self, rng):
+        rule = gauss_hermite_rule(25)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.05, rng)
+        v1, g1 = gradient(loss, params)
+        v2, g2 = gradient(loss, params)
+        assert v1 == v2
+        assert np.array_equal(g1, g2)
+
+    def test_trace_loss_grad_with_stacked_blocks(self, rng):
+        rule = gauss_hermite_rule(25)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = make_feasible_params(6, 1.05 * np.abs(rule.nodes).max(), 0.05, rng, n_blocks=2)
+        _, grad = gradient(loss, params)
+        fd = finite_diff_gradient(loss, params, 1e-6)
+        mag = np.maximum(np.abs(grad), np.abs(fd))
+        mask = mag > 1e-8
+        assert (np.abs(grad - fd)[mask] / mag[mask]).max() <= 1e-5
+
+
+class TestFiniteDiffGradient:
+    def test_quadratic(self):
+        params = tiny_params(alpha=3.0)
+        fd = finite_diff_gradient(lambda p: float(p.alpha) ** 2, params, 1e-4)
+        assert fd[-2] == pytest.approx(6.0, abs=1e-7)
+
+    def test_linear_sum_is_exact(self):
+        params = tiny_params()
+        fd = finite_diff_gradient(lambda p: float(sum_all_entries(p)), params, 1e-3)
+        np.testing.assert_allclose(fd, 1.0, atol=1e-12)
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ValueError):
+            finite_diff_gradient(lambda p: 0.0, tiny_params(), 0.0)
+
+
 class TestStageBuffers:
     """`gradient` writes its sweeps' (hidden, Q) arrays into buffers its loss keeps."""
 
@@ -152,6 +242,7 @@ class TestStageBuffers:
         buffers = [list(stage) for stage in loss.stage_buffers(params)]
         assert [[b.shape for b in stage] for stage in buffers] == [[(8, 30)] * 9] * 2
         trainer.gradient(loss, params)
+        loss(params)
         for kept, stage in zip(buffers, loss.stage_buffers(params)):
             assert all(a is b for a, b in zip(kept, stage))
 
@@ -163,7 +254,7 @@ class TestStageBuffers:
         value, grad = trainer.gradient(loss, params)
         direction = rng.standard_normal(params.n_parameters)
         view = complex_params(params, params.pack() + 1e-40j * direction)
-        jets, _ = _jets_forward(view, loss.nodes)
+        jets, _ = _jets_forward(view, loss.nodes, [_stage_buffers((32, 40), complex) for _ in range(2)])
         assert all(np.iscomplexobj(j) for j in jets)
         shifted = loss.head(*jets)
         assert shifted.real == pytest.approx(value, rel=1e-12)
@@ -210,9 +301,7 @@ class TestAdamStep:
         params.blocks[0].w_in = np.full((4, 1), 10.0)  # way outside the constraint
         state = AdamState.init(params.n_parameters)
         _, new_params = adam_step(state, np.zeros(params.n_parameters), params, lr=1e-3)
-        from hermflow import spectral_norm
-
-        assert spectral_norm(new_params.blocks[0].w_in) <= np.sqrt(0.97) + 1e-12
+        assert np.linalg.norm(new_params.blocks[0].w_in, 2) <= np.sqrt(0.97) + 1e-12
 
     def test_shape_mismatch_rejected(self):
         params = init_flow_params(hidden=2, alpha=1.0, seed=0)
