@@ -20,14 +20,19 @@ weights are rank-one, so each stage's hidden layer is an outer product and
 every sum over hidden units is a matrix-vector product.  The fixed-point
 inverse evaluates each residual k(z) with the forward sweep's stage code.
 
-The stage code writes each stage's (hidden, points) arrays into stage
-buffers, which a caller that sweeps more than once owns and passes again,
-rather than into fresh temporaries.  Fresh temporaries are returned to
-the system when freed, once the top of the heap exceeds glibc's trim threshold
-(128 KB) or a single array its mmap threshold, so every sweep faulted its
-pages in again.  Training reuses one buffer set per stage across its Adam
-steps (`trainer.TraceLoss`); `_map_jets` and the inverse run large point sets
-a block of points at a time through one small buffer set.
+The stage code writes each stage's (hidden, points) arrays, and the small
+operands of its matrix products, into stage buffers, which a caller that
+sweeps more than once owns and passes again, rather than into fresh
+temporaries.  Fresh temporaries are returned to the system when freed, once
+the top of the heap exceeds glibc's trim threshold (128 KB) or a single array
+its mmap threshold, so every sweep faulted its pages in again; the small
+operands cost a numpy call each to build.  Training reuses one buffer set per
+stage across its Adam steps (`trainer.TraceLoss`); `_map_jets` and the inverse
+run large point sets a block of points at a time through one small buffer set.
+
+A warp is one flat parameter vector theta (`pack`); the blocks that
+`_from_vector` reads from it are views of its rows, so an Adam step updates
+and re-projects theta itself (`trainer.adam_step`).
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -98,15 +103,17 @@ class ResidualBlock:
 @dataclass
 class FlowParams:
     """All trainable parameters of the bijection: one or more residual blocks
-    of one positive hidden width, the sandwich's alpha and beta, and the
-    Lipschitz margin of every residual."""
+    of one positive hidden width (held as a tuple, so none can join or leave
+    a built warp), the sandwich's alpha and beta, and the Lipschitz margin of
+    every residual."""
 
-    blocks: list
+    blocks: tuple
     alpha: float
     beta: float
     lipschitz_margin: float = 0.97
 
     def __post_init__(self):
+        self.blocks = tuple(self.blocks)
         widths = [b.hidden for b in self.blocks]
         if not widths or len(set(widths)) > 1 or widths[0] < 1:
             raise ValueError(f"a warp has one or more blocks of one positive width, got widths {widths}")
@@ -147,10 +154,11 @@ def _to_vector(rows, alpha, beta) -> np.ndarray:
 
 
 def _from_vector(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
-    """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta."""
+    """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta;
+    its blocks' arrays are views of theta."""
     h = hidden
     blocks = [
-        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h].copy(), r[2 * h : -1].reshape(1, h), float(r[-1]))
+        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h], r[2 * h : -1].reshape(1, h), float(r[-1]))
         for r in theta[:-2].reshape(n_blocks, 3 * h + 1)
     ]
     return FlowParams(blocks, float(theta[-2]), float(theta[-1]), margin)
@@ -175,22 +183,29 @@ def lipswish(x):
     return x / (1.1 * (1.0 + np.exp(-x)))
 
 
-def _stage_buffers(shape, dtype=float) -> list:
-    """Room for one stage's arrays at `shape`: pre, sig, sig1, sig2, f0, f1, f2, f3
-    and a scratch array.
+def _stage_shapes(hidden: int, points: int) -> list:
+    """Shapes of a stage's buffers: pre, sig, sig1, sig2, f0, f1, f2, f3, a scratch array
+    and d = 1 - 2 sig, all (hidden, points); the pre-activation's operands, (hidden, 2)
+    and (2, points); and the reverse sweep's three (points, 2) operands."""
+    return [(hidden, points)] * 10 + [(hidden, 2), (2, points)] + [(points, 2)] * 3
 
-    They are nine arrays, not one stacked array: at hidden 128 and Q 90 each is
-    92 KB, below glibc's 128 KB mmap threshold, so they come from the heap.  A
-    freed mapping of 128 KB or more would raise glibc's mmap and trim
-    thresholds for the rest of the process, and so change how all the code
-    around it allocates (and how fast it runs).
+
+def _stage_buffers(shape, dtype=float) -> list:
+    """Room for one stage's arrays at shape = (hidden, points) (see `_stage_shapes`).
+
+    They are separate arrays, not one stacked array: at hidden 128 and Q 90 each
+    (hidden, points) array is 92 KB, below glibc's 128 KB mmap threshold, so they
+    come from the heap.  A freed mapping of 128 KB or more would raise glibc's
+    mmap and trim thresholds for the rest of the process, and so change how all
+    the code around it allocates (and how fast it runs).
     """
-    return [np.empty(shape, dtype) for _ in range(9)]
+    return [np.empty(s, dtype) for s in _stage_shapes(*shape)]
 
 
 def _stage_views(store: list, hidden: int, points: int) -> list:
-    """Contiguous (hidden, points) views over the fronts of a flat stage buffer set."""
-    return [flat[: hidden * points].reshape(hidden, points) for flat in store]
+    """Contiguous views of a stage's arrays at (hidden, points) over the fronts of a
+    flat stage buffer set (`_block_store`)."""
+    return [flat[: math.prod(s)].reshape(s) for flat, s in zip(store, _stage_shapes(hidden, points))]
 
 
 # The stage code writes every (hidden, points) array into its stage buffers by
@@ -209,13 +224,14 @@ def _swish(buf):
 
 
 def _swish_derivatives(buf):
-    """sig1, sig2, f1, f2 = sigma', sigma'', f' and f'' at pre, given sig."""
-    pre, sig, sig1, sig2, _, f1, f2, _, tmp = buf
+    """sig1, sig2, f1, f2 = sigma', sigma'', f' and f'' at pre, given sig; d = 1 - 2 sig
+    and the scratch array's 2 sig1 are left for `_swish_third_derivative`."""
+    pre, sig, sig1, sig2, _, f1, f2, _, tmp, d = buf[:10]
     np.subtract(1.0, sig, out=sig1)
     np.multiply(sig, sig1, out=sig1)  # sig (1 - sig)
-    np.multiply(2.0, sig, out=sig2)
-    np.subtract(1.0, sig2, out=sig2)
-    np.multiply(sig1, sig2, out=sig2)  # sig1 (1 - 2 sig)
+    np.multiply(2.0, sig, out=d)
+    np.subtract(1.0, d, out=d)
+    np.multiply(sig1, d, out=sig2)  # sig1 (1 - 2 sig)
     np.multiply(pre, sig1, out=f1)
     np.add(sig, f1, out=f1)  # sig + pre sig1
     np.multiply(2.0, sig1, out=tmp)
@@ -224,13 +240,10 @@ def _swish_derivatives(buf):
 
 
 def _swish_third_derivative(buf):
-    """f3 = f''' at pre, given sig, sig1 and sig2."""
-    pre, sig, sig1, sig2, _, _, _, f3, tmp = buf
-    np.multiply(2.0, sig, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    np.multiply(sig2, tmp, out=tmp)
-    np.multiply(2.0, sig1, out=f3)
-    np.multiply(f3, sig1, out=f3)
+    """f3 = f''' at pre, from what `_swish_derivatives` left in the same buffers."""
+    pre, _, sig1, sig2, _, _, _, f3, tmp, d = buf[:10]
+    np.multiply(tmp, sig1, out=f3)  # (2 sig1) sig1
+    np.multiply(sig2, d, out=tmp)
     np.subtract(tmp, f3, out=tmp)
     np.multiply(pre, tmp, out=tmp)
     np.multiply(3.0, sig2, out=f3)
@@ -249,16 +262,18 @@ def spectral_norm(W: np.ndarray) -> float:
     return float(np.linalg.norm(W, 2))
 
 
-def _block_scales(block: ResidualBlock, c: float):
-    """Detached factors bringing each weight matrix to spectral norm <= sqrt(c).
+def _block_scales(w_in, w_out, c: float):
+    """Detached factors min(1, sqrt(c)/|W|) bringing each weight W to spectral norm <= sqrt(c).
 
-    The weights are an (h, 1) column and a (1, h) row, whose only singular
-    value is their Euclidean norm.
+    The weights are an (h, 1) column and a (1, h) row (or their flat views in
+    theta), whose only singular value is their Euclidean norm.  It is summed as
+    `np.linalg.norm` sums it, the real and imaginary parts apart for the complex
+    weights of a complex-step derivative, so the scales have its bits.
     """
-    target = np.sqrt(c)
+    target = math.sqrt(c)
     scales = []
-    for w in (block.w_in, block.w_out):
-        sig = np.linalg.norm(w)
+    for w in (w_in.ravel(), w_out.ravel()):
+        sig = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag) if w.dtype.kind == "c" else w.dot(w))
         scales.append(1.0 if sig <= target else target / sig)
     return scales[0], scales[1]
 
@@ -271,7 +286,7 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
-    s_in, s_out = _block_scales(block, c)
+    s_in, s_out = _block_scales(block.w_in, block.w_out, c)
     return replace(block, w_in=block.w_in * s_in, w_out=block.w_out * s_out)
 
 
@@ -282,20 +297,25 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
 
 def _scaled_weights(block: ResidualBlock, margin: float):
     """s_in, s_out and the stage's scaled weights a = s_in w_in and c = s_out w_out / 1.1."""
-    s_in, s_out = _block_scales(block, margin)
+    s_in, s_out = _block_scales(block.w_in, block.w_out, margin)
     return s_in, s_out, s_in * np.ravel(block.w_in), s_out * np.ravel(block.w_out) / 1.1
 
 
-def _preactivation(a, b_in, z0, out):
-    """pre0 = a z0 + b_in, into the (hidden, points) array `out`."""
-    # one rank-two product, which is cheaper than an outer product
-    np.matmul(np.column_stack((a, b_in)), np.vstack((z0, np.ones_like(z0))), out=out)
+def _preactivation(a, b_in, z0, buf):
+    """pre0 = a z0 + b_in into `buf[0]`, as one rank-two product [a b_in] @ [z0; 1]
+    (cheaper than an outer product) of operands written into `buf[10]` and `buf[11]`."""
+    lhs, rhs = buf[10], buf[11]
+    lhs[:, 0] = a
+    lhs[:, 1] = b_in
+    rhs[0] = z0
+    rhs[1] = 1.0
+    np.matmul(lhs, rhs, out=buf[0])
 
 
 # Points per block of `_residual` and `_map_jets`, times the hidden width.  A block's
-# stage buffers (9 arrays of 128 KB) are made once per call and reused for every
-# block; whole (128, 2001) temporaries are 2 MB each, which glibc maps afresh and
-# returns on free, so every evaluation faulted them in again.
+# stage buffers (10 arrays of 128 KB and the small operands) are made once per call and
+# reused for every block; whole (128, 2001) temporaries are 2 MB each, which glibc maps
+# afresh and returns on free, so every evaluation faulted them in again.
 _BLOCK_ELEMENTS = 16_384
 
 
@@ -312,7 +332,8 @@ def _block_points(hidden: int) -> int:
 
 def _block_store(params: FlowParams, points: int) -> list:
     """Flat stage buffers that hold any stage's arrays for a block of at most `points` points."""
-    return _stage_buffers(params.hidden * min(points, _block_points(params.hidden)))
+    shapes = _stage_shapes(params.hidden, min(points, _block_points(params.hidden)))
+    return [np.empty(math.prod(s)) for s in shapes]
 
 
 def _residual(block: ResidualBlock, a, c, z, store):
@@ -326,7 +347,7 @@ def _residual(block: ResidualBlock, a, c, z, store):
     for lo in range(0, z.size, step):
         chunk = z[lo : lo + step]
         buf = _stage_views(store, a.size, chunk.size)
-        _preactivation(a, block.b_in, chunk, buf[0])
+        _preactivation(a, block.b_in, chunk, buf)
         _swish(buf)
         k[lo : lo + step] = c @ buf[4]
     return k + block.b_out
@@ -360,11 +381,12 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
         k2 = z1^2 (v.f''(pre0)) + z2 (u.f'(pre0)),
     so only pre0 and f, f', f'' are (hidden, points) arrays.
 
-    `buffers` holds one set of stage buffers (`_stage_buffers`) of shape
+    `buffers` holds one set of stage buffers (`_stage_buffers`) at
     (hidden, points) per stage, of the dtype of that stage's arrays (complex
     from the first stage with complex inputs on).  The stage's arrays are
     written there and `saved` refers to them, so they must stay untouched
-    until the reverse sweep.
+    until the reverse sweep, which runs once on them (its f''' overwrites the
+    2 sig1 that `_swish_derivatives` leaves for it).
     """
     x = np.asarray(x, dtype=float)
     alpha, beta, margin = params.alpha, params.beta, params.lipschitz_margin
@@ -380,7 +402,7 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
         s_in, s_out, a, c = _scaled_weights(block, margin)
         u = c * a
         v = u * a
-        _preactivation(a, block.b_in, z0, buf[0])
+        _preactivation(a, block.b_in, z0, buf)
         _swish(buf)
         _swish_derivatives(buf)
         p1, p2 = u @ buf[5], v @ buf[6]
@@ -389,8 +411,9 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     g = np.tanh(z0)
     gp = 1.0 - g * g
     gpp = -2.0 * g * gp
-    jets = (g * alpha + beta, gp * z1 * alpha, (gpp * z1 * z1 + gp * z2) * alpha)
-    saved = (raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2)
+    d1, d2 = gp * z1, gpp * z1 * z1 + gp * z2  # G'/alpha, G''/alpha
+    jets = (g * alpha + beta, d1 * alpha, d2 * alpha)
+    saved = (raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2, d1, d2)
     return jets, saved
 
 
@@ -404,9 +427,9 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     used only through its sums against 1, z0 and a, so it is never formed.
     """
     alpha = params.alpha
-    raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2 = saved
-    # G = alpha g + beta, G' = alpha gp z1, G'' = alpha (gpp z1^2 + gp z2)
-    alpha_bar = float(bar0 @ g + bar1 @ (gp * z1) + bar2 @ (gpp * z1 * z1 + gp * z2))
+    raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2, d1, d2 = saved
+    # G = alpha g + beta, G' = alpha d1, G'' = alpha d2 with d1 = gp z1, d2 = gpp z1^2 + gp z2
+    alpha_bar = float(bar0 @ g + bar1 @ d1 + bar2 @ d2)
     beta_bar = float(bar0.sum())
     gpp_bar = alpha * bar2 * z1 * z1
     gp_bar = alpha * (bar1 * z1 + bar2 * z2) - 2.0 * g * gpp_bar
@@ -421,9 +444,11 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
         p2_bar = z2_bar * z1 * z1
         _swish_third_derivative(buf)
         f0, f1, f2, f3 = buf[4:8]
-        m1 = f1 @ np.column_stack((z0_bar, z0_bar * z0))
-        m2 = f2 @ np.column_stack((p1_bar, p1_bar * z0))
-        m3 = f3 @ np.column_stack((p2_bar, p2_bar * z0))
+        # m_i = f_i @ [bar, bar z0], with the (points, 2) operands in the stage's buffers
+        for op, bar in zip(buf[12:], (z0_bar, p1_bar, p2_bar)):
+            op[:, 0] = bar
+            np.multiply(bar, z0, out=op[:, 1])
+        m1, m2, m3 = f1 @ buf[12], f2 @ buf[13], f3 @ buf[14]
         b_in_bar, pre_bar_z0 = (c[:, None] * m1 + u[:, None] * m2 + v[:, None] * m3).T
         u_bar, v_bar = f1 @ p1_bar, f2 @ p2_bar
         a_bar = pre_bar_z0 + (u_bar + 2.0 * v_bar * a) * c

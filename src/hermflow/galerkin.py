@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,12 @@ class Potential:
         return _polynomial(self.coefficients, x)
 
     def derivative(self, x):
-        return _polynomial(tuple(k * c for k, c in enumerate(self.coefficients))[1:], x)
+        return _polynomial(self._slope, x)
+
+    @cached_property
+    def _slope(self) -> tuple:
+        """The coefficients k c_k (k >= 1) of V', formed at the first `derivative` call only."""
+        return tuple(k * c for k, c in enumerate(self.coefficients))[1:]
 
 
 def _polynomial(coefficients, x):

@@ -10,18 +10,21 @@ S0 = sum_n phi_n^2, S1 = sum_n phi_n phi_n', S2 = sum_n phi_n'^2.  The sum
 of Ritz values bounds the sum of true eigenvalues from above, so driving the
 trace down tightens every level at once.
 
-The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node)
-pulled back through the map's jets by their hand-written reverse sweep
-(`flow._jets_reverse`).  Both sweeps write their (hidden, Q) arrays into stage
-buffers that the `TraceLoss` keeps from one call to the next, so an Adam step
-allocates none: freed, they went back to the system at every step (glibc
-trims the top of the heap beyond 128 KB), and the next step faulted the same
-pages in again.
+The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node,
+computed with the loss by one head) pulled back through the map's jets by
+their hand-written reverse sweep (`flow._jets_reverse`).  Both sweeps write
+their (hidden, Q) arrays and the small operands of their matrix products into
+stage buffers that the `TraceLoss` keeps from one call to the next, so an
+Adam step allocates none: freed, they went back to the system at every step
+(glibc trims the top of the heap beyond 128 KB), and the next step faulted
+the same pages in again.
 
-Training starts from the exact identity warp (see `flow.init_flow_params`),
-so the iteration-0 loss reproduces the plain Hermite trace, and re-projects
-the weights onto the Lip < 1 constraint set after every step.  Runs are
-deterministic for a fixed seed.
+Adam works on the flat parameter vector theta (`FlowParams.pack`): one
+update of theta, then a re-projection that rescales each block's weights in
+theta onto the Lip < 1 constraint set, and a warp whose blocks are views of
+theta.  Training starts from the exact identity warp (see
+`flow.init_flow_params`), so the iteration-0 loss reproduces the plain
+Hermite trace.  Runs are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ import numpy as np
 
 from .flow import (
     FlowParams,
+    _block_scales,
+    _from_vector,
     _jets_forward,
     _jets_reverse,
     _stage_buffers,
     init_flow_params,
-    normalize_block,
 )
 from .analysis import write_csv
 from .galerkin import Potential, _basis_at_nodes
@@ -155,6 +159,11 @@ class TraceLoss:
     potential: Potential
     # one set of stage buffers per stage for the sweeps, kept from call to call
     _stages: list = field(default_factory=list, init=False, repr=False)
+    # w s0, the constant left factor of dL/dG = (w s0) V'(G), formed once
+    _w_s0: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_w_s0", self.weights * self.s0)
 
     def stage_buffers(self, params: FlowParams) -> list:
         """Stage buffers for `params` at the nodes, made on first use and then reused."""
@@ -164,22 +173,23 @@ class TraceLoss:
         return self._stages
 
     def head(self, g, g1, g2):
-        """The loss from the jets at the nodes."""
-        r = g2 / g1
-        kinetic = 0.5 * (self.s2 - self.s1 * r + 0.25 * self.s0 * (r * r)) / (g1 * g1)
-        return ((kinetic + self.s0 * self.potential(g)) * self.weights).sum()
+        """The loss, and dL/dG, dL/dG' and dL/dG'' at each node, from the jets at the nodes.
 
-    def head_adjoint(self, g, g1, g2):
-        """dL/dG, dL/dG' and dL/dG'' at each node."""
+        r = G''/G', r^2, G'^2 and w/G'^3 are formed once for both.
+        """
         r = g2 / g1
-        inv3 = 1.0 / (g1 * g1 * g1)
-        bar0 = self.weights * self.s0 * self.potential.derivative(g)
-        bar1 = self.weights * inv3 * (1.5 * self.s1 * r - self.s2 - 0.5 * self.s0 * (r * r))
-        bar2 = self.weights * inv3 * (0.25 * self.s0 * r - 0.5 * self.s1)
-        return bar0, bar1, bar2
+        rr = r * r
+        g1g1 = g1 * g1
+        kinetic = 0.5 * (self.s2 - self.s1 * r + 0.25 * self.s0 * rr) / g1g1
+        value = ((kinetic + self.s0 * self.potential(g)) * self.weights).sum()
+        w_inv3 = self.weights * (1.0 / (g1g1 * g1))
+        bar0 = self._w_s0 * self.potential.derivative(g)
+        bar1 = w_inv3 * (1.5 * self.s1 * r - self.s2 - 0.5 * self.s0 * rr)
+        bar2 = w_inv3 * (0.25 * self.s0 * r - 0.5 * self.s1)
+        return value, (bar0, bar1, bar2)
 
     def __call__(self, params: FlowParams):
-        return self.head(*_jets_forward(params, self.nodes, self.stage_buffers(params))[0])
+        return self.head(*_jets_forward(params, self.nodes, self.stage_buffers(params))[0])[0]
 
 
 def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
@@ -198,10 +208,11 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     raises FloatingPointError if either is non-finite.
     """
     jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
-    value = float(loss.head(*jets))
+    value, bars = loss.head(*jets)
+    value = float(value)
     if not np.isfinite(value):
         raise FloatingPointError(f"loss evaluated to a non-finite value: {value}")
-    grad = _jets_reverse(params, saved, *loss.head_adjoint(*jets))
+    grad = _jets_reverse(params, saved, *bars)
     if not np.all(np.isfinite(grad)):
         bad = int(np.flatnonzero(~np.isfinite(grad))[0])
         raise FloatingPointError(f"non-finite adjoint at parameter index {bad}")
@@ -231,8 +242,11 @@ def adam_step(
 ) -> tuple[AdamState, FlowParams]:
     """One bias-corrected Adam update over every parameter (weights, alpha, beta).
 
-    The updated weights are re-projected onto the Lip <= margin constraint
-    set (spectral re-normalization) before being returned.
+    The update is made on a fresh theta = `params.pack()`, which is then
+    re-projected onto the Lip <= margin constraint set by rescaling each
+    block's w_in and w_out in place (`normalize_block`'s factors; a factor of
+    exactly 1 is skipped).  Returns the new state and a warp whose blocks are
+    views of that theta; `state` and `params` are left untouched.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.m.shape:
@@ -240,12 +254,21 @@ def adam_step(
     t = state.t + 1
     m = _BETA1 * state.m + (1.0 - _BETA1) * grad
     v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
-    m_hat = m / (1.0 - _BETA1**t)
-    v_hat = v / (1.0 - _BETA2**t)
-    theta = params.pack() - lr * m_hat / (np.sqrt(v_hat) + _EPS)
-    new_params = params.with_vector(theta)
-    new_params.blocks = [normalize_block(b, params.lipschitz_margin) for b in new_params.blocks]
-    return AdamState(m=m, v=v, t=t), new_params
+    step = lr * (m / (1.0 - _BETA1**t))
+    denom = np.sqrt(v / (1.0 - _BETA2**t))
+    denom += _EPS
+    step /= denom
+    theta = params.pack()
+    theta -= step
+    h, margin = params.hidden, params.lipschitz_margin
+    rows = theta[:-2].reshape(len(params.blocks), 3 * h + 1)
+    for w_in, w_out in zip(rows[:, :h], rows[:, 2 * h : 3 * h]):
+        s_in, s_out = _block_scales(w_in, w_out, margin)
+        if s_in != 1.0:
+            w_in *= s_in
+        if s_out != 1.0:
+            w_out *= s_out
+    return AdamState(m=m, v=v, t=t), _from_vector(theta, h, len(params.blocks), margin)
 
 
 def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTrace]:

@@ -84,7 +84,7 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
                 view, buffers = complex_params(params, shifted, k), real[:k] + cplx[k:]
             else:
                 view, buffers = complex_params(params, shifted, "sandwich"), cplx
-            value = loss.head(*_jets_forward(view, loss.nodes, buffers)[0])
+            value = loss.head(*_jets_forward(view, loss.nodes, buffers)[0])[0]
             grad[i] = value.imag / h
     return float(value.real), grad
 

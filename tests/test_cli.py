@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import importlib.util
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import hermflow
-from hermflow import build_convergence_report, cli, train
+from hermflow import anharmonic_potential, build_convergence_report, cli, train, trainer
 from hermflow.cli import (
     ConfigError,
     ExperimentConfig,
@@ -389,6 +390,21 @@ def test_benchmark_cli_bindings_are_called(tmp_path, monkeypatch):
     assert cli.main(["sweep", "--N-range", "3..4", *small]) == 0
     assert cli.main(["analyze", str(tmp_path / "spectra.csv"), "--n-ref", "4", *small[-2:]]) == 0
     assert names and fired == names
+
+
+def test_benchmark_trainer_bindings_fire_once_per_step(monkeypatch):
+    """`train` calls `gradient` and `adam_step` through the `trainer` names that the
+    benchmark's tracer patches, once per Adam step: the benchmark samples its pace
+    as `adam_step` returns, so a step that bypassed them would change that pacing."""
+    tracing = load_tracing(monkeypatch)
+    bindings = tracing.TRACED_BINDINGS + tracing.TIMED_BINDINGS
+    names, calls = {name for owner, name, _ in bindings if owner == "trainer"}, collections.Counter()
+    for name in names:
+        fn = getattr(trainer, name)
+        monkeypatch.setattr(trainer, name, lambda *a, _name=name, _fn=fn, **k: calls.update([_name]) or _fn(*a, **k))
+    trainer.train(TrainingConfig(N=3, Q=20, hidden=4, iterations=3), anharmonic_potential())
+    assert {"gradient", "adam_step"} <= names
+    assert calls["gradient"] == calls["adam_step"] == 3
 
 
 def test_imports_kept_for_the_tracer_are_still_traced(monkeypatch):

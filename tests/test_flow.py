@@ -53,11 +53,11 @@ class TestLipswish:
 
         h1, h2 = 1e-5, 1e-4  # wider step for the second difference (roundoff)
         xs = [-2.3, -0.4, 0.0, 0.9, 3.1]
-        buf = _stage_buffers(len(xs))
-        buf[0][...] = xs
+        buf = _stage_buffers((1, len(xs)))
+        buf[0][0] = xs
         _swish(buf)
         _swish_derivatives(buf)
-        for x, f0, f1, f2 in zip(xs, buf[4], buf[5], buf[6]):
+        for x, f0, f1, f2 in zip(xs, buf[4][0], buf[5][0], buf[6][0]):
             assert f0 / 1.1 == pytest.approx(lipswish(x), rel=1e-14)
             d1 = (lipswish(x + h1) - lipswish(x - h1)) / (2 * h1)
             d2 = (lipswish(x + h2) - 2 * lipswish(x) + lipswish(x - h2)) / h2**2
@@ -133,7 +133,8 @@ class TestNormalizeBlock:
         assert params.lipschitz_margin == c
 
     def test_scales_match_power_method(self, rng):
-        # rank-one weights: the closed-form norm gives the general matrix norm's scales
+        # rank-one weights: the closed-form norm gives the general matrix norm's scales, and
+        # the bits of np.linalg.norm's, also on the complex weights of the complex-step check
         from hermflow.flow import _block_scales
 
         c = 0.97
@@ -146,7 +147,12 @@ class TestNormalizeBlock:
                 block = ResidualBlock(w_in, np.zeros(h), w_out, 0.0)
                 target = np.sqrt(c)
                 expected = [min(1.0, target / np.linalg.norm(w, 2)) for w in (w_in, w_out)]
-                np.testing.assert_allclose(_block_scales(block, c), expected, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(_block_scales(block.w_in, block.w_out, c), expected, rtol=1e-14, atol=0)
+                for imag in (0.0, 1e-40, 1.0):
+                    z_in = w_in + 1j * imag * rng.normal(size=(h, 1)) if imag else w_in
+                    z_out = w_out + 1j * imag * rng.normal(size=(1, h)) if imag else w_out
+                    exact = [1.0 if (n := np.linalg.norm(w)) <= target else target / n for w in (z_in, z_out)]
+                    assert np.array(_block_scales(z_in, z_out, c)).tobytes() == np.array(exact).tobytes()
 
     def test_bad_margin_rejected(self):
         with pytest.raises(ValueError):
@@ -373,6 +379,11 @@ class TestInitialization:
         blocks = [ResidualBlock(np.zeros((h, 1)), np.zeros(h), np.zeros((1, h)), 0.0) for h in widths]
         with pytest.raises(ValueError, match=re.escape(f"got widths {list(widths)}")):
             FlowParams(blocks, 5.0, 0.0, 0.97)
+        # nor can a block of another width join a built warp
+        params = zero_block_params(hidden=8)
+        with pytest.raises(AttributeError):
+            params.blocks.append(zero_block_params(hidden=4).blocks[0])
+        assert params.n_parameters == params.pack().size == 3 * 8 + 3
 
 
 class TestCheckpoint:

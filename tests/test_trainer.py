@@ -20,6 +20,7 @@ from hermflow import (
     harmonic_potential,
     init_flow_params,
     make_trace_loss,
+    normalize_block,
     train,
 )
 from hermflow import trainer
@@ -32,7 +33,7 @@ from conftest import complex_params, complex_step_gradient, make_feasible_params
 def identity_value(loss):
     """The loss head on the identity map's jets (G = x, G' = 1, G'' = 0)."""
     x = loss.nodes
-    return loss.head(x, np.ones_like(x), np.zeros_like(x))
+    return loss.head(x, np.ones_like(x), np.zeros_like(x))[0]
 
 
 def hermite_trace(N, Q, V):
@@ -240,7 +241,9 @@ class TestStageBuffers:
         loss = make_trace_loss(5, rule, anharmonic_potential())
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
         buffers = [list(stage) for stage in loss.stage_buffers(params)]
-        assert [[b.shape for b in stage] for stage in buffers] == [[(8, 30)] * 9] * 2
+        # ten (hidden, Q) stage arrays, then the operands of the sweeps' matrix products
+        shapes = [(8, 30)] * 10 + [(8, 2), (2, 30)] + [(30, 2)] * 3
+        assert [[b.shape for b in stage] for stage in buffers] == [shapes] * 2
         trainer.gradient(loss, params)
         loss(params)
         for kept, stage in zip(buffers, loss.stage_buffers(params)):
@@ -256,7 +259,7 @@ class TestStageBuffers:
         view = complex_params(params, params.pack() + 1e-40j * direction)
         jets, _ = _jets_forward(view, loss.nodes, [_stage_buffers((32, 40), complex) for _ in range(2)])
         assert all(np.iscomplexobj(j) for j in jets)
-        shifted = loss.head(*jets)
+        shifted = loss.head(*jets)[0]
         assert shifted.real == pytest.approx(value, rel=1e-12)
         assert shifted.imag / 1e-40 == pytest.approx(grad @ direction, rel=1e-10)
 
@@ -302,6 +305,35 @@ class TestAdamStep:
         state = AdamState.init(params.n_parameters)
         _, new_params = adam_step(state, np.zeros(params.n_parameters), params, lr=1e-3)
         assert np.linalg.norm(new_params.blocks[0].w_in, 2) <= np.sqrt(0.97) + 1e-12
+
+    def test_steps_match_the_textbook_sequence_bit_for_bit(self):
+        # hidden 128, two blocks, the second pushed outside the constraint so that
+        # re-projection acts; the reference updates theta by the formula, reads it back
+        # by `with_vector` and re-projects every block by `normalize_block`
+        rng = np.random.default_rng(14)
+        lr, margin = 1e-2, 0.97
+        params = make_feasible_params(128, 13.0, 0.1, rng, margin=margin, n_blocks=2)
+        params.blocks[1].w_in = 3.0 * params.blocks[1].w_in
+        params.blocks[1].w_out = 2.0 * params.blocks[1].w_out
+        state = ref_state = AdamState.init(params.n_parameters)
+        ref_params = params
+        for t in range(1, 6):
+            grad = rng.standard_normal(params.n_parameters)
+            before = params.pack()
+            state, new_params = adam_step(state, grad, params, lr)
+            assert params.pack().tobytes() == before.tobytes()  # the input warp is untouched
+            m = 0.9 * ref_state.m + (1.0 - 0.9) * grad
+            v = 0.999 * ref_state.v + (1.0 - 0.999) * grad * grad
+            m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+            moved = ref_params.with_vector(ref_params.pack() - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
+            blocks = [normalize_block(b, margin) for b in moved.blocks]
+            ref_state = AdamState(m, v, t)
+            ref_params = FlowParams(blocks, moved.alpha, moved.beta, margin)
+            assert new_params.pack().tobytes() == ref_params.pack().tobytes()
+            assert (state.m.tobytes(), state.v.tobytes(), state.t) == (m.tobytes(), v.tobytes(), t)
+            if t == 1:
+                assert np.linalg.norm(new_params.blocks[1].w_in) == pytest.approx(np.sqrt(margin), rel=1e-15)
+            params = new_params
 
     def test_shape_mismatch_rejected(self):
         params = init_flow_params(hidden=2, alpha=1.0, seed=0)
