@@ -65,8 +65,8 @@ def eigh(M: np.ndarray) -> Spectrum:
 def eigh_tridiagonal(diag, offdiag) -> Spectrum:
     """Diagonalize a symmetric tridiagonal matrix given its diagonals.
 
-    Shared kernel for Gauss quadrature generation (Golub-Welsch); the first
-    row of `eigenvectors` supplies the weight factors there.
+    Shared kernel for Gauss quadrature generation (Golub-Welsch), which reads
+    only the eigenvalues (the nodes); the weights come from the Christoffel sum.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)

@@ -30,9 +30,9 @@ operands cost a numpy call each to build.  Training reuses one buffer set per
 stage across its Adam steps (`trainer.TraceLoss`); `_map_jets` and the inverse
 run large point sets a block of points at a time through one small buffer set.
 
-A warp is one flat parameter vector theta (`pack`); the blocks that
-`_from_vector` reads from it are views of its rows, so an Adam step updates
-and re-projects theta itself (`trainer.adam_step`).
+A trained warp is one flat parameter vector theta (`pack`), which `_project`
+re-projects in place and reads back as blocks that are views of its rows; a
+fresh warp (`init_flow_params`) and each Adam step's warp are built so.
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -164,6 +164,18 @@ def _from_vector(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -
     return FlowParams(blocks, float(theta[-2]), float(theta[-1]), margin)
 
 
+def _project(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
+    """The warp of theta (`_from_vector`) after each block's w_in and w_out in theta are
+    rescaled in place onto Lip <= margin by `_block_scales` (a factor of exactly 1 is skipped)."""
+    for row in theta[:-2].reshape(n_blocks, 3 * hidden + 1):
+        s_in, s_out = _block_scales(row[:hidden], row[2 * hidden : 3 * hidden], margin)
+        if s_in != 1.0:
+            row[:hidden] *= s_in
+        if s_out != 1.0:
+            row[2 * hidden : 3 * hidden] *= s_out
+    return _from_vector(theta, hidden, n_blocks, margin)
+
+
 @dataclass
 class Jet2:
     """Value and first two input-derivatives of a map at one point."""
@@ -204,7 +216,7 @@ def _stage_buffers(shape, dtype=float) -> list:
 
 def _stage_views(store: list, hidden: int, points: int) -> list:
     """Contiguous views of a stage's arrays at (hidden, points) over the fronts of a
-    flat stage buffer set (`_block_store`)."""
+    stage buffer set of at least as many points, each array flattened."""
     return [flat[: math.prod(s)].reshape(s) for flat, s in zip(store, _stage_shapes(hidden, points))]
 
 
@@ -270,6 +282,8 @@ def _block_scales(w_in, w_out, c: float):
     `np.linalg.norm` sums it, the real and imaginary parts apart for the complex
     weights of a complex-step derivative, so the scales have its bits.
     """
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     target = math.sqrt(c)
     scales = []
     for w in (w_in.ravel(), w_out.ravel()):
@@ -284,8 +298,6 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
     Each matrix W becomes W * min(1, sqrt(c)/sigma_max(W)); with the Lipswish
     Lipschitz constant <= 1 the residual map then contracts by at least c.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     s_in, s_out = _block_scales(block.w_in, block.w_out, c)
     return replace(block, w_in=block.w_in * s_in, w_out=block.w_out * s_out)
 
@@ -330,17 +342,11 @@ def _block_points(hidden: int) -> int:
     return max(32, 1 << (max(1, _BLOCK_ELEMENTS // hidden).bit_length() - 1))
 
 
-def _block_store(params: FlowParams, points: int) -> list:
-    """Flat stage buffers that hold any stage's arrays for a block of at most `points` points."""
-    shapes = _stage_shapes(params.hidden, min(points, _block_points(params.hidden)))
-    return [np.empty(math.prod(s)) for s in shapes]
-
-
 def _residual(block: ResidualBlock, a, c, z, store):
     """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time.
 
-    `store` (see `_block_store`) is the work space; a caller iterating on z passes
-    the same one every time.
+    `store`, a stage buffer set for a block of points with each array flattened, is
+    the work space; a caller iterating on z passes the same one every time.
     """
     k = np.empty_like(z)
     step = _block_points(a.size)
@@ -354,20 +360,20 @@ def _residual(block: ResidualBlock, a, c, z, store):
 
 
 def _map_jets(params: FlowParams, x: np.ndarray):
-    """(G(x), G'(x), G''(x)) at the given points, a block of points at a time.
+    """The (3, points) array of G(x), G'(x) and G''(x), a block of points at a time.
 
     One set of stage buffers serves every stage and every block, since nothing
     is kept for a reverse sweep.
     """
     x = np.asarray(x, dtype=float)
     step = _block_points(params.hidden)
-    store = _block_store(params, x.size)
+    store = [b.ravel() for b in _stage_buffers((params.hidden, min(x.size, step)))]
     jets = np.empty((3, x.size))
     for lo in range(0, x.size, step):
         chunk = x[lo : lo + step]
         views = [_stage_views(store, params.hidden, chunk.size)] * len(params.blocks)
         jets[:, lo : lo + step] = _jets_forward(params, chunk, views)[0]
-    return tuple(jets)
+    return jets
 
 
 def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
@@ -476,11 +482,11 @@ def flow_forward(params: FlowParams, x):
 def flow_jet(params: FlowParams, x) -> Jet2:
     """G, G' and G'' at x (scalar in, scalar jet out; arrays pass through)."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    g, d1, d2 = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
-    stacked = np.stack([g, d1, d2])
-    if not np.all(np.isfinite(stacked)):
-        bad = np.atleast_1d(x)[~np.isfinite(stacked).all(axis=0)][0]
+    jets = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
+    if not np.all(np.isfinite(jets)):
+        bad = np.atleast_1d(x)[~np.isfinite(jets).all(axis=0)][0]
         raise FlowNumericsError(f"flow jet produced a non-finite value at x={bad}")
+    g, d1, d2 = jets
     if scalar:
         return Jet2(float(g[0]), float(d1[0]), float(d2[0]))
     return Jet2(g, d1, d2)
@@ -508,7 +514,8 @@ def flow_inverse(
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     w = np.arctanh(np.clip((y - params.beta) / params.alpha, lo, hi))
     total_iters = 0
-    store = _block_store(params, y.size)
+    points = min(y.size, _block_points(params.hidden))
+    store = [b.ravel() for b in _stage_buffers((params.hidden, points))]
     for block in reversed(params.blocks):
         _, _, a, c = _scaled_weights(block, params.lipschitz_margin)
         z = w.copy()
@@ -560,12 +567,11 @@ def init_flow_params(
     with some margin (the trainer uses 1.05 * max |x_q|).
     """
     rng = np.random.default_rng(seed)
-    blocks = []
-    for _ in range(n_blocks):
-        w_in = rng.uniform(-1e-2, 1e-2, size=(hidden, 1))
-        block = ResidualBlock(w_in, np.zeros(hidden), np.zeros((1, hidden)), 0.0)
-        blocks.append(normalize_block(block, lipschitz_margin))
-    return FlowParams(blocks, float(alpha), float(beta), lipschitz_margin)
+    theta = np.zeros(n_blocks * (3 * hidden + 1) + 2)
+    for row in theta[:-2].reshape(n_blocks, 3 * hidden + 1):
+        row[:hidden] = rng.uniform(-1e-2, 1e-2, size=hidden)
+    theta[-2:] = alpha, beta
+    return _project(theta, hidden, n_blocks, lipschitz_margin)
 
 
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:

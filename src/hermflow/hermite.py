@@ -9,7 +9,8 @@ Values are generated with the normalized three-term recurrence
 
 which carries the Gaussian factor from the seed onward.  The raw polynomial
 values would overflow around n ~ 150; the normalized recurrence keeps every
-intermediate bounded for |x| <= 15, n <= 100.
+intermediate bounded for n <= 200 out to |x| <= 19.34, the outermost node of
+the largest rule, whose table holds phi_0 .. phi_200.
 """
 
 from __future__ import annotations

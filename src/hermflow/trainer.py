@@ -20,9 +20,9 @@ Adam step allocates none: freed, they went back to the system at every step
 the same pages in again.
 
 Adam works on the flat parameter vector theta (`FlowParams.pack`): one
-update of theta, then a re-projection that rescales each block's weights in
-theta onto the Lip < 1 constraint set, and a warp whose blocks are views of
-theta.  Training starts from the exact identity warp (see
+update of theta, which `flow._project` then re-projects onto the Lip < 1
+constraint set and reads back as a warp; the trainer never depends on how
+theta is laid out.  Training starts from the exact identity warp (see
 `flow.init_flow_params`), so the iteration-0 loss reproduces the plain
 Hermite trace.  Runs are deterministic for a fixed seed.
 """
@@ -37,10 +37,9 @@ import numpy as np
 
 from .flow import (
     FlowParams,
-    _block_scales,
-    _from_vector,
     _jets_forward,
     _jets_reverse,
+    _project,
     _stage_buffers,
     init_flow_params,
 )
@@ -69,7 +68,7 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingAborted(RuntimeError):
-    """Loss became non-finite; carries the trace collected so far."""
+    """`gradient` failed during training; carries the trace collected so far."""
 
     def __init__(self, message, trace, params):
         super().__init__(message)
@@ -205,9 +204,14 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """The loss and its gradient with respect to every parameter.
 
     Returns (loss value, flat gradient) with entries in `params.pack()` order;
-    raises FloatingPointError if either is non-finite.
+    raises FloatingPointError if either is non-finite, or, before the loss is
+    formed, if G' <= 0 at a node (a node outside the warp's interval).
     """
     jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
+    g1 = jets[1]
+    for q in (0, g1.size - 1):  # the nodes ascend and the interval is one piece: the ends decide
+        if g1[q] <= 0.0:
+            raise FloatingPointError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={loss.nodes[q]})")
     value, bars = loss.head(*jets)
     value = float(value)
     if not np.isfinite(value):
@@ -242,15 +246,16 @@ def adam_step(
 ) -> tuple[AdamState, FlowParams]:
     """One bias-corrected Adam update over every parameter (weights, alpha, beta).
 
-    The update is made on a fresh theta = `params.pack()`, which is then
-    re-projected onto the Lip <= margin constraint set by rescaling each
-    block's w_in and w_out in place (`normalize_block`'s factors; a factor of
-    exactly 1 is skipped).  Returns the new state and a warp whose blocks are
-    views of that theta; `state` and `params` are left untouched.
+    The update is made on a fresh theta = `params.pack()`, which
+    `flow._project` then re-projects onto the Lip <= margin constraint set.
+    Returns the new state and a warp whose blocks are views of that theta;
+    `state` and `params` are left untouched.  Raises ValueError unless the
+    gradient and the moments have one entry per parameter of the warp.
     """
     grad = np.asarray(grad, dtype=float)
-    if grad.shape != state.m.shape:
-        raise ValueError(f"gradient shape {grad.shape} does not match state {state.m.shape}")
+    n = params.n_parameters
+    if not grad.shape == state.m.shape == state.v.shape == (n,):
+        raise ValueError(f"gradient {grad.shape} or state {state.m.shape} does not fit {n} parameters")
     t = state.t + 1
     m = _BETA1 * state.m + (1.0 - _BETA1) * grad
     v = _BETA2 * state.v + (1.0 - _BETA2) * grad * grad
@@ -260,15 +265,8 @@ def adam_step(
     step /= denom
     theta = params.pack()
     theta -= step
-    h, margin = params.hidden, params.lipschitz_margin
-    rows = theta[:-2].reshape(len(params.blocks), 3 * h + 1)
-    for w_in, w_out in zip(rows[:, :h], rows[:, 2 * h : 3 * h]):
-        s_in, s_out = _block_scales(w_in, w_out, margin)
-        if s_in != 1.0:
-            w_in *= s_in
-        if s_out != 1.0:
-            w_out *= s_out
-    return AdamState(m=m, v=v, t=t), _from_vector(theta, h, len(params.blocks), margin)
+    new_params = _project(theta, params.hidden, len(params.blocks), params.lipschitz_margin)
+    return AdamState(m=m, v=v, t=t), new_params
 
 
 def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTrace]:
@@ -276,7 +274,7 @@ def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTra
 
     The loss is recorded at the start of every iteration, so the first entry
     equals the plain Hermite trace (identity initialization).  Raises
-    `TrainingAborted` with the partial trace if the loss turns non-finite.
+    `TrainingAborted` with the partial trace if `gradient` fails.
     """
     rule = gauss_hermite_rule(config.Q)
     params = init_flow_params(

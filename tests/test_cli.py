@@ -83,6 +83,21 @@ class TestConfigParsing:
         assert run(["sweep", "--N-range", "5..3", "--output-dir", tmp_path / "x"]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "command,config,message",
+        [
+            ("sweep", "scheme = hermite\n", "sweep needs N_range"),
+            ("solve", "N 5\n", "expected 'key = value', got 'N 5'"),
+        ],
+    )
+    def test_config_error_exits_2_before_any_output(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--output-dir", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_harmonic_hermite(self, tmp_path, capsys):
@@ -109,6 +124,16 @@ class TestSolve:
         assert aug.sum() <= herm.sum()
         assert (out / "checkpoint_augmented_N5.txt").exists()
         assert (out / "trace_augmented_N5.csv").exists()
+
+    def test_divergent_training_exits_1_without_spectrum(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(
+            ["solve", "--scheme", "augmented", "--N", 4, "--Q", 30, "--hidden", 8,
+             "--iterations", 40, "--learning-rate", 12, "--output-dir", out]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: TrainingAborted: ")
+        assert not list(out.glob("spectrum_*"))
 
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -277,6 +302,23 @@ class TestAnalyze:
         out = tmp_path / "an"
         assert run(["analyze", spectra, "--n-ref", 1, "--output-dir", out]) == 2
         assert f"{spectra}:3:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "files,message",
+        [
+            (["hermite,1,0,0.5\nhermite,1,0,0.6"], "0.csv: conflicting duplicate row for hermite N=1 n=0"),
+            (["hermite,2,0,0.5"], "0.csv: incomplete spectrum for hermite N=2"),
+            (["hermite,1,0,0.5", "hermite,1,0,0.6"], "conflicting spectra for hermite N=1 across inputs"),
+        ],
+    )
+    def test_inconsistent_spectra_exit_2_before_any_output(self, tmp_path, capsys, files, message):
+        paths = [tmp_path / f"{i}.csv" for i in range(len(files))]
+        for path, rows in zip(paths, files):
+            path.write_text(f"# hermflow spectra csv v1\nscheme,N,n,E\n{rows}\n")
+        out = tmp_path / "an"
+        assert run(["analyze", *paths, "--n-ref", 1, "--output-dir", out]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_reference_below_analyzed_sizes_exits_2(self, sweep_dir, tmp_path):

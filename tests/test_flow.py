@@ -122,10 +122,10 @@ class TestNormalizeBlock:
         scaled = normalize_block(block, c)
         params = FlowParams([scaled], 5.0, 0.0, c)
         xs = rng.uniform(-4, 4, size=(1000, 2))
-        from hermflow.flow import _block_store, _residual, _scaled_weights
+        from hermflow.flow import _residual, _scaled_weights, _stage_buffers
 
         _, _, a, c_scaled = _scaled_weights(scaled, c)
-        store = _block_store(params, xs.shape[0])
+        store = [b.ravel() for b in _stage_buffers((16, xs.shape[0]))]
         k1 = _residual(scaled, a, c_scaled, xs[:, 0], store)
         k2 = _residual(scaled, a, c_scaled, xs[:, 1], store)
         ratios = np.abs(k1 - k2) / np.abs(xs[:, 0] - xs[:, 1])
@@ -374,6 +374,12 @@ class TestInitialization:
         with pytest.raises(ValueError, match="alpha" if beta == 0.0 else "beta"):
             FlowParams(zero_block_params().blocks, alpha=alpha, beta=beta)
 
+    @pytest.mark.parametrize("margin", [0.0, 1.0, -0.5, math.nan])
+    def test_margin_must_lie_in_unit_interval(self, margin):
+        # refused by the re-projection, before any square root of the margin
+        with pytest.raises(ValueError, match=r"contraction constant must lie in \(0, 1\)"):
+            init_flow_params(hidden=4, lipschitz_margin=margin)
+
     @pytest.mark.parametrize("widths", [(8, 4), (), (0,)])
     def test_blocks_share_one_positive_width(self, widths):
         blocks = [ResidualBlock(np.zeros((h, 1)), np.zeros(h), np.zeros((1, h)), 0.0) for h in widths]
@@ -472,6 +478,27 @@ class TestCheckpoint:
         lines[lines.index("params:") + 1 + 3] = "oops"  # the weight at index 3
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*index 3.*'oops'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "cut,message",
+        [
+            ("version", "unsupported checkpoint version 'hermflow-checkpoint v2'"),
+            ("parameter section", "missing parameter section"),
+            ("last weight", "expected 25 weights, got 24"),
+        ],
+    )
+    def test_rejects_wrong_version_or_parameter_count(self, tmp_path, rng, cut, message):
+        path = tmp_path / "flow.txt"
+        save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)  # 3 * 8 + 1 weights
+        lines = path.read_text().splitlines()
+        lines = {
+            "version": ["hermflow-checkpoint v2", *lines[1:]],
+            "parameter section": lines[: lines.index("params:")],
+            "last weight": lines[:-1],
+        }[cut]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("index,value", [(5, math.nan), (12, math.inf)])  # b_in[1], b_out

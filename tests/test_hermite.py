@@ -61,7 +61,9 @@ class TestEvalHermiteFunctions:
         assert np.abs(minus - signs[:, None] * plus).max() < 1e-14
 
     def test_no_overflow_in_contract_range(self):
-        vals = eval_hermite_functions(100, np.array([-15.0, -3.2, 0.0, 3.2, 15.0]))
+        # the largest rule's table: phi_0 .. phi_200 out to its outermost node, +-19.34
+        edge = np.abs(gauss_hermite_rule(200).nodes).max()
+        vals = eval_hermite_functions(200, np.array([-edge, -15.0, -3.2, 0.0, 3.2, 15.0, edge]))
         assert np.all(np.isfinite(vals))
         assert np.abs(vals).max() < 10.0
 

@@ -111,7 +111,7 @@ class TestRuleConstruction:
                 gauss_hermite_rule(201)
 
 
-class TestIntegrateLifted:
+class TestLiftedWeightsIntegrate:
     def test_gaussian(self):
         rule = gauss_hermite_rule(20)
         value = rule.lifted_weights @ np.exp(-rule.nodes**2)

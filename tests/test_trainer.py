@@ -126,14 +126,16 @@ class TestAdjointGradient:
         mask = mag > 1e-8
         assert (np.abs(ref_grad - fd)[mask] / mag[mask]).max() <= 1e-5
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_interval_missing_a_node_raises(self, rng):
-        # alpha below the outermost node: G' = 0 there and the loss is not finite
+        # an interval that misses the outermost nodes, or only the last one: G' = 0 there,
+        # which is refused, naming the node, before the loss head divides by it
         rule = gauss_hermite_rule(30)
         loss = make_trace_loss(4, rule, anharmonic_potential())
-        params = make_feasible_params(8, 0.9 * np.abs(rule.nodes).max(), 0.0, rng)
-        with pytest.raises(FloatingPointError):
-            trainer.gradient(loss, params)
+        edge = np.abs(rule.nodes).max()
+        for alpha, beta, node in ((0.9 * edge, 0.0, 0), (edge, -0.5, 29)):
+            params = make_feasible_params(8, alpha, beta, rng)
+            with pytest.raises(FloatingPointError, match=rf"G' = 0.0 <= 0 at node {node} \(x={rule.nodes[node]}\)"):
+                trainer.gradient(loss, params)
 
 
 class TestGradient:
@@ -336,9 +338,10 @@ class TestAdamStep:
             params = new_params
 
     def test_shape_mismatch_rejected(self):
-        params = init_flow_params(hidden=2, alpha=1.0, seed=0)
-        with pytest.raises(ValueError):
-            adam_step(AdamState.init(3), np.zeros(3), params, lr=1e-3)
+        params = init_flow_params(hidden=2, alpha=1.0, seed=0)  # 9 parameters
+        for state, grad in ((AdamState.init(3), np.zeros(3)), (AdamState.init(1), np.ones(1))):
+            with pytest.raises(ValueError, match="does not fit 9 parameters"):
+                adam_step(state, grad, params, lr=1e-3)
 
 
 class TestTrain:
@@ -389,12 +392,11 @@ class TestTrain:
         assert TrainingConfig(N=10).resolved_iterations == 2000
         assert TrainingConfig(N=10, iterations=123).resolved_iterations == 123
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergent_run_aborts_with_partial_trace(self):
-        # a huge step drags alpha below the node range; clipped nodes then
-        # produce a non-finite loss and training must stop with the trace
+        # a huge step drags alpha below the node range; training must stop with the
+        # trace, naming the node that left the interval
         cfg = TrainingConfig(N=4, Q=30, hidden=8, iterations=40, learning_rate=12.0, seed=0)
-        with pytest.raises(TrainingAborted) as err:
+        with pytest.raises(TrainingAborted, match=r"G' = 0.0 <= 0 at node \d+ \(x=") as err:
             train(cfg, anharmonic_potential())
         assert len(err.value.trace) >= 1
 
