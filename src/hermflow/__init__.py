@@ -47,7 +47,6 @@ from .trainer import (
     TrainingConfig,
     TrainingTrace,
     adam_step,
-    finite_diff_gradient,
     gradient,
     make_trace_loss,
     train,

@@ -6,10 +6,11 @@ The map G is an affine-tanh sandwich around an invertible residual network:
     F    = (id + k_L) o ... o (id + k_1),
 
 where each residual k is a one-hidden-layer network with Lipswish
-activations and spectrally normalized weights so that Lip(k) <= c < 1.
-That bound makes every residual stage a contraction, hence F (and G) is a
-strictly increasing bijection of the interval (beta - alpha, beta + alpha)
-onto itself, invertible by Banach fixed-point iteration.
+activations whose weights have spectral norm at most sqrt(c), so that
+Lip(k) <= c < 1.  That bound makes every residual stage a contraction, hence
+F (and G) is a strictly increasing bijection of the interval
+(beta - alpha, beta + alpha) onto itself, invertible by Banach fixed-point
+iteration.
 
 First and second derivatives with respect to the input are propagated
 alongside the value as order-2 jets; Galerkin assembly and the trace loss
@@ -30,9 +31,11 @@ operands cost a numpy call each to build.  Training reuses one buffer set per
 stage across its Adam steps (`trainer.TraceLoss`); `_map_jets` and the inverse
 run large point sets a block of points at a time through one small buffer set.
 
-A trained warp is one flat parameter vector theta (`pack`), which `_project`
-re-projects in place and reads back as blocks that are views of its rows; a
-fresh warp (`init_flow_params`) and each Adam step's warp are built so.
+A warp is one flat parameter vector theta, read-only, whose blocks are views
+of its rows.  The bound is checked once, when the warp is built (from blocks,
+from theta or from a checkpoint), and a warp outside it is refused, never
+rescaled; every sweep uses the weights as stored.  Only `_project` (a fresh
+warp, `init_flow_params`, and each Adam step's) and `normalize_block` rescale.
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -86,7 +89,7 @@ class ConvergenceError(RuntimeError):
     """Fixed-point inversion did not reach the requested tolerance."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResidualBlock:
     """Weights of one residual stage k(u) = W_out @ lipswish(W_in @ u + b_in) + b_out."""
 
@@ -100,44 +103,38 @@ class ResidualBlock:
         return self.w_in.shape[0]
 
 
-@dataclass
+# A weight that `_project` or `normalize_block` has just scaled onto sqrt(c) can measure up
+# to 4 ulp (under 3 eps, relative) over it when its norm is summed again: margins 0.3 to
+# 0.99, widths 1 to 4,096, weights 1 to 50 times over the bound.  Re-projecting it would
+# move its bits, so the check allows 16 eps, and Lip(k) <= c (1 + 32 eps) < 1 still holds.
+_NORM_SLACK = 16 * math.ulp(1.0)  # 16 eps
+
+
 class FlowParams:
-    """All trainable parameters of the bijection: one or more residual blocks
-    of one positive hidden width (held as a tuple, so none can join or leave
-    a built warp), the sandwich's alpha and beta, and the Lipschitz margin of
-    every residual."""
+    """All trainable parameters of the bijection as one read-only flat vector `theta`: one
+    or more residual blocks of one positive hidden width (`blocks`, views of theta's rows)
+    and the sandwich's alpha and beta; plus the Lipschitz margin of every residual.  A warp
+    built from blocks here, or from theta, passes the one check, `_from_vector`'s."""
 
-    blocks: tuple
-    alpha: float
-    beta: float
-    lipschitz_margin: float = 0.97
-
-    def __post_init__(self):
-        self.blocks = tuple(self.blocks)
-        widths = [b.hidden for b in self.blocks]
+    def __init__(self, blocks, alpha, beta, lipschitz_margin=0.97):
+        blocks = tuple(blocks)
+        widths = [b.hidden for b in blocks]
         if not widths or len(set(widths)) > 1 or widths[0] < 1:
             raise ValueError(f"a warp has one or more blocks of one positive width, got widths {widths}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if not 0.0 < self.lipschitz_margin < 1.0:
-            raise ValueError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
+        theta = _to_vector([(b.w_in, b.b_in, b.w_out, b.b_out) for b in blocks], alpha, beta)
+        # the warp that `_from_vector` builds, and checks, from the blocks' theta
+        vars(self).update(vars(_from_vector(theta, widths[0], len(blocks), lipschitz_margin)))
 
-    @property
-    def hidden(self) -> int:
-        return self.blocks[0].hidden
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a warp is read-only: build another with `with_vector` to change {name!r}")
 
     @property
     def n_parameters(self) -> int:
-        return len(self.blocks) * (3 * self.hidden + 1) + 2
-
-    def pack(self) -> np.ndarray:
-        rows = [(b.w_in, b.b_in, b.w_out, b.b_out) for b in self.blocks]
-        return _to_vector(rows, self.alpha, self.beta)
+        return self.theta.size
 
     def with_vector(self, theta: np.ndarray) -> "FlowParams":
-        theta = np.asarray(theta, dtype=float)
+        """The warp of this one's shape whose parameters are a copy of theta."""
+        theta = np.array(theta, dtype=float)
         if theta.shape != (self.n_parameters,):
             raise ValueError(f"expected {self.n_parameters} parameters, got shape {theta.shape}")
         return _from_vector(theta, self.hidden, len(self.blocks), self.lipschitz_margin)
@@ -154,14 +151,33 @@ def _to_vector(rows, alpha, beta) -> np.ndarray:
 
 
 def _from_vector(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
-    """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta;
-    its blocks' arrays are views of theta."""
-    h = hidden
-    blocks = [
-        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h], r[2 * h : -1].reshape(1, h), float(r[-1]))
-        for r in theta[:-2].reshape(n_blocks, 3 * h + 1)
-    ]
-    return FlowParams(blocks, float(theta[-2]), float(theta[-1]), margin)
+    """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta, which
+    it takes over and makes read-only; its blocks' arrays are views of theta.  This is the
+    one check of a warp's values: a ValueError unless the margin lies in (0, 1), alpha is
+    finite and positive, beta finite, and every weight inside Lip <= margin."""
+    if not 0.0 < margin < 1.0:
+        raise ValueError(f"lipschitz_margin must lie in (0, 1), got {margin}")
+    alpha, beta = float(theta[-2]), float(theta[-1])
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    theta.flags.writeable = False
+    h, bound = hidden, math.sqrt(margin) * (1.0 + _NORM_SLACK)
+    blocks = []
+    for k, r in enumerate(theta[:-2].reshape(n_blocks, 3 * h + 1)):
+        w_in, w_out = r[:h], r[2 * h : -1]
+        for name, w in (("w_in", w_in), ("w_out", w_out)):
+            if not (sig := math.sqrt(w.dot(w))) <= bound:  # its spectral norm, as `_block_scales` sums it
+                raise ValueError(
+                    f"block {k}: |{name}| = {sig:.6g} exceeds sqrt(lipschitz_margin) = {bound:.6g}"
+                )
+        blocks.append(ResidualBlock(w_in.reshape(h, 1), r[h : 2 * h], w_out.reshape(1, h), float(r[-1])))
+    params = object.__new__(FlowParams)  # __setattr__ refuses: a warp's attributes are set here
+    vars(params).update(
+        theta=theta, hidden=h, blocks=tuple(blocks), alpha=alpha, beta=beta, lipschitz_margin=margin
+    )
+    return params
 
 
 def _project(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
@@ -275,21 +291,18 @@ def spectral_norm(W: np.ndarray) -> float:
 
 
 def _block_scales(w_in, w_out, c: float):
-    """Detached factors min(1, sqrt(c)/|W|) bringing each weight W to spectral norm <= sqrt(c).
+    """Factors min(1, sqrt(c)/|W|) bringing each weight W to spectral norm <= sqrt(c).
 
     The weights are an (h, 1) column and a (1, h) row (or their flat views in
     theta), whose only singular value is their Euclidean norm.  It is summed as
-    `np.linalg.norm` sums it, the real and imaginary parts apart for the complex
-    weights of a complex-step derivative, so the scales have its bits.
+    `np.linalg.norm` sums it, so the scales have its bits.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
     target = math.sqrt(c)
-    scales = []
-    for w in (w_in.ravel(), w_out.ravel()):
-        sig = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag) if w.dtype.kind == "c" else w.dot(w))
-        scales.append(1.0 if sig <= target else target / sig)
-    return scales[0], scales[1]
+    sigmas = [math.sqrt(w.dot(w)) for w in (w_in.ravel(), w_out.ravel())]
+    s_in, s_out = (1.0 if sig <= target else target / sig for sig in sigmas)
+    return s_in, s_out
 
 
 def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
@@ -305,12 +318,6 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
 # ---------------------------------------------------------------------------
 # the sandwich map and its jets
 # ---------------------------------------------------------------------------
-
-
-def _scaled_weights(block: ResidualBlock, margin: float):
-    """s_in, s_out and the stage's scaled weights a = s_in w_in and c = s_out w_out / 1.1."""
-    s_in, s_out = _block_scales(block.w_in, block.w_out, margin)
-    return s_in, s_out, s_in * np.ravel(block.w_in), s_out * np.ravel(block.w_out) / 1.1
 
 
 def _preactivation(a, b_in, z0, buf):
@@ -379,8 +386,8 @@ def _map_jets(params: FlowParams, x: np.ndarray):
 def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     """Forward sweep: ((G, G', G''), what `_jets_reverse` needs) at the points x.
 
-    In a stage with scaled weights a = s_in w_in and c = s_out w_out / 1.1
-    (lipswish is f(p)/1.1 with f(p) = p sigmoid(p)), the pre-activations are
+    In a stage with weights a = w_in and c = w_out / 1.1 (lipswish is f(p)/1.1
+    with f(p) = p sigmoid(p)), the pre-activations are
     pre0 = a z0 + b_in, pre1 = a z1 and pre2 = a z2.  With u = c*a and
     v = u*a the stage's jets are
         k0 = c.f(pre0) + b_out,  k1 = z1 (u.f'(pre0)),
@@ -395,7 +402,7 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     2 sig1 that `_swish_derivatives` leaves for it).
     """
     x = np.asarray(x, dtype=float)
-    alpha, beta, margin = params.alpha, params.beta, params.lipschitz_margin
+    alpha, beta = params.alpha, params.beta
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     raw = (x - beta) / alpha
     inside = ((raw > lo) & (raw < hi)).astype(float)
@@ -405,14 +412,14 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
     stages = []
     for block, buf in zip(params.blocks, buffers, strict=True):
-        s_in, s_out, a, c = _scaled_weights(block, margin)
+        a, c = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1
         u = c * a
         v = u * a
         _preactivation(a, block.b_in, z0, buf)
         _swish(buf)
         _swish_derivatives(buf)
         p1, p2 = u @ buf[5], v @ buf[6]
-        stages.append((s_in, s_out, a, c, u, v, z0, z1, z2, buf, p1, p2))
+        stages.append((a, c, u, v, z0, z1, z2, buf, p1, p2))
         z0, z1, z2 = z0 + c @ buf[4] + block.b_out, z1 + z1 * p1, z2 + z1 * z1 * p2 + z2 * p1
     g = np.tanh(z0)
     gp = 1.0 - g * g
@@ -427,10 +434,10 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     """Reverse sweep of `_jets_forward`.
 
     Given the adjoints dL/dG, dL/dG', dL/dG'' at each point, returns dL/dtheta
-    in `params.pack()` order, written by `_to_vector`.  The weight scales are
-    held fixed (detached).  A stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar +
-    f'''(pre0) v p2_bar (outer products of hidden and point vectors); it is
-    used only through its sums against 1, z0 and a, so it is never formed.
+    in `params.theta` order, written by `_to_vector`.  A stage's pre0 adjoint is
+    f'(pre0) c z0_bar + f''(pre0) u p1_bar + f'''(pre0) v p2_bar (outer products
+    of hidden and point vectors); it is used only through its sums against 1, z0
+    and a, so it is never formed.
     """
     alpha = params.alpha
     raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2, d1, d2 = saved
@@ -444,7 +451,7 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
     z1_bar = alpha * (bar1 * gp + 2.0 * bar2 * gpp * z1)
     z2_bar = alpha * bar2 * gp
     pieces = []
-    for s_in, s_out, a, c, u, v, z0, z1, z2, buf, p1, p2 in reversed(stages):
+    for a, c, u, v, z0, z1, z2, buf, p1, p2 in reversed(stages):
         # z + k(z): the identity passes the adjoints through, k adds to them
         p1_bar = z1_bar * z1 + z2_bar * z2
         p2_bar = z2_bar * z1 * z1
@@ -459,7 +466,7 @@ def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
         u_bar, v_bar = f1 @ p1_bar, f2 @ p2_bar
         a_bar = pre_bar_z0 + (u_bar + 2.0 * v_bar * a) * c
         c_bar = f0 @ z0_bar + (u_bar + v_bar * a) * a
-        pieces.append((s_in * a_bar, b_in_bar, (s_out / 1.1) * c_bar, z0_bar.sum()))
+        pieces.append((a_bar, b_in_bar, (1.0 / 1.1) * c_bar, z0_bar.sum()))
         # z0 gains a.pre0_bar, where u.f' = p1 and v.f'' = p2
         z0_bar = z0_bar + p1 * z0_bar + p2 * p1_bar + ((v * a) @ f3) * p2_bar
         z1_bar, z2_bar = z1_bar + z1_bar * p1 + 2.0 * z2_bar * z1 * p2, z2_bar + z2_bar * p1
@@ -517,7 +524,7 @@ def flow_inverse(
     points = min(y.size, _block_points(params.hidden))
     store = [b.ravel() for b in _stage_buffers((params.hidden, points))]
     for block in reversed(params.blocks):
-        _, _, a, c = _scaled_weights(block, params.lipschitz_margin)
+        a, c = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1
         z = w.copy()
         for _ in range(max_iter):
             z_next = w - _residual(block, a, c, z, store)
@@ -580,7 +587,7 @@ def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     `load_checkpoint` reads finite weights only, so a warp with a non-finite
     weight is refused before the file is opened.
     """
-    theta = params.pack()[:-2]  # block parameters only; alpha/beta are header fields
+    theta = params.theta[:-2]  # block parameters only; alpha/beta are header fields
     _check_finite_weights(path, theta)
     lines = [
         f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",

@@ -19,8 +19,8 @@ Adam step allocates none: freed, they went back to the system at every step
 (glibc trims the top of the heap beyond 128 KB), and the next step faulted
 the same pages in again.
 
-Adam works on the flat parameter vector theta (`FlowParams.pack`): one
-update of theta, which `flow._project` then re-projects onto the Lip < 1
+Adam works on the flat parameter vector theta (`FlowParams.theta`): one
+update of theta, which `flow._project` then re-projects onto the Lip <= margin
 constraint set and reads back as a warp; the trainer never depends on how
 theta is laid out.  Training starts from the exact identity warp (see
 `flow.init_flow_params`), so the iteration-0 loss reproduces the plain
@@ -57,7 +57,6 @@ __all__ = [
     "TraceLoss",
     "make_trace_loss",
     "gradient",
-    "finite_diff_gradient",
     "adam_step",
     "train",
 ]
@@ -203,7 +202,7 @@ def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
 def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """The loss and its gradient with respect to every parameter.
 
-    Returns (loss value, flat gradient) with entries in `params.pack()` order;
+    Returns (loss value, flat gradient) with entries in `params.theta` order;
     raises FloatingPointError if either is non-finite, or, before the loss is
     formed, if G' <= 0 at a node (a node outside the warp's interval).
     """
@@ -223,21 +222,6 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def finite_diff_gradient(loss, params: FlowParams, step: float) -> np.ndarray:
-    """Central-difference gradient of `loss`, one parameter at a time."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    theta = params.pack()
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        up = theta.copy()
-        up[i] += step
-        down = theta.copy()
-        down[i] -= step
-        grad[i] = (loss(params.with_vector(up)) - loss(params.with_vector(down))) / (2.0 * step)
-    return grad
-
-
 def adam_step(
     state: AdamState,
     grad: np.ndarray,
@@ -246,7 +230,7 @@ def adam_step(
 ) -> tuple[AdamState, FlowParams]:
     """One bias-corrected Adam update over every parameter (weights, alpha, beta).
 
-    The update is made on a fresh theta = `params.pack()`, which
+    The update is made on a fresh theta = `params.theta` - step, which
     `flow._project` then re-projects onto the Lip <= margin constraint set.
     Returns the new state and a warp whose blocks are views of that theta;
     `state` and `params` are left untouched.  Raises ValueError unless the
@@ -263,8 +247,7 @@ def adam_step(
     denom = np.sqrt(v / (1.0 - _BETA2**t))
     denom += _EPS
     step /= denom
-    theta = params.pack()
-    theta -= step
+    theta = params.theta - step
     new_params = _project(theta, params.hidden, len(params.blocks), params.lipschitz_margin)
     return AdamState(m=m, v=v, t=t), new_params
 

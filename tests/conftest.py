@@ -2,6 +2,7 @@
 
 import importlib
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -31,8 +32,7 @@ def make_feasible_params(
     """Random parameters strictly inside the Lipschitz constraint set.
 
     Each weight matrix is rescaled to spectral norm weight_scale*sqrt(margin),
-    so spectral re-normalization stays inactive and gradients are smooth in
-    every parameter (no min(1, .) kink for finite-difference comparisons).
+    so a finite-difference step in any parameter stays inside the set.
     """
     blocks = []
     for _ in range(n_blocks):
@@ -46,25 +46,36 @@ def make_feasible_params(
     return FlowParams(blocks, float(alpha), float(beta), margin)
 
 
+def finite_diff_gradient(loss, params: FlowParams, step: float) -> np.ndarray:
+    """Central-difference gradient of `loss`, one parameter at a time, in `theta` order."""
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
+    grad = np.empty(params.n_parameters)
+    for i in range(grad.size):
+        up, down = params.theta.copy(), params.theta.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (loss(params.with_vector(up)) - loss(params.with_vector(down))) / (2.0 * step)
+    return grad
+
+
 def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
-    """The trace loss and dL/dtheta_i = Im L(theta + i h e_i) / h, in `pack()` order.
+    """The trace loss and dL/dtheta_i = Im L(theta + i h e_i) / h, in `theta` order.
 
     The complex step has no subtractive cancellation, so the derivative is
     exact to rounding for any h small enough that h^2 vanishes against 1.
     Each evaluation runs the production forward sweep and loss head on a
-    `FlowParams` built from the real parameters, in which only the arrays of
-    the block that holds theta_i (or alpha and beta, if theta_i is one of
-    them) are replaced by complex ones.  The stages before that block run on
-    real stage buffers and the rest on complex ones (every stage, for alpha
-    and beta); both sets are made once per call.  The weight norms stay real
-    (|w + i h e| = |w| to rounding), so the Lipschitz scales are held fixed,
-    as in the adjoint.
+    stand-in for the warp (`complex_params`) in which only the arrays of the
+    block that holds theta_i (or alpha and beta, if theta_i is one of them)
+    are complex.  The stages before that block run on real stage buffers and
+    the rest on complex ones (every stage, for alpha and beta); both sets are
+    made once per call.
 
     A small float ufunc runs after each `_preactivation`: OpenBLAS's complex gemm
     returns with the upper YMM state dirty, which makes the complex `exp` after it
     (SSE code) 28x slower; numpy's AVX float loops end in `vzeroupper`.
     """
-    theta = params.pack()
+    theta = params.theta
     grad = np.empty_like(theta)
     n_blocks, shape = len(params.blocks), (params.hidden, loss.nodes.size)
     real = [_stage_buffers(shape) for _ in range(n_blocks)]
@@ -89,21 +100,19 @@ def complex_step_gradient(loss, params: FlowParams, h: float = 1e-40):
     return float(value.real), grad
 
 
-def complex_params(params: FlowParams, shifted, part="all") -> FlowParams:
-    """A copy of `params` whose arrays of block `part` (an index), of alpha and
+def complex_params(params: FlowParams, shifted, part="all"):
+    """A stand-in for `params` with the `blocks`, `alpha` and `beta` that
+    `_jets_forward` reads, whose arrays of block `part` (an index), of alpha and
     beta (part="sandwich") or of every parameter (part="all") are taken from
-    the complex vector `shifted`, in `pack()` order."""
-    view = params.with_vector(params.pack())
+    the complex vector `shifted`, in `theta` order; the rest are the warp's own."""
     n = params.hidden
-    for k, (block, row) in enumerate(zip(view.blocks, shifted[:-2].reshape(-1, 3 * n + 1))):
-        if part in ("all", k):
-            block.w_in = row[:n].reshape(n, 1)
-            block.b_in = row[n : 2 * n]
-            block.w_out = row[2 * n : 3 * n].reshape(1, n)
-            block.b_out = row[3 * n]
-    if part in ("all", "sandwich"):
-        view.alpha, view.beta = shifted[-2], shifted[-1]
-    return view
+    blocks = [
+        ResidualBlock(row[:n].reshape(n, 1), row[n : 2 * n], row[2 * n : 3 * n].reshape(1, n), row[3 * n])
+        if part in ("all", k) else block
+        for k, (block, row) in enumerate(zip(params.blocks, shifted[:-2].reshape(-1, 3 * n + 1)))
+    ]
+    alpha, beta = shifted[-2:] if part in ("all", "sandwich") else (params.alpha, params.beta)
+    return SimpleNamespace(blocks=blocks, alpha=alpha, beta=beta)
 
 
 @pytest.fixture

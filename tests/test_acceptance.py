@@ -44,7 +44,6 @@ from hermflow import (
     eigh,
     eval_hermite_derivatives,
     eval_hermite_functions,
-    finite_diff_gradient,
     flow_forward,
     flow_inverse,
     gauss_hermite_rule,
@@ -54,7 +53,7 @@ from hermflow import (
 from hermflow.analysis import build_convergence_report
 from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case
 from hermflow.trainer import gradient
-from conftest import make_feasible_params
+from conftest import finite_diff_gradient, make_feasible_params
 
 MASTER_SEED = 0
 SWEEP_RANGE = range(5, 30)

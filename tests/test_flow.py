@@ -122,19 +122,20 @@ class TestNormalizeBlock:
         scaled = normalize_block(block, c)
         params = FlowParams([scaled], 5.0, 0.0, c)
         xs = rng.uniform(-4, 4, size=(1000, 2))
-        from hermflow.flow import _residual, _scaled_weights, _stage_buffers
+        from hermflow.flow import _residual, _stage_buffers
 
-        _, _, a, c_scaled = _scaled_weights(scaled, c)
+        block = params.blocks[0]
+        a, c_out = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1  # the stage's weights
         store = [b.ravel() for b in _stage_buffers((16, xs.shape[0]))]
-        k1 = _residual(scaled, a, c_scaled, xs[:, 0], store)
-        k2 = _residual(scaled, a, c_scaled, xs[:, 1], store)
+        k1 = _residual(block, a, c_out, xs[:, 0], store)
+        k2 = _residual(block, a, c_out, xs[:, 1], store)
         ratios = np.abs(k1 - k2) / np.abs(xs[:, 0] - xs[:, 1])
         assert ratios.max() <= c + 1e-9
         assert params.lipschitz_margin == c
 
     def test_scales_match_power_method(self, rng):
-        # rank-one weights: the closed-form norm gives the general matrix norm's scales, and
-        # the bits of np.linalg.norm's, also on the complex weights of the complex-step check
+        # rank-one weights: the closed-form norm gives the general matrix norm's scales,
+        # and the bits of np.linalg.norm's
         from hermflow.flow import _block_scales
 
         c = 0.97
@@ -148,11 +149,8 @@ class TestNormalizeBlock:
                 target = np.sqrt(c)
                 expected = [min(1.0, target / np.linalg.norm(w, 2)) for w in (w_in, w_out)]
                 np.testing.assert_allclose(_block_scales(block.w_in, block.w_out, c), expected, rtol=1e-14, atol=0)
-                for imag in (0.0, 1e-40, 1.0):
-                    z_in = w_in + 1j * imag * rng.normal(size=(h, 1)) if imag else w_in
-                    z_out = w_out + 1j * imag * rng.normal(size=(1, h)) if imag else w_out
-                    exact = [1.0 if (n := np.linalg.norm(w)) <= target else target / n for w in (z_in, z_out)]
-                    assert np.array(_block_scales(z_in, z_out, c)).tobytes() == np.array(exact).tobytes()
+                exact = [1.0 if (n := np.linalg.norm(w)) <= target else target / n for w in (w_in, w_out)]
+                assert np.array(_block_scales(w_in, w_out, c)).tobytes() == np.array(exact).tobytes()
 
     def test_bad_margin_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +168,7 @@ class TestFlowForward:
         block = ResidualBlock(
             rng.normal(size=(8, 1)), np.zeros(8), rng.normal(size=(1, 8)), 0.0
         )
-        params = FlowParams([block], 4.0, -0.3, 0.97)
+        params = FlowParams([normalize_block(block, 0.97)], 4.0, -0.3, 0.97)
         assert flow_forward(params, params.beta) == params.beta
 
     def test_strict_monotonicity(self, rng):
@@ -389,7 +387,55 @@ class TestInitialization:
         params = zero_block_params(hidden=8)
         with pytest.raises(AttributeError):
             params.blocks.append(zero_block_params(hidden=4).blocks[0])
-        assert params.n_parameters == params.pack().size == 3 * 8 + 3
+        assert params.n_parameters == params.theta.size == 3 * 8 + 3
+
+
+class TestLipschitzCheck:
+    """Every way of building a warp checks Lip <= margin once, and none rescales."""
+
+    @pytest.mark.parametrize("margin", [0.97, 0.5])
+    def test_projected_theta_is_accepted_unchanged(self, rng, margin):
+        # each width from 1 to 512, its weights 1 to 50 times sqrt(margin) before `_project`.
+        # A projected norm summed again reads up to 4 ulp over sqrt(margin), so the check
+        # allows 16 eps (`flow._NORM_SLACK`); re-projecting would move these bits
+        from hermflow.flow import _project
+
+        for h in range(1, 513):
+            for scale in (1.0, 1.5, 50.0, rng.uniform(1.0, 50.0)):
+                theta = rng.standard_normal(3 * h + 3)
+                for w in (theta[:h], theta[2 * h : 3 * h]):
+                    w *= scale * math.sqrt(margin) / np.linalg.norm(w)
+                theta[-2] = 5.0
+                projected = _project(theta, h, 1, margin)
+                kept = projected.theta.tobytes()
+                assert projected.with_vector(projected.theta).theta.tobytes() == kept
+                rebuilt = FlowParams(projected.blocks, projected.alpha, projected.beta, margin)
+                assert rebuilt.theta.tobytes() == kept
+
+    @pytest.mark.parametrize("name,at", [("w_in", 0), ("w_out", 32)])
+    def test_weight_just_over_the_bound_is_refused(self, rng, name, at):
+        margin = 0.97
+        params = make_feasible_params(16, 5.0, 0.0, rng, margin=margin)
+        theta = params.theta.copy()
+        w = theta[at : at + 16]
+        w *= (1.0 + 1e-6) * math.sqrt(margin) / np.linalg.norm(w)
+        message = rf"block 0: \|{name}\| = 0\.984887 exceeds sqrt\(lipschitz_margin\) = 0\.984886"
+        with pytest.raises(ValueError, match=message):
+            params.with_vector(theta)
+        block = params.blocks[0]
+        over = ResidualBlock(theta[:16].reshape(16, 1), block.b_in, theta[32:48].reshape(1, 16), block.b_out)
+        with pytest.raises(ValueError, match=message):
+            FlowParams([over], 5.0, 0.0, margin)
+
+    def test_a_built_warp_is_read_only(self, rng):
+        params = make_feasible_params(8, 5.0, 0.0, rng)
+        with pytest.raises(AttributeError):
+            params.blocks[0].w_in = 3.0 * params.blocks[0].w_in
+        with pytest.raises(AttributeError):
+            params.alpha = 2.0
+        for array in (params.blocks[0].w_in, params.blocks[0].b_in, params.theta):
+            with pytest.raises(ValueError, match="read-only"):
+                array *= 3.0
 
 
 class TestCheckpoint:
@@ -400,7 +446,7 @@ class TestCheckpoint:
         loaded, seed = load_checkpoint(path)
         assert seed == 42
         assert loaded.lipschitz_margin == params.lipschitz_margin
-        np.testing.assert_array_equal(loaded.pack(), params.pack())
+        np.testing.assert_array_equal(loaded.theta, params.theta)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
@@ -486,16 +532,20 @@ class TestCheckpoint:
             ("version", "unsupported checkpoint version 'hermflow-checkpoint v2'"),
             ("parameter section", "missing parameter section"),
             ("last weight", "expected 25 weights, got 24"),
+            ("doubled w_in", "block 0: |w_in| = 1.67431 exceeds sqrt(lipschitz_margin) = 0.984886"),
         ],
     )
     def test_rejects_wrong_version_or_parameter_count(self, tmp_path, rng, cut, message):
         path = tmp_path / "flow.txt"
         save_checkpoint(make_feasible_params(8, 7.25, -0.125, rng), path)  # 3 * 8 + 1 weights
         lines = path.read_text().splitlines()
+        doubled, at = list(lines), lines.index("params:") + 1  # w_in's 8 lines follow
+        doubled[at : at + 8] = [repr(2.0 * float(v)) for v in lines[at : at + 8]]
         lines = {
             "version": ["hermflow-checkpoint v2", *lines[1:]],
             "parameter section": lines[: lines.index("params:")],
             "last weight": lines[:-1],
+            "doubled w_in": doubled,
         }[cut]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
@@ -504,7 +554,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("index,value", [(5, math.nan), (12, math.inf)])  # b_in[1], b_out
     def test_save_refuses_non_finite_weight(self, tmp_path, index, value):
         params = init_flow_params(hidden=4, alpha=3.0)
-        theta = params.pack()
+        theta = params.theta.copy()
         theta[index] = value
         path = tmp_path / "flow.txt"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*index {index}$"):

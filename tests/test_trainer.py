@@ -13,21 +13,22 @@ from hermflow import (
     anharmonic_potential,
     assemble_hamiltonian,
     eigh,
-    finite_diff_gradient,
     flow_forward,
     gauss_hermite_rule,
     gradient,
     harmonic_potential,
     init_flow_params,
+    load_checkpoint,
     make_trace_loss,
     normalize_block,
+    save_checkpoint,
     train,
 )
 from hermflow import trainer
 from hermflow.cli import ExperimentConfig, solve_case
 from hermflow.trainer import TrainingAborted
-from hermflow.flow import _jets_forward, _stage_buffers
-from conftest import complex_params, complex_step_gradient, make_feasible_params
+from hermflow.flow import _block_scales, _jets_forward, _stage_buffers
+from conftest import complex_params, complex_step_gradient, finite_diff_gradient, make_feasible_params
 
 
 def identity_value(loss):
@@ -44,6 +45,17 @@ def hermite_trace(N, Q, V):
 def tiny_params(alpha=3.0, beta=0.5):
     block = ResidualBlock(np.zeros((2, 1)), np.zeros(2), np.zeros((1, 2)), 0.0)
     return FlowParams([block], alpha, beta, 0.97)
+
+
+def push_out(params, k, lr):
+    """`params` after one Adam step that moves every entry of block k's w_in and w_out
+    by about lr away from zero, and no other parameter: for lr well above the weights'
+    size that leaves them far outside the constraint set, so re-projection acts."""
+    h = params.hidden
+    grad = np.zeros(params.n_parameters)
+    for at in (k * (3 * h + 1), k * (3 * h + 1) + 2 * h):  # w_in, w_out
+        grad[at : at + h] = -np.sign(params.theta[at : at + h])
+    return adam_step(AdamState.init(params.n_parameters), grad, params, lr)[1]
 
 
 def sum_all_entries(p):
@@ -91,12 +103,14 @@ class TestTraceLoss:
 class TestAdjointGradient:
     @pytest.mark.parametrize("N,Q", [(5, 30), (5, 90), (29, 90)])
     def test_matches_complex_step(self, N, Q):
-        # two stages, beta != 0, and the second stage's input rescale active
+        # two stages, beta != 0, and the second stage's weights on the boundary of the
+        # constraint set, where an Adam step's re-projection put them
         rng = np.random.default_rng(100 + N + Q)
         rule = gauss_hermite_rule(Q)
         loss = make_trace_loss(N, rule, anharmonic_potential())
         params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.15, rng, n_blocks=2)
-        params.blocks[1].w_in = 3.0 * params.blocks[1].w_in
+        params = push_out(params, 1, lr=1.0)
+        assert np.linalg.norm(params.blocks[1].w_in) == pytest.approx(np.sqrt(0.97), rel=1e-15)
         value, grad = trainer.gradient(loss, params)
         ref_value, ref_grad = complex_step_gradient(loss, params)
         assert value == pytest.approx(ref_value, rel=1e-10)
@@ -258,7 +272,7 @@ class TestStageBuffers:
         params = make_feasible_params(32, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
         value, grad = trainer.gradient(loss, params)
         direction = rng.standard_normal(params.n_parameters)
-        view = complex_params(params, params.pack() + 1e-40j * direction)
+        view = complex_params(params, params.theta + 1e-40j * direction)
         jets, _ = _jets_forward(view, loss.nodes, [_stage_buffers((32, 40), complex) for _ in range(2)])
         assert all(np.iscomplexobj(j) for j in jets)
         shifted = loss.head(*jets)[0]
@@ -281,7 +295,7 @@ class TestAdamStep:
         params = init_flow_params(hidden=3, alpha=2.0, seed=1)
         state = AdamState.init(params.n_parameters)
         new_state, new_params = adam_step(state, np.zeros(params.n_parameters), params, lr=1e-3)
-        np.testing.assert_array_equal(new_params.pack(), params.pack())
+        np.testing.assert_array_equal(new_params.theta, params.theta)
         assert new_state.t == 1
 
     def test_two_steps_match_hand_rolled_reference(self):
@@ -303,39 +317,61 @@ class TestAdamStep:
 
     def test_renormalizes_after_step(self):
         params = init_flow_params(hidden=4, alpha=2.0, seed=3)
-        params.blocks[0].w_in = np.full((4, 1), 10.0)  # way outside the constraint
-        state = AdamState.init(params.n_parameters)
-        _, new_params = adam_step(state, np.zeros(params.n_parameters), params, lr=1e-3)
-        assert np.linalg.norm(new_params.blocks[0].w_in, 2) <= np.sqrt(0.97) + 1e-12
+        new_params = push_out(params, 0, lr=10.0)  # way outside the constraint
+        for w in (new_params.blocks[0].w_in, new_params.blocks[0].w_out):
+            assert np.linalg.norm(w, 2) <= np.sqrt(0.97) + 1e-12
 
     def test_steps_match_the_textbook_sequence_bit_for_bit(self):
-        # hidden 128, two blocks, the second pushed outside the constraint so that
-        # re-projection acts; the reference updates theta by the formula, reads it back
-        # by `with_vector` and re-projects every block by `normalize_block`
+        # hidden 128, two blocks; a first step of 0.5 that leaves the first block where it
+        # is pushes the second outside the constraint, so that re-projection acts.  The
+        # reference updates theta by the formula, cuts it into blocks and re-projects
+        # every block by `normalize_block`
         rng = np.random.default_rng(14)
-        lr, margin = 1e-2, 0.97
-        params = make_feasible_params(128, 13.0, 0.1, rng, margin=margin, n_blocks=2)
-        params.blocks[1].w_in = 3.0 * params.blocks[1].w_in
-        params.blocks[1].w_out = 2.0 * params.blocks[1].w_out
+        margin, h = 0.97, 128
+        params = make_feasible_params(h, 13.0, 0.1, rng, margin=margin, n_blocks=2)
         state = ref_state = AdamState.init(params.n_parameters)
         ref_params = params
         for t in range(1, 6):
             grad = rng.standard_normal(params.n_parameters)
-            before = params.pack()
+            lr = 0.5 if t == 1 else 1e-2
+            if t == 1:
+                grad[: 3 * h + 1] = 0.0  # a zero moment moves the first block by exactly 0
+            before = params.theta.tobytes()
             state, new_params = adam_step(state, grad, params, lr)
-            assert params.pack().tobytes() == before.tobytes()  # the input warp is untouched
+            assert params.theta.tobytes() == before  # the input warp is untouched
             m = 0.9 * ref_state.m + (1.0 - 0.9) * grad
             v = 0.999 * ref_state.v + (1.0 - 0.999) * grad * grad
             m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
-            moved = ref_params.with_vector(ref_params.pack() - lr * m_hat / (np.sqrt(v_hat) + 1e-8))
-            blocks = [normalize_block(b, margin) for b in moved.blocks]
+            moved = ref_params.theta - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            blocks = [
+                normalize_block(ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h], r[2 * h : -1].reshape(1, h), r[-1]), margin)
+                for r in moved[:-2].reshape(2, 3 * h + 1)
+            ]
             ref_state = AdamState(m, v, t)
-            ref_params = FlowParams(blocks, moved.alpha, moved.beta, margin)
-            assert new_params.pack().tobytes() == ref_params.pack().tobytes()
+            ref_params = FlowParams(blocks, moved[-2], moved[-1], margin)
+            assert new_params.theta.tobytes() == ref_params.theta.tobytes()
             assert (state.m.tobytes(), state.v.tobytes(), state.t) == (m.tobytes(), v.tobytes(), t)
             if t == 1:
-                assert np.linalg.norm(new_params.blocks[1].w_in) == pytest.approx(np.sqrt(margin), rel=1e-15)
+                assert new_params.theta[: 3 * h + 1].tobytes() == params.theta[: 3 * h + 1].tobytes()
+                for w in (new_params.blocks[1].w_in, new_params.blocks[1].w_out):
+                    assert np.linalg.norm(w) == pytest.approx(np.sqrt(margin), rel=1e-15)
             params = new_params
+
+    def test_reprojected_warp_reloads_bit_for_bit(self, tmp_path):
+        # two blocks at hidden 128 just after re-projection acted, whose weights a second
+        # re-projection would move (the benchmark's checkpoint reload check, in small)
+        rule = gauss_hermite_rule(90)
+        rng = np.random.default_rng(21)
+        params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
+        params = push_out(params, 1, lr=1.0)
+        assert 1.0 not in _block_scales(params.blocks[1].w_in, params.blocks[1].w_out, 0.97)
+        path = tmp_path / "warp.txt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)[0]
+        assert loaded.theta.tobytes() == params.theta.tobytes()
+        V = anharmonic_potential()
+        levels = [eigh(assemble_hamiltonian(BasisSpec(29), rule, V, p).entries).eigenvalues for p in (params, loaded)]
+        assert np.array_equal(*levels)
 
     def test_shape_mismatch_rejected(self):
         params = init_flow_params(hidden=2, alpha=1.0, seed=0)  # 9 parameters
@@ -379,7 +415,7 @@ class TestTrain:
         p2, t2 = train(cfg, V)
         assert np.array_equal(t1.losses, t2.losses)
         assert np.array_equal(t1.grad_norms, t2.grad_norms)
-        assert np.array_equal(p1.pack(), p2.pack())
+        assert np.array_equal(p1.theta, p2.theta)
 
     def test_trace_length_matches_iterations(self):
         cfg = TrainingConfig(N=3, Q=20, hidden=4, iterations=7, seed=0)
