@@ -32,10 +32,10 @@ stage across its Adam steps (`trainer.TraceLoss`); `_map_jets` and the inverse
 run large point sets a block of points at a time through one small buffer set.
 
 A warp is one flat parameter vector theta, read-only, whose blocks are views
-of its rows.  The bound is checked once, when the warp is built (from blocks,
-from theta or from a checkpoint), and a warp outside it is refused, never
-rescaled; every sweep uses the weights as stored.  Only `_project` (a fresh
-warp, `init_flow_params`, and each Adam step's) and `normalize_block` rescale.
+of its rows.  Its one builder, `_from_vector`, checks its shape, finiteness and
+bound in one pass; it rescales a weight outside the bound onto it for a fresh
+warp, an Adam step's and `normalize_block`'s, and refuses it otherwise.  Every
+sweep uses the weights as stored.
 
 Warped-basis functions are recovered from the inverse map:
 
@@ -48,7 +48,7 @@ the overlap integral).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,10 +103,10 @@ class ResidualBlock:
         return self.w_in.shape[0]
 
 
-# A weight that `_project` or `normalize_block` has just scaled onto sqrt(c) can measure up
-# to 4 ulp (under 3 eps, relative) over it when its norm is summed again: margins 0.3 to
-# 0.99, widths 1 to 4,096, weights 1 to 50 times over the bound.  Re-projecting it would
-# move its bits, so the check allows 16 eps, and Lip(k) <= c (1 + 32 eps) < 1 still holds.
+# A weight that the builder has just scaled onto sqrt(c) can measure up to 4 ulp (under
+# 3 eps, relative) over it when its norm is summed again: margins 0.3 to 0.99, widths 1 to
+# 4,096, weights 1 to 50 times over the bound.  Re-projecting it would move its bits, so the
+# check allows 16 eps, and Lip(k) <= c (1 + 32 eps) < 1 still holds.
 _NORM_SLACK = 16 * math.ulp(1.0)  # 16 eps
 
 
@@ -118,12 +118,9 @@ class FlowParams:
 
     def __init__(self, blocks, alpha, beta, lipschitz_margin=0.97):
         blocks = tuple(blocks)
-        widths = [b.hidden for b in blocks]
-        if not widths or len(set(widths)) > 1 or widths[0] < 1:
-            raise ValueError(f"a warp has one or more blocks of one positive width, got widths {widths}")
-        theta = _to_vector([(b.w_in, b.b_in, b.w_out, b.b_out) for b in blocks], alpha, beta)
+        h, theta = _block_vector(blocks, alpha, beta)
         # the warp that `_from_vector` builds, and checks, from the blocks' theta
-        vars(self).update(vars(_from_vector(theta, widths[0], len(blocks), lipschitz_margin)))
+        vars(self).update(vars(_from_vector(theta, h, len(blocks), lipschitz_margin)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a warp is read-only: build another with `with_vector` to change {name!r}")
@@ -135,8 +132,6 @@ class FlowParams:
     def with_vector(self, theta: np.ndarray) -> "FlowParams":
         """The warp of this one's shape whose parameters are a copy of theta."""
         theta = np.array(theta, dtype=float)
-        if theta.shape != (self.n_parameters,):
-            raise ValueError(f"expected {self.n_parameters} parameters, got shape {theta.shape}")
         return _from_vector(theta, self.hidden, len(self.blocks), self.lipschitz_margin)
 
 
@@ -150,46 +145,57 @@ def _to_vector(rows, alpha, beta) -> np.ndarray:
     return np.concatenate([np.ravel(p) for row in rows for p in row] + [[alpha, beta]], dtype=float)
 
 
-def _from_vector(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
+def _block_vector(blocks, alpha, beta) -> tuple[int, np.ndarray]:
+    """(h, theta) of the blocks, alpha and beta, with h the first block's width; a ValueError
+    unless every block's w_in, b_in and w_out hold h values each and its b_out one."""
+    h = blocks[0].hidden if blocks else 0
+    for k, b in enumerate(blocks):
+        if (sizes := tuple(map(np.size, (b.w_in, b.b_in, b.w_out, b.b_out)))) != (h, h, h, 1):
+            raise ValueError(f"block {k}: w_in, b_in, w_out, b_out hold {sizes} values, not {h, h, h, 1}")
+    return h, _to_vector([(b.w_in, b.b_in, b.w_out, b.b_out) for b in blocks], alpha, beta)
+
+
+def _from_vector(
+    theta: np.ndarray, hidden: int, n_blocks: int, margin: float, project: bool = False
+) -> FlowParams:
     """The warp of `n_blocks` blocks of width `hidden` whose flat parameters are theta, which
-    it takes over and makes read-only; its blocks' arrays are views of theta.  This is the
-    one check of a warp's values: a ValueError unless the margin lies in (0, 1), alpha is
-    finite and positive, beta finite, and every weight inside Lip <= margin."""
+    it takes over and makes read-only (its blocks' arrays are views of theta), checked in one
+    pass: a ValueError unless it has blocks of a positive width, theta their shape, finite
+    values, a margin in (0, 1), alpha > 0 and every weight inside Lip <= margin.  With
+    `project`, a weight outside is rescaled in theta onto it (w *= sqrt(margin)/|w|) instead."""
+    if hidden < 1 or n_blocks < 1:
+        raise ValueError(f"a warp has one or more blocks of a positive width, got {n_blocks} of {hidden}")
+    h, n = hidden, n_blocks * (3 * hidden + 1) + 2
+    if theta.shape != (n,):
+        raise ValueError(f"expected {n} parameters, got shape {theta.shape}")
+    if not (finite := np.isfinite(theta)).all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"non-finite {({n - 2: 'alpha', n - 1: 'beta'}).get(i, 'weight')} at index {i}")
     if not 0.0 < margin < 1.0:
         raise ValueError(f"lipschitz_margin must lie in (0, 1), got {margin}")
-    alpha, beta = float(theta[-2]), float(theta[-1])
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    theta.flags.writeable = False
-    h, bound = hidden, math.sqrt(margin) * (1.0 + _NORM_SLACK)
-    blocks = []
+    if not (alpha := float(theta[-2])) > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    target = math.sqrt(margin)
+    bound = target * (1.0 + _NORM_SLACK)
     for k, r in enumerate(theta[:-2].reshape(n_blocks, 3 * h + 1)):
-        w_in, w_out = r[:h], r[2 * h : -1]
-        for name, w in (("w_in", w_in), ("w_out", w_out)):
-            if not (sig := math.sqrt(w.dot(w))) <= bound:  # its spectral norm, as `_block_scales` sums it
+        for name, w in (("w_in", r[:h]), ("w_out", r[2 * h : -1])):
+            sig = math.sqrt(w.dot(w))  # its spectral norm (w is rank-one), as np.linalg.norm sums it
+            if project and sig > target:
+                w *= target / sig
+            elif sig > bound:
                 raise ValueError(
                     f"block {k}: |{name}| = {sig:.6g} exceeds sqrt(lipschitz_margin) = {bound:.6g}"
                 )
-        blocks.append(ResidualBlock(w_in.reshape(h, 1), r[h : 2 * h], w_out.reshape(1, h), float(r[-1])))
+    theta.flags.writeable = False  # before the blocks' views are taken: views taken earlier stay writable
+    blocks = tuple(
+        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h], r[2 * h : -1].reshape(1, h), float(r[-1]))
+        for r in theta[:-2].reshape(n_blocks, 3 * h + 1)
+    )
     params = object.__new__(FlowParams)  # __setattr__ refuses: a warp's attributes are set here
     vars(params).update(
-        theta=theta, hidden=h, blocks=tuple(blocks), alpha=alpha, beta=beta, lipschitz_margin=margin
+        theta=theta, hidden=h, blocks=blocks, alpha=alpha, beta=float(theta[-1]), lipschitz_margin=margin
     )
     return params
-
-
-def _project(theta: np.ndarray, hidden: int, n_blocks: int, margin: float) -> FlowParams:
-    """The warp of theta (`_from_vector`) after each block's w_in and w_out in theta are
-    rescaled in place onto Lip <= margin by `_block_scales` (a factor of exactly 1 is skipped)."""
-    for row in theta[:-2].reshape(n_blocks, 3 * hidden + 1):
-        s_in, s_out = _block_scales(row[:hidden], row[2 * hidden : 3 * hidden], margin)
-        if s_in != 1.0:
-            row[:hidden] *= s_in
-        if s_out != 1.0:
-            row[2 * hidden : 3 * hidden] *= s_out
-    return _from_vector(theta, hidden, n_blocks, margin)
 
 
 @dataclass
@@ -281,7 +287,7 @@ def _swish_third_derivative(buf):
 def spectral_norm(W: np.ndarray) -> float:
     """Largest singular value of the matrix W; 0 for a zero matrix.
 
-    The flow's weights are rank-one, and `_block_scales` takes their norms in
+    The flow's weights are rank-one, and `_from_vector` takes their norms in
     closed form; this general norm serves callers outside the solver.
     """
     W = np.asarray(W, dtype=float)
@@ -290,29 +296,12 @@ def spectral_norm(W: np.ndarray) -> float:
     return float(np.linalg.norm(W, 2))
 
 
-def _block_scales(w_in, w_out, c: float):
-    """Factors min(1, sqrt(c)/|W|) bringing each weight W to spectral norm <= sqrt(c).
-
-    The weights are an (h, 1) column and a (1, h) row (or their flat views in
-    theta), whose only singular value is their Euclidean norm.  It is summed as
-    `np.linalg.norm` sums it, so the scales have its bits.
-    """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"contraction constant must lie in (0, 1), got {c}")
-    target = math.sqrt(c)
-    sigmas = [math.sqrt(w.dot(w)) for w in (w_in.ravel(), w_out.ravel())]
-    s_in, s_out = (1.0 if sig <= target else target / sig for sig in sigmas)
-    return s_in, s_out
-
-
 def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
-    """Rescale the block's weight matrices so that Lip(k) <= c.
-
-    Each matrix W becomes W * min(1, sqrt(c)/sigma_max(W)); with the Lipswish
-    Lipschitz constant <= 1 the residual map then contracts by at least c.
-    """
-    s_in, s_out = _block_scales(block.w_in, block.w_out, c)
-    return replace(block, w_in=block.w_in * s_in, w_out=block.w_out * s_out)
+    """The block with each weight W rescaled to W * min(1, sqrt(c)/sigma_max(W)), so that the
+    residual contracts by at least c (Lipswish is 1-Lipschitz); its arrays are read-only views
+    of the theta of a one-block warp that `_from_vector` projects."""
+    h, theta = _block_vector([block], 1.0, 0.0)
+    return _from_vector(theta, h, 1, c, project=True).blocks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,17 +567,11 @@ def init_flow_params(
     for row in theta[:-2].reshape(n_blocks, 3 * hidden + 1):
         row[:hidden] = rng.uniform(-1e-2, 1e-2, size=hidden)
     theta[-2:] = alpha, beta
-    return _project(theta, hidden, n_blocks, lipschitz_margin)
+    return _from_vector(theta, hidden, n_blocks, lipschitz_margin, project=True)
 
 
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
-    """Write a versioned text checkpoint (architecture, alpha/beta, flat weights).
-
-    `load_checkpoint` reads finite weights only, so a warp with a non-finite
-    weight is refused before the file is opened.
-    """
-    theta = params.theta[:-2]  # block parameters only; alpha/beta are header fields
-    _check_finite_weights(path, theta)
+    """Write a versioned text checkpoint (architecture, alpha/beta, flat weights)."""
     lines = [
         f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",
         f"hidden = {params.hidden}",
@@ -599,16 +582,9 @@ def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
         f"seed = {seed}",
         "params:",
     ]
-    lines.extend(repr(float(v)) for v in theta)
+    lines.extend(repr(float(v)) for v in params.theta[:-2])  # alpha and beta are header fields
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _check_finite_weights(path, theta: np.ndarray) -> None:
-    """Raise a ValueError naming the file and the first non-finite weight's index."""
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise ValueError(f"{path}: non-finite weight at index {bad[0]}")
 
 
 def _parse(path, what: str, text: str, kind):
@@ -648,15 +624,8 @@ def load_checkpoint(path) -> tuple[FlowParams, int]:
             raise ValueError(f"{path}: header key {key!r} is missing")
         fields.append(_parse(path, f"header key {key!r}", header[key], kind))
     hidden, n_blocks, margin, alpha, beta, seed = fields
-    if hidden < 1 or n_blocks < 1:
-        raise ValueError(f"{path}: hidden and blocks must be >= 1, got {hidden} and {n_blocks}")
-    theta = np.array(
-        [_parse(path, f"weight at index {i}", v, float) for i, v in enumerate(lines[body_at:])]
-    )
-    if theta.size != n_blocks * (3 * hidden + 1):
-        raise ValueError(f"{path}: expected {n_blocks * (3 * hidden + 1)} weights, got {theta.size}")
-    _check_finite_weights(path, theta)
+    theta = [_parse(path, f"weight at index {i}", v, float) for i, v in enumerate(lines[body_at:])]
     try:
-        return _from_vector(np.concatenate([theta, [alpha, beta]]), hidden, n_blocks, margin), seed
+        return _from_vector(np.array(theta + [alpha, beta]), hidden, n_blocks, margin), seed
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -20,9 +20,9 @@ Adam step allocates none: freed, they went back to the system at every step
 the same pages in again.
 
 Adam works on the flat parameter vector theta (`FlowParams.theta`): one
-update of theta, which `flow._project` then re-projects onto the Lip <= margin
-constraint set and reads back as a warp; the trainer never depends on how
-theta is laid out.  Training starts from the exact identity warp (see
+update of theta, which the warp's builder, `flow._from_vector`, re-projects
+onto the Lip <= margin constraint set and reads back as a warp; the trainer
+never depends on how theta is laid out.  Training starts from the exact identity warp (see
 `flow.init_flow_params`), so the iteration-0 loss reproduces the plain
 Hermite trace.  Runs are deterministic for a fixed seed.
 """
@@ -37,9 +37,9 @@ import numpy as np
 
 from .flow import (
     FlowParams,
+    _from_vector,
     _jets_forward,
     _jets_reverse,
-    _project,
     _stage_buffers,
     init_flow_params,
 )
@@ -231,7 +231,7 @@ def adam_step(
     """One bias-corrected Adam update over every parameter (weights, alpha, beta).
 
     The update is made on a fresh theta = `params.theta` - step, which
-    `flow._project` then re-projects onto the Lip <= margin constraint set.
+    `flow._from_vector` then re-projects onto the Lip <= margin constraint set.
     Returns the new state and a warp whose blocks are views of that theta;
     `state` and `params` are left untouched.  Raises ValueError unless the
     gradient and the moments have one entry per parameter of the warp.
@@ -248,8 +248,8 @@ def adam_step(
     denom += _EPS
     step /= denom
     theta = params.theta - step
-    new_params = _project(theta, params.hidden, len(params.blocks), params.lipschitz_margin)
-    return AdamState(m=m, v=v, t=t), new_params
+    hidden, n_blocks, margin = params.hidden, len(params.blocks), params.lipschitz_margin
+    return AdamState(m=m, v=v, t=t), _from_vector(theta, hidden, n_blocks, margin, project=True)
 
 
 def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTrace]:

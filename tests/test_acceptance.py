@@ -50,7 +50,7 @@ from hermflow import (
     harmonic_potential,
     make_trace_loss,
 )
-from hermflow.analysis import build_convergence_report
+from hermflow.analysis import band_average_errors, build_convergence_report
 from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case
 from hermflow.trainer import gradient
 from conftest import finite_diff_gradient, make_feasible_params
@@ -236,6 +236,24 @@ def test_invariant_band_ordering_at_small_n(reports):
     # at any of the small basis sizes either
     for N in range(5, 10):
         assert reports["aug"].band_errors[N][0] <= reports["herm"].band_errors[N][0]
+
+
+def test_invariant_band_ordering_at_three_seeds(sweep, converged_reference):
+    # the same ordering at master seeds 0 (the sweep's), 1 and 2, per-N seeds master + N, with
+    # both band-1 errors measured against the converged N = 160 reference; 5,000 Adam steps
+    config = ExperimentConfig(potential="anharmonic", Q=90)
+    errors = {}
+    for N in range(5, 10):
+        spectra = {0: sweep[N]["aug"]}
+        for master in (1, 2):
+            spectra[master] = solve_case(config, "augmented", N, master + N).eigenvalues
+        plain = band_average_errors(sweep[N]["herm"], converged_reference, 5)[0]
+        for master, warped in spectra.items():
+            errors[master, N] = (band_average_errors(warped, converged_reference, 5)[0], plain)
+    print("band-1 error, augmented / plain, at (master seed, N):",
+          {key: f"{aug:.1e} / {plain:.1e}" for key, (aug, plain) in errors.items()})
+    above = [key for key, (aug, plain) in errors.items() if not aug <= plain]
+    assert not above, f"augmented band-1 error above the plain one at (master seed, N) = {above}"
 
 
 def test_criterion_06_convergence_rate_fits(reports):

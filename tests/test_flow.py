@@ -135,9 +135,7 @@ class TestNormalizeBlock:
 
     def test_scales_match_power_method(self, rng):
         # rank-one weights: the closed-form norm gives the general matrix norm's scales,
-        # and the bits of np.linalg.norm's
-        from hermflow.flow import _block_scales
-
+        # and the rescaled weights have the bits of a scale from np.linalg.norm's
         c = 0.97
         for factor in (0.5, 0.99, 1.01, 4.0):  # both sides of sqrt(c)
             for h in (1, 7, 128):
@@ -145,12 +143,13 @@ class TestNormalizeBlock:
                 w_out = rng.normal(size=(1, h))
                 w_in *= factor * np.sqrt(c) / np.linalg.norm(w_in)
                 w_out *= factor * np.sqrt(c) / np.linalg.norm(w_out)
-                block = ResidualBlock(w_in, np.zeros(h), w_out, 0.0)
+                scaled = normalize_block(ResidualBlock(w_in, np.zeros(h), w_out, 0.0), c)
                 target = np.sqrt(c)
-                expected = [min(1.0, target / np.linalg.norm(w, 2)) for w in (w_in, w_out)]
-                np.testing.assert_allclose(_block_scales(block.w_in, block.w_out, c), expected, rtol=1e-14, atol=0)
-                exact = [1.0 if (n := np.linalg.norm(w)) <= target else target / n for w in (w_in, w_out)]
-                assert np.array(_block_scales(w_in, w_out, c)).tobytes() == np.array(exact).tobytes()
+                for w, got in ((w_in, scaled.w_in), (w_out, scaled.w_out)):
+                    expected = w * min(1.0, target / np.linalg.norm(w, 2))
+                    np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
+                    exact = w if (n := np.linalg.norm(w)) <= target else w * (target / n)
+                    assert got.tobytes() == exact.tobytes()
 
     def test_bad_margin_rejected(self):
         with pytest.raises(ValueError):
@@ -374,14 +373,19 @@ class TestInitialization:
 
     @pytest.mark.parametrize("margin", [0.0, 1.0, -0.5, math.nan])
     def test_margin_must_lie_in_unit_interval(self, margin):
-        # refused by the re-projection, before any square root of the margin
-        with pytest.raises(ValueError, match=r"contraction constant must lie in \(0, 1\)"):
+        # refused by the builder, before any square root of the margin
+        with pytest.raises(ValueError, match=r"lipschitz_margin must lie in \(0, 1\)"):
             init_flow_params(hidden=4, lipschitz_margin=margin)
 
     @pytest.mark.parametrize("widths", [(8, 4), (), (0,)])
     def test_blocks_share_one_positive_width(self, widths):
         blocks = [ResidualBlock(np.zeros((h, 1)), np.zeros(h), np.zeros((1, h)), 0.0) for h in widths]
-        with pytest.raises(ValueError, match=re.escape(f"got widths {list(widths)}")):
+        message = {
+            (8, 4): "block 1: w_in, b_in, w_out, b_out hold (4, 4, 4, 1) values, not (8, 8, 8, 1)",
+            (): "one or more blocks of a positive width, got 0 of 0",
+            (0,): "one or more blocks of a positive width, got 1 of 0",
+        }[widths]
+        with pytest.raises(ValueError, match=re.escape(message)):
             FlowParams(blocks, 5.0, 0.0, 0.97)
         # nor can a block of another width join a built warp
         params = zero_block_params(hidden=8)
@@ -389,16 +393,45 @@ class TestInitialization:
             params.blocks.append(zero_block_params(hidden=4).blocks[0])
         assert params.n_parameters == params.theta.size == 3 * 8 + 3
 
+    @pytest.mark.parametrize("index,value", [(5, math.nan), (12, math.inf)])  # b_in[1], b_out
+    def test_non_finite_weight_is_refused_when_built(self, index, value):
+        # so no warp that reaches save_checkpoint has one
+        params = init_flow_params(hidden=4, alpha=3.0)
+        theta = params.theta.copy()
+        theta[index] = value
+        with pytest.raises(ValueError, match=f"^non-finite weight at index {index}$"):
+            params.with_vector(theta)
+        blocks = [ResidualBlock(theta[:4].reshape(4, 1), theta[4:8], theta[8:12].reshape(1, 4), theta[12])]
+        with pytest.raises(ValueError, match=f"^non-finite weight at index {index}$"):
+            FlowParams(blocks, 3.0, 0.0)
+
+    def test_block_arrays_must_hold_its_width(self):
+        # w_in holds 4 values, b_in 3 and w_out 5: 13 in all, as a block of width 4 does, so
+        # its theta would read as b_in = [0, 1, 2, 0.2] and w_out = four 0.2s
+        block = ResidualBlock(np.full((4, 1), 0.1), np.arange(3.0), np.full((1, 5), 0.2), 7.0)
+        message = "block 0: w_in, b_in, w_out, b_out hold (4, 3, 5, 1) values, not (4, 4, 4, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FlowParams([block], 2.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            normalize_block(block, 0.97)
+
+    @pytest.mark.parametrize("hidden,n_blocks", [(0, 1), (4, 0)])
+    def test_a_warp_has_a_block_of_positive_width(self, hidden, n_blocks):
+        with pytest.raises(ValueError, match=f"got {n_blocks} of {hidden}$"):
+            init_flow_params(hidden=hidden, n_blocks=n_blocks, alpha=2.0)
+
 
 class TestLipschitzCheck:
-    """Every way of building a warp checks Lip <= margin once, and none rescales."""
+    """Every way of building a warp checks Lip <= margin once, and only a projecting build
+    (a fresh warp, an Adam step's, `normalize_block`'s) rescales."""
 
     @pytest.mark.parametrize("margin", [0.97, 0.5])
     def test_projected_theta_is_accepted_unchanged(self, rng, margin):
-        # each width from 1 to 512, its weights 1 to 50 times sqrt(margin) before `_project`.
-        # A projected norm summed again reads up to 4 ulp over sqrt(margin), so the check
-        # allows 16 eps (`flow._NORM_SLACK`); re-projecting would move these bits
-        from hermflow.flow import _project
+        # each width from 1 to 512, its weights 1 to 50 times sqrt(margin) before the
+        # builder projects them.  A projected norm summed again reads up to 4 ulp over
+        # sqrt(margin), so the check allows 16 eps (`flow._NORM_SLACK`); re-projecting
+        # would move these bits
+        from hermflow.flow import _from_vector
 
         for h in range(1, 513):
             for scale in (1.0, 1.5, 50.0, rng.uniform(1.0, 50.0)):
@@ -406,7 +439,7 @@ class TestLipschitzCheck:
                 for w in (theta[:h], theta[2 * h : 3 * h]):
                     w *= scale * math.sqrt(margin) / np.linalg.norm(w)
                 theta[-2] = 5.0
-                projected = _project(theta, h, 1, margin)
+                projected = _from_vector(theta, h, 1, margin, project=True)
                 kept = projected.theta.tobytes()
                 assert projected.with_vector(projected.theta).theta.tobytes() == kept
                 rebuilt = FlowParams(projected.blocks, projected.alpha, projected.beta, margin)
@@ -461,7 +494,8 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         lines[line] = text  # header alpha, header beta, or the last weight
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        name, index = {4: ("alpha", 25), 5: ("beta", 26), -1: ("weight", 24)}[line]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite {name} at index {index}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("hidden,blocks", [(0, 1), (4, 0)])
@@ -531,7 +565,7 @@ class TestCheckpoint:
         [
             ("version", "unsupported checkpoint version 'hermflow-checkpoint v2'"),
             ("parameter section", "missing parameter section"),
-            ("last weight", "expected 25 weights, got 24"),
+            ("last weight", "expected 27 parameters, got shape (26,)"),
             ("doubled w_in", "block 0: |w_in| = 1.67431 exceeds sqrt(lipschitz_margin) = 0.984886"),
         ],
     )
@@ -550,16 +584,6 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             load_checkpoint(path)
-
-    @pytest.mark.parametrize("index,value", [(5, math.nan), (12, math.inf)])  # b_in[1], b_out
-    def test_save_refuses_non_finite_weight(self, tmp_path, index, value):
-        params = init_flow_params(hidden=4, alpha=3.0)
-        theta = params.theta.copy()
-        theta[index] = value
-        path = tmp_path / "flow.txt"
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*index {index}$"):
-            save_checkpoint(params.with_vector(theta), path)
-        assert not path.exists()
 
     def test_version_line_present(self, tmp_path):
         params = zero_block_params(hidden=3)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from hermflow import (
 from hermflow import trainer
 from hermflow.cli import ExperimentConfig, solve_case
 from hermflow.trainer import TrainingAborted
-from hermflow.flow import _block_scales, _jets_forward, _stage_buffers
+from hermflow.flow import _jets_forward, _stage_buffers
 from conftest import complex_params, complex_step_gradient, finite_diff_gradient, make_feasible_params
 
 
@@ -364,7 +365,8 @@ class TestAdamStep:
         rng = np.random.default_rng(21)
         params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
         params = push_out(params, 1, lr=1.0)
-        assert 1.0 not in _block_scales(params.blocks[1].w_in, params.blocks[1].w_out, 0.97)
+        for w in (params.blocks[1].w_in, params.blocks[1].w_out):
+            assert math.sqrt(w.ravel().dot(w.ravel())) > math.sqrt(0.97)  # a second projection would move w
         path = tmp_path / "warp.txt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)[0]
