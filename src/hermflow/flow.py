@@ -21,6 +21,10 @@ weights are rank-one, so each stage's hidden layer is an outer product and
 every sum over hidden units is a matrix-vector product.  The fixed-point
 inverse evaluates each residual k(z) with the forward sweep's stage code.
 
+The stage code holds the pre-activation negated (see `_swish`), and the jets and
+their adjoints as (3, points) arrays.  The reverse sweep assumes every point lies
+inside the interval, as its one caller, `trainer.gradient`, checks.
+
 The stage code writes each stage's (hidden, points) arrays, and the small
 operands of its matrix products, into stage buffers, which a caller that
 sweeps more than once owns and passes again, rather than into fresh
@@ -137,12 +141,7 @@ class FlowParams:
 
 # The flat parameter vector theta, which checkpoints, gradients and Adam all use:
 # per block a row of 3h + 1 values, w_in (h), b_in (h), w_out (h) and b_out; then
-# alpha and beta.  `_to_vector` writes it and `_from_vector` reads it.
-
-
-def _to_vector(rows, alpha, beta) -> np.ndarray:
-    """theta from each block's (w_in, b_in, w_out, b_out), in block order, and alpha and beta."""
-    return np.concatenate([np.ravel(p) for row in rows for p in row] + [[alpha, beta]], dtype=float)
+# alpha and beta.  `_block_vector` and `_jets_reverse` write it, `_from_vector` reads it.
 
 
 def _block_vector(blocks, alpha, beta) -> tuple[int, np.ndarray]:
@@ -152,7 +151,8 @@ def _block_vector(blocks, alpha, beta) -> tuple[int, np.ndarray]:
     for k, b in enumerate(blocks):
         if (sizes := tuple(map(np.size, (b.w_in, b.b_in, b.w_out, b.b_out)))) != (h, h, h, 1):
             raise ValueError(f"block {k}: w_in, b_in, w_out, b_out hold {sizes} values, not {h, h, h, 1}")
-    return h, _to_vector([(b.w_in, b.b_in, b.w_out, b.b_out) for b in blocks], alpha, beta)
+    parts = [np.ravel(p) for b in blocks for p in (b.w_in, b.b_in, b.w_out, b.b_out)]
+    return h, np.concatenate(parts + [[alpha, beta]], dtype=float)
 
 
 def _from_vector(
@@ -168,8 +168,8 @@ def _from_vector(
     h, n = hidden, n_blocks * (3 * hidden + 1) + 2
     if theta.shape != (n,):
         raise ValueError(f"expected {n} parameters, got shape {theta.shape}")
-    if not (finite := np.isfinite(theta)).all():
-        i = int(np.flatnonzero(~finite)[0])
+    if not math.isfinite(theta @ theta) and (bad := np.flatnonzero(~np.isfinite(theta))).size:
+        i = int(bad[0])  # a non-finite entry makes theta @ theta non-finite; so may an overflow
         raise ValueError(f"non-finite {({n - 2: 'alpha', n - 1: 'beta'}).get(i, 'weight')} at index {i}")
     if not 0.0 < margin < 1.0:
         raise ValueError(f"lipschitz_margin must lie in (0, 1), got {margin}")
@@ -218,10 +218,9 @@ def lipswish(x):
 
 
 def _stage_shapes(hidden: int, points: int) -> list:
-    """Shapes of a stage's buffers: pre, sig, sig1, sig2, f0, f1, f2, f3, a scratch array
-    and d = 1 - 2 sig, all (hidden, points); the pre-activation's operands, (hidden, 2)
-    and (2, points); and the reverse sweep's three (points, 2) operands."""
-    return [(hidden, points)] * 10 + [(hidden, 2), (2, points)] + [(points, 2)] * 3
+    """Shapes of a stage's buffers: npre, sig, sig1, sig2, nf0, f1, f2, f3, a scratch array and
+    d = 1 - 2 sig, all (hidden, points); the sweeps' product operands and reverse products."""
+    return [(hidden, points)] * 10 + [(hidden, 2), (2, points), (6, points), (3, 3, hidden)]
 
 
 def _stage_buffers(shape, dtype=float) -> list:
@@ -244,44 +243,43 @@ def _stage_views(store: list, hidden: int, points: int) -> list:
 
 # The stage code writes every (hidden, points) array into its stage buffers by
 # ufunc `out=`, in the order of operations of the expression quoted beside it,
-# so reused buffers give the same bits as fresh arrays.
+# so reused buffers give the same bits as fresh arrays.  With npre = -pre, sigma takes no
+# negation pass, nf0 = -f0, and f_k = ... + pre s_k is ... - npre s_k: the same bits.
 
 
 def _swish(buf):
-    """sig = sigma(pre) and f0 = f(pre) = pre sig, where lipswish = f / 1.1."""
-    pre, sig, _, _, f0 = buf[:5]
-    np.negative(pre, out=sig)
-    np.exp(sig, out=sig)
+    """sig = sigma(pre) and nf0 = -f(pre) = npre sig from npre = -pre, where lipswish = f / 1.1."""
+    npre, sig, _, _, nf0 = buf[:5]
+    np.exp(npre, out=sig)
     np.add(1.0, sig, out=sig)
     np.divide(1.0, sig, out=sig)  # 1 / (1 + exp(-pre))
-    np.multiply(pre, sig, out=f0)
+    np.multiply(npre, sig, out=nf0)
 
 
 def _swish_derivatives(buf):
     """sig1, sig2, f1, f2 = sigma', sigma'', f' and f'' at pre, given sig; d = 1 - 2 sig
     and the scratch array's 2 sig1 are left for `_swish_third_derivative`."""
-    pre, sig, sig1, sig2, _, f1, f2, _, tmp, d = buf[:10]
-    np.subtract(1.0, sig, out=sig1)
-    np.multiply(sig, sig1, out=sig1)  # sig (1 - sig)
-    np.multiply(2.0, sig, out=d)
-    np.subtract(1.0, d, out=d)
+    npre, sig, sig1, sig2, _, f1, f2, _, tmp, d = buf[:10]
+    np.subtract(1.0, sig, out=d)
+    np.multiply(sig, d, out=sig1)  # sig (1 - sig)
+    np.subtract(d, sig, out=d)  # (1 - sig) - sig
     np.multiply(sig1, d, out=sig2)  # sig1 (1 - 2 sig)
-    np.multiply(pre, sig1, out=f1)
-    np.add(sig, f1, out=f1)  # sig + pre sig1
+    np.multiply(npre, sig1, out=f1)
+    np.subtract(sig, f1, out=f1)  # sig + pre sig1
     np.multiply(2.0, sig1, out=tmp)
-    np.multiply(pre, sig2, out=f2)
-    np.add(tmp, f2, out=f2)  # 2 sig1 + pre sig2
+    np.multiply(npre, sig2, out=f2)
+    np.subtract(tmp, f2, out=f2)  # 2 sig1 + pre sig2
 
 
 def _swish_third_derivative(buf):
     """f3 = f''' at pre, from what `_swish_derivatives` left in the same buffers."""
-    pre, _, sig1, sig2, _, _, _, f3, tmp, d = buf[:10]
+    npre, _, sig1, sig2, _, _, _, f3, tmp, d = buf[:10]
     np.multiply(tmp, sig1, out=f3)  # (2 sig1) sig1
     np.multiply(sig2, d, out=tmp)
     np.subtract(tmp, f3, out=tmp)
-    np.multiply(pre, tmp, out=tmp)
+    np.multiply(npre, tmp, out=tmp)
     np.multiply(3.0, sig2, out=f3)
-    np.add(f3, tmp, out=f3)  # 3 sig2 + pre (sig2 (1 - 2 sig) - 2 sig1 sig1)
+    np.subtract(f3, tmp, out=f3)  # 3 sig2 + pre (sig2 (1 - 2 sig) - 2 sig1 sig1)
 
 
 def spectral_norm(W: np.ndarray) -> float:
@@ -310,13 +308,13 @@ def normalize_block(block: ResidualBlock, c: float) -> ResidualBlock:
 
 
 def _preactivation(a, b_in, z0, buf):
-    """pre0 = a z0 + b_in into `buf[0]`, as one rank-two product [a b_in] @ [z0; 1]
+    """npre0 = -(a z0 + b_in) into `buf[0]`, as one rank-two product [a b_in] @ [-z0; -1]
     (cheaper than an outer product) of operands written into `buf[10]` and `buf[11]`."""
     lhs, rhs = buf[10], buf[11]
     lhs[:, 0] = a
     lhs[:, 1] = b_in
-    rhs[0] = z0
-    rhs[1] = 1.0
+    np.negative(z0, out=rhs[0])
+    rhs[1] = -1.0
     np.matmul(lhs, rhs, out=buf[0])
 
 
@@ -351,8 +349,8 @@ def _residual(block: ResidualBlock, a, c, z, store):
         buf = _stage_views(store, a.size, chunk.size)
         _preactivation(a, block.b_in, chunk, buf)
         _swish(buf)
-        k[lo : lo + step] = c @ buf[4]
-    return k + block.b_out
+        np.matmul(c, buf[4], out=k[lo : lo + step])  # c.nf0 = -c.f0
+    return block.b_out - k
 
 
 def _map_jets(params: FlowParams, x: np.ndarray):
@@ -373,7 +371,7 @@ def _map_jets(params: FlowParams, x: np.ndarray):
 
 
 def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
-    """Forward sweep: ((G, G', G''), what `_jets_reverse` needs) at the points x.
+    """Forward sweep: ((G, G', G'') as a (3, points) array, what `_jets_reverse` needs).
 
     In a stage with weights a = w_in and c = w_out / 1.1 (lipswish is f(p)/1.1
     with f(p) = p sigmoid(p)), the pre-activations are
@@ -394,80 +392,95 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     alpha, beta = params.alpha, params.beta
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     raw = (x - beta) / alpha
-    inside = ((raw > lo) & (raw < hi)).astype(float)
-    t0 = np.clip(raw, lo, hi)
-    t1 = inside / alpha
+    t0 = np.minimum(np.maximum(raw, lo), hi)  # np.clip's bits, NaN included, at a third of its cost
+    t1 = (np.abs(raw) < hi) / alpha  # 1/alpha inside the interval (lo = -hi), 0 outside
     up = 1.0 / (1.0 - t0 * t0)
-    z0, z1, z2 = np.arctanh(t0), up * t1, 2.0 * t0 * up * up * t1 * t1
+    z = np.empty((3, x.size), raw.dtype)
+    np.arctanh(t0, out=z[0])
+    z1 = np.multiply(up, t1, out=z[1])
+    np.multiply((t0 + t0) * z1, z1, out=z[2])  # 2 t0 up^2 t1^2
     stages = []
     for block, buf in zip(params.blocks, buffers, strict=True):
-        a, c = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1
-        u = c * a
-        v = u * a
-        _preactivation(a, block.b_in, z0, buf)
+        a = block.w_in.ravel()
+        cuv = np.multiply.accumulate(np.array((block.w_out.ravel() / 1.1, a, a, a)))  # c, u, v, v a
+        _preactivation(a, block.b_in, z[0], buf)
         _swish(buf)
         _swish_derivatives(buf)
-        p1, p2 = u @ buf[5], v @ buf[6]
-        stages.append((a, c, u, v, z0, z1, z2, buf, p1, p2))
-        z0, z1, z2 = z0 + c @ buf[4] + block.b_out, z1 + z1 * p1, z2 + z1 * z1 * p2 + z2 * p1
-    g = np.tanh(z0)
+        p1, p2 = cuv[1].dot(buf[5]), cuv[2].dot(buf[6])
+        stages.append((a, cuv, z, buf, p1, p2))
+        dz = z * p1  # rows 1 and 2: z1 p1 and z2 p1
+        np.subtract(block.b_out, cuv[0].dot(buf[4]), out=dz[0])  # c.f0 + b_out
+        dz[2] += z[1] * z[1] * p2
+        z = z + dz
+    r = np.empty((3, x.size), z.dtype)  # g, G'/alpha and G''/alpha
+    g = np.tanh(z[0], out=r[0])
     gp = 1.0 - g * g
     gpp = -2.0 * g * gp
-    d1, d2 = gp * z1, gpp * z1 * z1 + gp * z2  # G'/alpha, G''/alpha
-    jets = (g * alpha + beta, d1 * alpha, d2 * alpha)
-    saved = (raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2, d1, d2)
-    return jets, saved
+    np.multiply(gp, z[1], out=r[1])
+    np.add(gpp * z[1] * z[1], gp * z[2], out=r[2])
+    jets = r * alpha
+    jets[0] += beta
+    return jets, (raw, t0, up, z1, stages, gp, gpp, z, r)
 
 
-def _jets_reverse(params: FlowParams, saved, bar0, bar1, bar2) -> np.ndarray:
+def _jets_reverse(params: FlowParams, saved, bars) -> np.ndarray:
     """Reverse sweep of `_jets_forward`.
 
-    Given the adjoints dL/dG, dL/dG', dL/dG'' at each point, returns dL/dtheta
-    in `params.theta` order, written by `_to_vector`.  A stage's pre0 adjoint is
-    f'(pre0) c z0_bar + f''(pre0) u p1_bar + f'''(pre0) v p2_bar (outer products
-    of hidden and point vectors); it is used only through its sums against 1, z0
-    and a, so it is never formed.
+    Given the (3, points) adjoints dL/dG, dL/dG', dL/dG'' at each point, returns
+    dL/dtheta, each block's adjoint written into its row of theta's layout.  A
+    stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar
+    + f'''(pre0) v p2_bar; it is used only through its sums against 1, z0 and a,
+    so it is never formed.  Every point must lie inside the interval (the entry's
+    clip is then the identity and t1 is 1/alpha), as `trainer.gradient` checks.
     """
-    alpha = params.alpha
-    raw, inside, t0, t1, up, stages, g, gp, gpp, z1, z2, d1, d2 = saved
-    # G = alpha g + beta, G' = alpha d1, G'' = alpha d2 with d1 = gp z1, d2 = gpp z1^2 + gp z2
-    alpha_bar = float(bar0 @ g + bar1 @ d1 + bar2 @ d2)
-    beta_bar = float(bar0.sum())
-    gpp_bar = alpha * bar2 * z1 * z1
-    gp_bar = alpha * (bar1 * z1 + bar2 * z2) - 2.0 * g * gpp_bar
-    g_bar = alpha * bar0 - 2.0 * gp * gpp_bar - 2.0 * g * gp_bar
-    z0_bar = g_bar * gp
-    z1_bar = alpha * (bar1 * gp + 2.0 * bar2 * gpp * z1)
-    z2_bar = alpha * bar2 * gp
-    pieces = []
-    for a, c, u, v, z0, z1, z2, buf, p1, p2 in reversed(stages):
+    alpha, h = params.alpha, params.hidden
+    raw, t0, up, z1_in, stages, gp, gpp, z, r = saved
+    grad = np.empty(params.n_parameters)
+    rows = grad[:-2].reshape(len(stages), 3 * h + 1)
+    b = bars * alpha  # dL/d(g, d1, d2)
+    # d1 = gp z1, d2 = gpp z1^2 + gp z2 with gp = 1 - g^2, gpp = -2 g gp
+    zb = b * gp  # rows 1 and 2 start z1_bar and z2_bar
+    q = b[2] * z[1]
+    e = b[1] * z[1] + b[2] * z[2]  # d(d1, d2)/dg = -2 g (z1, z2) + (0, z1^2 dgpp/dg)
+    g_bar = b[0] - (r[0] + r[0]) * e + q * z[1] * (4.0 - 6.0 * gp)  # dgpp/dg = 6 g^2 - 2
+    np.multiply(g_bar, gp, out=zb[0])
+    zb[1] += (q + q) * gpp
+    for row, (a, cuv, z, buf, p1, p2) in zip(rows[::-1], reversed(stages)):
         # z + k(z): the identity passes the adjoints through, k adds to them
-        p1_bar = z1_bar * z1 + z2_bar * z2
-        p2_bar = z2_bar * z1 * z1
         _swish_third_derivative(buf)
-        f0, f1, f2, f3 = buf[4:8]
-        # m_i = f_i @ [bar, bar z0], with the (points, 2) operands in the stage's buffers
-        for op, bar in zip(buf[12:], (z0_bar, p1_bar, p2_bar)):
-            op[:, 0] = bar
-            np.multiply(bar, z0, out=op[:, 1])
-        m1, m2, m3 = f1 @ buf[12], f2 @ buf[13], f3 @ buf[14]
-        b_in_bar, pre_bar_z0 = (c[:, None] * m1 + u[:, None] * m2 + v[:, None] * m3).T
-        u_bar, v_bar = f1 @ p1_bar, f2 @ p2_bar
-        a_bar = pre_bar_z0 + (u_bar + 2.0 * v_bar * a) * c
-        c_bar = f0 @ z0_bar + (u_bar + v_bar * a) * a
-        pieces.append((a_bar, b_in_bar, (1.0 / 1.1) * c_bar, z0_bar.sum()))
+        (nf0, f1, f2, f3), (w, m) = buf[4:8], buf[12:]
+        # w's rows: z0_bar, p1_bar = z1_bar z1 + z2_bar z2, p2_bar = z2_bar z1^2, each then times z0
+        w[0] = zb[0]
+        np.add(*(zb[1:] * z[1:]), out=w[2])
+        np.multiply(q := zb[2] * z[1], z[1], out=w[4])
+        np.multiply(w[::2], z[0], out=w[1::2])
+        # m_i = [bar, bar z0, next bar] @ f_i^T: pre0_bar's sums against 1 and z0, u_bar, v_bar
+        np.dot(w[0:3], f1.T, out=m[0])
+        np.dot(w[2:5], f2.T, out=m[1])
+        np.dot(w[4:6], f3.T, out=m[2, :2])
+        b_in_bar, pre_bar_z0 = (cuv[:3, None] * m[:, :2]).sum(axis=0)
+        va = m[1, 2] * a
+        s1 = m[0, 2] + va  # u_bar + v_bar a
+        # a_bar = pre_bar.z0 + (u_bar + 2 v_bar a) c, as u = c a and v = c a^2
+        np.add(pre_bar_z0, (s1 + va) * cuv[0], out=row[:h])
+        row[h : 2 * h] = b_in_bar
+        # w_out = 1.1 c, and c_bar = (u_bar + v_bar a) a + f0 @ z0_bar
+        np.multiply(s1 * a - nf0.dot(w[0]), 1.0 / 1.1, out=row[2 * h : 3 * h])
+        row[3 * h] = w[0].sum()
         # z0 gains a.pre0_bar, where u.f' = p1 and v.f'' = p2
-        z0_bar = z0_bar + p1 * z0_bar + p2 * p1_bar + ((v * a) @ f3) * p2_bar
-        z1_bar, z2_bar = z1_bar + z1_bar * p1 + 2.0 * z2_bar * z1 * p2, z2_bar + z2_bar * p1
-    # z0 = atanh(t0), z1 = up t1, z2 = 2 t0 up^2 t1^2 with up = 1/(1 - t0^2)
-    up_bar = z1_bar * t1 + 4.0 * z2_bar * t0 * up * t1 * t1
-    t1_bar = z1_bar * up + 4.0 * z2_bar * t0 * up * up * t1
-    t0_bar = (z0_bar + 2.0 * z2_bar * up * t1 * t1 + 2.0 * up_bar * t0 * up) * up
-    raw_bar = t0_bar * inside
-    # raw = (x - beta)/alpha, t1 = inside/alpha
-    alpha_bar -= float(raw_bar @ raw + t1_bar @ t1) / alpha
-    beta_bar -= float(raw_bar.sum()) / alpha
-    return _to_vector(reversed(pieces), alpha_bar, beta_bar)
+        nb = zb * p1 + zb
+        nb[0] += p2 * w[2] + cuv[3].dot(f3) * w[4]
+        nb[1] += (q + q) * p2
+        zb = nb
+    # z0 = atanh(t0), z1 = up t1, z2 = 2 t0 z1^2 with up = 1/(1 - t0^2), t1 = 1/alpha
+    z0_bar, z1_bar, z2_bar = zb
+    tz = t0 * z1_in
+    z1_bar += 4.0 * tz * z2_bar  # with z2's share
+    raw_bar = (z0_bar + (tz + tz) * z1_bar) * up + 2.0 * z1_in * z1_in * z2_bar  # dup/dt0 = 2 t0 up^2
+    # raw = (x - beta)/alpha and t1 = 1/alpha, with t1_bar t1 = z1_bar z1
+    grad[-2] = (np.vdot(b, r) - raw_bar.dot(raw) - z1_bar.dot(z1_in)) / alpha
+    grad[-1] = (b[0] - raw_bar).sum() / alpha
+    return grad
 
 
 def flow_forward(params: FlowParams, x):
@@ -508,7 +521,7 @@ def flow_inverse(
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
-    w = np.arctanh(np.clip((y - params.beta) / params.alpha, lo, hi))
+    w = np.arctanh(np.minimum(np.maximum((y - params.beta) / params.alpha, lo), hi))
     total_iters = 0
     points = min(y.size, _block_points(params.hidden))
     store = [b.ravel() for b in _stage_buffers((params.hidden, points))]

@@ -76,25 +76,26 @@ class Potential:
     descriptor: str
 
     def __call__(self, x):
-        return _polynomial(self.coefficients, x)
+        return self.value_and_derivative(x)[0]
 
-    def derivative(self, x):
-        return _polynomial(self._slope, x)
+    def value_and_derivative(self, x):
+        """V(x) and V'(x), each with its own bits, from one list of x^k = x^(k - k//2) x^(k//2)."""
+        powers = [1.0, x]
+        for k in range(2, len(self.coefficients)):
+            powers.append(powers[k - k // 2] * powers[k // 2])
+        return _polynomial(self.coefficients, powers), _polynomial(self._slope, powers)
 
     @cached_property
     def _slope(self) -> tuple:
-        """The coefficients k c_k (k >= 1) of V', formed at the first `derivative` call only."""
+        """The coefficients k c_k (k >= 1) of V', formed at the first `value_and_derivative` call only."""
         return tuple(k * c for k, c in enumerate(self.coefficients))[1:]
 
 
-def _polynomial(coefficients, x):
-    """sum_k c_k x^k over the nonzero c_k by ascending degree, with x^k = x^(k - k//2) x^(k//2),
+def _polynomial(coefficients, powers):
+    """sum_k c_k x^k over the nonzero c_k by ascending degree, from powers = [1, x, x^2, ...],
     so 0.5 x^2 + 0.25 x^4 has the bits of 0.5*x*x + 0.25*(x*x)*(x*x), and x + x^3 of x + x*x*x."""
-    powers = [1.0, x]
-    for k in range(2, len(coefficients)):
-        powers.append(powers[k - k // 2] * powers[k // 2])
     terms = [p if c == 1 else c * p for c, p in zip(coefficients, powers) if c]
-    return sum(terms[1:], terms[0]) if terms else 0.0 * x
+    return sum(terms[1:], terms[0]) if terms else 0.0 * powers[1]
 
 
 def harmonic_potential() -> Potential:
@@ -190,9 +191,12 @@ def overlap_matrix(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, f
 
     The warped overlap integral pulls back to the plain Hermite one for any
     warp parameters, so this diagnostic takes none and serves both schemes;
-    deviations measure quadrature underresolution only.
+    deviations measure quadrature underresolution only.  The rule's table holds
+    phi_0 .. phi_Q, so a table is built only for N > Q + 1.
     """
-    B = eval_hermite_functions(spec.size - 1, rule.nodes) * np.sqrt(rule.lifted_weights)
+    N = spec.size
+    phi = rule.hermite_table[:N] if N <= rule.order + 1 else eval_hermite_functions(N - 1, rule.nodes)
+    B = phi * np.sqrt(rule.lifted_weights)
     S = B @ B.T
-    dev = float(np.abs(S - np.eye(spec.size)).max())
+    dev = float(np.abs(S - np.eye(N)).max())
     return S, dev

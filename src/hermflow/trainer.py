@@ -10,9 +10,9 @@ S0 = sum_n phi_n^2, S1 = sum_n phi_n phi_n', S2 = sum_n phi_n'^2.  The sum
 of Ritz values bounds the sum of true eigenvalues from above, so driving the
 trace down tightens every level at once.
 
-The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node,
-computed with the loss by one head) pulled back through the map's jets by
-their hand-written reverse sweep (`flow._jets_reverse`).  Both sweeps write
+The gradient is the loss head's adjoint (dL/dG, dL/dG', dL/dG'' per node, one
+(3, Q) array computed with the loss by one head) pulled back through the map's
+jets by their hand-written reverse sweep (`flow._jets_reverse`).  Both sweeps write
 their (hidden, Q) arrays and the small operands of their matrix products into
 stage buffers that the `TraceLoss` keeps from one call to the next, so an
 Adam step allocates none: freed, they went back to the system at every step
@@ -157,34 +157,43 @@ class TraceLoss:
     potential: Potential
     # one set of stage buffers per stage for the sweeps, kept from call to call
     _stages: list = field(default_factory=list, init=False, repr=False)
-    # w s0, the constant left factor of dL/dG = (w s0) V'(G), formed once
-    _w_s0: np.ndarray = field(init=False, repr=False)
+    # the head's node constants, formed once: w s0 (dL/dG = w s0 V'(G)) and the rows of `head`
+    _consts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_w_s0", self.weights * self.s0)
+        s0, s1, s2 = self.s0, self.s1, self.s2
+        rows = [1.5 * s1, 0.25 * s0, 0.5 * s1], [s2, 0.5 * s1, 0.5 * s2], [0.5 * s0, 0.125 * s0]
+        object.__setattr__(self, "_consts", (self.weights * s0, *map(np.array, rows)))
 
     def stage_buffers(self, params: FlowParams) -> list:
         """Stage buffers for `params` at the nodes, made on first use and then reused."""
-        shapes = [(params.hidden, self.nodes.size)] * len(params.blocks)
-        if [buf[0].shape for buf in self._stages] != shapes:
-            self._stages[:] = [_stage_buffers(shape) for shape in shapes]
-        return self._stages
+        stages, shape = self._stages, (params.hidden, self.nodes.size)
+        if len(stages) != len(params.blocks) or stages[0][0].shape != shape:  # all stages share one shape
+            stages[:] = [_stage_buffers(shape) for _ in params.blocks]
+        return stages
 
     def head(self, g, g1, g2):
-        """The loss, and dL/dG, dL/dG' and dL/dG'' at each node, from the jets at the nodes.
+        """The loss and the (3, nodes) array of dL/dG, dL/dG', dL/dG'', from the jets at the nodes.
 
-        r = G''/G', r^2, G'^2 and w/G'^3 are formed once for both.
+        r = G''/G', r^2, G'^2, w/G'^3, V and V' are formed once for both; each row of node
+        constants times r or r^2 keeps the bits of the expression it stands for.
         """
+        w_s0, r_rows, less_rows, rr_rows = self._consts
         r = g2 / g1
         rr = r * r
         g1g1 = g1 * g1
-        kinetic = 0.5 * (self.s2 - self.s1 * r + 0.25 * self.s0 * rr) / g1g1
-        value = ((kinetic + self.s0 * self.potential(g)) * self.weights).sum()
+        brackets = r_rows * r  # 1.5 s1 r, 0.25 s0 r, 0.5 s1 r
+        brackets -= less_rows  # less s2, 0.5 s1, 0.5 s2
+        by_rr = rr_rows * rr  # 0.5 s0 r^2, 0.125 s0 r^2
+        brackets[0] -= by_rr[0]
+        kinetic = (by_rr[1] - brackets[2]) / g1g1  # (0.5 s2 - 0.5 s1 r + 0.125 s0 r^2) / G'^2
+        v, dv = self.potential.value_and_derivative(g)
+        value = ((kinetic + self.s0 * v) * self.weights).sum()
         w_inv3 = self.weights * (1.0 / (g1g1 * g1))
-        bar0 = self._w_s0 * self.potential.derivative(g)
-        bar1 = w_inv3 * (1.5 * self.s1 * r - self.s2 - 0.5 * self.s0 * rr)
-        bar2 = w_inv3 * (0.25 * self.s0 * r - 0.5 * self.s1)
-        return value, (bar0, bar1, bar2)
+        bars = np.empty((3, g.size), np.result_type(w_inv3, dv))
+        np.multiply(w_s0, dv, out=bars[0])
+        np.multiply(w_inv3, brackets[:2], out=bars[1:])
+        return value, bars
 
     def __call__(self, params: FlowParams):
         return self.head(*_jets_forward(params, self.nodes, self.stage_buffers(params))[0])[0]
@@ -213,12 +222,11 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
             raise FloatingPointError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={loss.nodes[q]})")
     value, bars = loss.head(*jets)
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FloatingPointError(f"loss evaluated to a non-finite value: {value}")
-    grad = _jets_reverse(params, saved, *bars)
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-        raise FloatingPointError(f"non-finite adjoint at parameter index {bad}")
+    grad = _jets_reverse(params, saved, bars)
+    if not math.isfinite(grad @ grad) and (bad := np.flatnonzero(~np.isfinite(grad))).size:
+        raise FloatingPointError(f"non-finite adjoint at parameter index {int(bad[0])}")  # grad @ grad may overflow
     return value, grad
 
 
@@ -280,7 +288,7 @@ def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTra
             raise TrainingAborted(f"training aborted: {exc}", trace, params) from exc
         state, params = adam_step(state, grad, params, config.learning_rate)
         losses.append(value)
-        grad_norms.append(float(np.linalg.norm(grad)))
+        grad_norms.append(math.sqrt(grad @ grad))  # np.linalg.norm's bits
         wall_ms.append((time.perf_counter() - tick) * 1e3)
     trace = TrainingTrace(np.array(losses), np.array(grad_norms), np.array(wall_ms))
     return params, trace

@@ -54,11 +54,11 @@ class TestLipswish:
         h1, h2 = 1e-5, 1e-4  # wider step for the second difference (roundoff)
         xs = [-2.3, -0.4, 0.0, 0.9, 3.1]
         buf = _stage_buffers((1, len(xs)))
-        buf[0][0] = xs
+        buf[0][0] = np.negative(xs)  # the stage code holds the negated pre-activation
         _swish(buf)
         _swish_derivatives(buf)
-        for x, f0, f1, f2 in zip(xs, buf[4][0], buf[5][0], buf[6][0]):
-            assert f0 / 1.1 == pytest.approx(lipswish(x), rel=1e-14)
+        for x, nf0, f1, f2 in zip(xs, buf[4][0], buf[5][0], buf[6][0]):
+            assert -nf0 / 1.1 == pytest.approx(lipswish(x), rel=1e-14)
             d1 = (lipswish(x + h1) - lipswish(x - h1)) / (2 * h1)
             d2 = (lipswish(x + h2) - 2 * lipswish(x) + lipswish(x - h2)) / h2**2
             assert f1 / 1.1 == pytest.approx(d1, abs=1e-9)
@@ -404,6 +404,15 @@ class TestInitialization:
         blocks = [ResidualBlock(theta[:4].reshape(4, 1), theta[4:8], theta[8:12].reshape(1, 4), theta[12])]
         with pytest.raises(ValueError, match=f"^non-finite weight at index {index}$"):
             FlowParams(blocks, 3.0, 0.0)
+
+    def test_finite_weights_whose_squares_overflow_are_built(self):
+        # the finiteness check's dot product overflows (numpy warns), and the element-wise
+        # search that follows finds nothing
+        params = init_flow_params(hidden=4, alpha=3.0)
+        theta = params.theta.copy()
+        theta[5] = 1e200  # b_in[1]: biases are not bounded
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert params.with_vector(theta).theta[5] == 1e200
 
     def test_block_arrays_must_hold_its_width(self):
         # w_in holds 4 values, b_in 3 and w_out 5: 13 in all, as a block of width 4 does, so

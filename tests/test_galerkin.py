@@ -177,8 +177,20 @@ class TestAssembleHamiltonian:
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params)
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential())
         assert calls == {"functions": 0, "derivatives": 0}  # the rule's table serves
-        overlap_matrix(BasisSpec(12), rule)  # builds its own, so the spy sees it
-        assert calls == {"functions": 1, "derivatives": 0}
+        overlap_matrix(BasisSpec(12), rule)  # so it does for the overlap
+        assert calls == {"functions": 0, "derivatives": 0}
+
+    def test_overlap_builds_a_table_only_beyond_the_rules(self, request):
+        # the rule's table holds phi_0 .. phi_Q: N = Q + 1 slices it, N = Q + 2 builds one,
+        # and either way S has the bits of a product of a freshly built table
+        rule = gauss_hermite_rule(40)
+        calls = request.getfixturevalue("table_builds")
+        for N, builds in ((41, 0), (42, 1)):
+            S, dev = overlap_matrix(BasisSpec(N), rule)
+            assert calls["functions"] == builds
+            B = eval_hermite_functions(N - 1, rule.nodes) * np.sqrt(rule.lifted_weights)
+            assert np.array_equal(S, B @ B.T)
+            assert dev == float(np.abs(B @ B.T - np.eye(N)).max())
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_plain_ladder_equals_assembly_from_a_fresh_table(self):
@@ -274,23 +286,24 @@ class TestPotentialDerivative:
         for x in (nodes, nodes + 1e-40j * rng.standard_normal(90),
                   rng.standard_normal(64) * 4 + 1j * rng.standard_normal(64)):
             assert np.array_equal(harmonic(x), 0.5 * x * x)
-            assert np.array_equal(harmonic.derivative(x), x)
+            assert np.array_equal(harmonic.value_and_derivative(x)[1], x)
             assert np.array_equal(anharmonic(x), 0.5 * x * x + 0.25 * (x * x) * (x * x))
-            assert np.array_equal(anharmonic.derivative(x), x + x * x * x)
+            assert np.array_equal(anharmonic.value_and_derivative(x)[1], x + x * x * x)
+            assert np.array_equal(anharmonic.value_and_derivative(x)[0], anharmonic(x))
 
     def test_derivative_is_read_from_the_coefficients(self):
         assert [f.name for f in dataclasses.fields(Potential)] == ["coefficients", "descriptor"]
         cubic = Potential((1.0, -2.0, 0.0, 3.0), "1 - 2x + 3x^3")
         x = np.linspace(-2.0, 2.0, 9)
         np.testing.assert_allclose(cubic(x), 1.0 - 2.0 * x + 3.0 * x**3, rtol=1e-15, atol=1e-15)
-        np.testing.assert_allclose(cubic.derivative(x), -2.0 + 9.0 * x**2, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(cubic.value_and_derivative(x)[1], -2.0 + 9.0 * x**2, rtol=1e-15, atol=1e-15)
 
     def test_builtins_match_central_differences(self):
         x = np.linspace(-6.0, 6.0, 25)
         h = 1e-5
         for V in (harmonic_potential(), anharmonic_potential()):
             fd = (V(x + h) - V(x - h)) / (2 * h)
-            np.testing.assert_allclose(V.derivative(x), fd, rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(V.value_and_derivative(x)[1], fd, rtol=1e-8, atol=1e-8)
 
 
 class TestPotentialDescriptors:

@@ -152,6 +152,28 @@ class TestAdjointGradient:
             with pytest.raises(FloatingPointError, match=rf"G' = 0.0 <= 0 at node {node} \(x={rule.nodes[node]}\)"):
                 trainer.gradient(loss, params)
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e200])
+    def test_non_finite_adjoint_names_its_index(self, monkeypatch, value):
+        # the check is one dot product, which a finite 1e200 overflows (numpy warns): only the
+        # element-wise search that follows decides, and names the index
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = init_flow_params(hidden=4, alpha=1.05 * float(np.abs(rule.nodes).max()))
+        reverse = trainer._jets_reverse
+
+        def corrupted(*args):
+            grad = reverse(*args)
+            grad[3] = value
+            return grad
+
+        monkeypatch.setattr(trainer, "_jets_reverse", corrupted)
+        if math.isfinite(value):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert trainer.gradient(loss, params)[1][3] == value
+        else:
+            with pytest.raises(FloatingPointError, match=r"^non-finite adjoint at parameter index 3$"):
+                trainer.gradient(loss, params)
+
 
 class TestGradient:
     """The adjoint `hermflow.gradient` (`trainer.gradient`) against central differences."""
@@ -236,6 +258,26 @@ class TestStageBuffers:
             tracemalloc.stop()
         assert peak < 128 * 90 * 8
 
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_warm_step_allocates_less_than_one_stage_array(self, rng, n_blocks):
+        # a whole training step, gradient and Adam: a (hidden, Q) array allocated and freed
+        # per step would fault its pages in at every step, or, at 128 KB and more, move
+        # glibc's thresholds
+        rule = gauss_hermite_rule(90)
+        loss = make_trace_loss(5, rule, anharmonic_potential())
+        params = make_feasible_params(128, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=n_blocks)
+        state = AdamState.init(params.n_parameters)
+        _, grad = trainer.gradient(loss, params)
+        state, params = adam_step(state, grad, params, 1e-3)
+        tracemalloc.start()
+        try:
+            _, grad = trainer.gradient(loss, params)
+            adam_step(state, grad, params, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 90 * 8
+
     def test_reused_buffers_give_the_results_of_fresh_ones(self, rng):
         rule = gauss_hermite_rule(90)
         V = anharmonic_potential()
@@ -259,7 +301,8 @@ class TestStageBuffers:
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng, n_blocks=2)
         buffers = [list(stage) for stage in loss.stage_buffers(params)]
         # ten (hidden, Q) stage arrays, then the operands of the sweeps' matrix products
-        shapes = [(8, 30)] * 10 + [(8, 2), (2, 30)] + [(30, 2)] * 3
+        # and the reverse sweep's (3, 3, hidden) products
+        shapes = [(8, 30)] * 10 + [(8, 2), (2, 30), (6, 30), (3, 3, 8)]
         assert [[b.shape for b in stage] for stage in buffers] == [shapes] * 2
         trainer.gradient(loss, params)
         loss(params)
