@@ -144,30 +144,35 @@ def build_convergence_report(
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path, kind: str, columns: str, rows, labels: int) -> None:
-    """`# hermflow <kind> csv v1`, the columns, then rows: `labels` fields by str, the rest by repr."""
-    line = ",".join(["%s"] * labels + ["%r"] * (columns.count(",") + 1 - labels)) + "\n"
+def write_csv(path, kind: str, columns: str, lines) -> None:
+    """`# hermflow <kind> csv v1`, the columns, then the lines, each ending in a newline, by one
+    `writelines`, which never holds a generator's lines whole.  The writers format labels by
+    str and values by repr(float(.)), so numpy scalars print as plain numbers."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# hermflow {kind} csv v1\n{columns}\n")
-        for row in rows:
-            fh.write(line % (*row[:labels], *map(float, row[labels:])))
+        fh.writelines(lines)
 
 
 def write_spectra_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, n, E)."""
-    write_csv(path, "spectra", "scheme,N,n,E", rows, labels=3)
+    write_csv(path, "spectra", "scheme,N,n,E", (f"{s},{N},{n},{float(E)!r}\n" for s, N, n, E in rows))
 
 
 def write_rates_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, e_N); undefined ratios written as nan."""
-    write_csv(path, "rates", "scheme,N,e_N", rows, labels=2)
+    write_csv(path, "rates", "scheme,N,e_N", (f"{s},{N},{float(e)!r}\n" for s, N, e in rows))
 
 
 def write_fits_csv(path, rows) -> None:
     """rows: iterable of (scheme, slope, intercept)."""
-    write_csv(path, "fits", "scheme,slope,intercept", rows, labels=1)
+    write_csv(path, "fits", "scheme,slope,intercept", (f"{s},{float(a)!r},{float(b)!r}\n" for s, a, b in rows))
 
 
 def write_bands_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, band, abs_error, rel_error)."""
-    write_csv(path, "bands", "scheme,N,band,abs_error,rel_error", rows, labels=3)
+    write_csv(
+        path,
+        "bands",
+        "scheme,N,band,abs_error,rel_error",
+        (f"{s},{N},{b},{float(a)!r},{float(r)!r}\n" for s, N, b, a, r in rows),
+    )

@@ -199,7 +199,7 @@ def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) 
     if case.params is not None:
         case.training.write_csv(outdir / f"trace_augmented_N{N}.csv")
         save_checkpoint(case.params, outdir / f"checkpoint_augmented_N{N}.txt", seed=seed)
-    return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues)]
+    return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues.tolist())]
 
 
 def cmd_solve(config: ExperimentConfig) -> int:

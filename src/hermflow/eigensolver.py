@@ -55,7 +55,9 @@ def eigh(M: np.ndarray) -> Spectrum:
         vals, vecs = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SolverError(f"eigendecomposition did not converge: {exc}") from exc
-    residual = np.abs(M @ vecs - vecs * vals).max(initial=0.0)
+    R = M @ vecs
+    R -= vecs * vals
+    residual = np.abs(R, out=R).max(initial=0.0)
     scale = 1.0 + np.abs(M).max(initial=0.0)
     if residual > _RESIDUAL_TOL * scale:
         raise SolverError(f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}*(1+||M||)")

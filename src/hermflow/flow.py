@@ -168,8 +168,8 @@ def _from_vector(
     h, n = hidden, n_blocks * (3 * hidden + 1) + 2
     if theta.shape != (n,):
         raise ValueError(f"expected {n} parameters, got shape {theta.shape}")
-    if not math.isfinite(theta @ theta) and (bad := np.flatnonzero(~np.isfinite(theta))).size:
-        i = int(bad[0])  # a non-finite entry makes theta @ theta non-finite; so may an overflow
+    if not np.isfinite(theta).all():
+        i = int(np.flatnonzero(~np.isfinite(theta))[0])
         raise ValueError(f"non-finite {({n - 2: 'alpha', n - 1: 'beta'}).get(i, 'weight')} at index {i}")
     if not 0.0 < margin < 1.0:
         raise ValueError(f"lipschitz_margin must lie in (0, 1), got {margin}")
@@ -187,13 +187,15 @@ def _from_vector(
                     f"block {k}: |{name}| = {sig:.6g} exceeds sqrt(lipschitz_margin) = {bound:.6g}"
                 )
     theta.flags.writeable = False  # before the blocks' views are taken: views taken earlier stay writable
-    blocks = tuple(
-        ResidualBlock(r[:h].reshape(h, 1), r[h : 2 * h], r[2 * h : -1].reshape(1, h), float(r[-1]))
-        for r in theta[:-2].reshape(n_blocks, 3 * h + 1)
-    )
+    blocks = []
+    for r in theta[:-2].reshape(n_blocks, 3 * h + 1):
+        block = object.__new__(ResidualBlock)  # frozen: its fields are set here, not by field-wise __init__
+        vars(block).update(w_in=r[:h, None], b_in=r[h : 2 * h], w_out=r[None, 2 * h : -1], b_out=float(r[-1]))
+        blocks.append(block)
     params = object.__new__(FlowParams)  # __setattr__ refuses: a warp's attributes are set here
     vars(params).update(
-        theta=theta, hidden=h, blocks=blocks, alpha=alpha, beta=float(theta[-1]), lipschitz_margin=margin
+        theta=theta, hidden=h, blocks=tuple(blocks), alpha=alpha, beta=float(theta[-1]),
+        lipschitz_margin=margin,
     )
     return params
 
@@ -319,9 +321,10 @@ def _preactivation(a, b_in, z0, buf):
 
 
 # Points per block of `_residual` and `_map_jets`, times the hidden width.  A block's
-# stage buffers (10 arrays of 128 KB and the small operands) are made once per call and
-# reused for every block; whole (128, 2001) temporaries are 2 MB each, which glibc maps
-# afresh and returns on free, so every evaluation faulted them in again.
+# stage buffers (10 arrays of 128 KB and the small operands), and their views at each
+# block size, are made once per call and reused for every block; whole (128, 2001)
+# temporaries are 2 MB each, which glibc maps afresh and returns on free, so every
+# evaluation faulted them in again.
 _BLOCK_ELEMENTS = 16_384
 
 
@@ -336,20 +339,27 @@ def _block_points(hidden: int) -> int:
     return max(32, 1 << (max(1, _BLOCK_ELEMENTS // hidden).bit_length() - 1))
 
 
-def _residual(block: ResidualBlock, a, c, z, store):
+def _point_blocks(hidden: int, points: int) -> list:
+    """(slice, stage views) for each block of `points` points, all over one stage buffer
+    set, with the views made once per block size (at most two)."""
+    step = _block_points(hidden)
+    store = [b.ravel() for b in _stage_buffers((hidden, min(points, step)))]
+    sizes = [min(step, points - lo) for lo in range(0, points, step)]
+    views = {n: _stage_views(store, hidden, n) for n in set(sizes)}
+    return [(slice(lo, lo + n), views[n]) for lo, n in zip(range(0, points, step), sizes)]
+
+
+def _residual(block: ResidualBlock, a, c, z, blocks):
     """k(z) = c.f(a z + b_in) + b_out at the points of the 1-d array z, a block at a time.
 
-    `store`, a stage buffer set for a block of points with each array flattened, is
-    the work space; a caller iterating on z passes the same one every time.
+    `blocks`, the `_point_blocks` of z's size, is the work space; a caller iterating
+    on z passes the same one every time.
     """
     k = np.empty_like(z)
-    step = _block_points(a.size)
-    for lo in range(0, z.size, step):
-        chunk = z[lo : lo + step]
-        buf = _stage_views(store, a.size, chunk.size)
-        _preactivation(a, block.b_in, chunk, buf)
+    for part, buf in blocks:
+        _preactivation(a, block.b_in, z[part], buf)
         _swish(buf)
-        np.matmul(c, buf[4], out=k[lo : lo + step])  # c.nf0 = -c.f0
+        np.matmul(c, buf[4], out=k[part])  # c.nf0 = -c.f0
     return block.b_out - k
 
 
@@ -360,13 +370,9 @@ def _map_jets(params: FlowParams, x: np.ndarray):
     is kept for a reverse sweep.
     """
     x = np.asarray(x, dtype=float)
-    step = _block_points(params.hidden)
-    store = [b.ravel() for b in _stage_buffers((params.hidden, min(x.size, step)))]
     jets = np.empty((3, x.size))
-    for lo in range(0, x.size, step):
-        chunk = x[lo : lo + step]
-        views = [_stage_views(store, params.hidden, chunk.size)] * len(params.blocks)
-        jets[:, lo : lo + step] = _jets_forward(params, chunk, views)[0]
+    for part, views in _point_blocks(params.hidden, x.size):
+        jets[:, part] = _jets_forward(params, x[part], [views] * len(params.blocks))[0]
     return jets
 
 
@@ -523,13 +529,12 @@ def flow_inverse(
     lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
     w = np.arctanh(np.minimum(np.maximum((y - params.beta) / params.alpha, lo), hi))
     total_iters = 0
-    points = min(y.size, _block_points(params.hidden))
-    store = [b.ravel() for b in _stage_buffers((params.hidden, points))]
+    blocks = _point_blocks(params.hidden, y.size)
     for block in reversed(params.blocks):
         a, c = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1
         z = w.copy()
         for _ in range(max_iter):
-            z_next = w - _residual(block, a, c, z, store)
+            z_next = w - _residual(block, a, c, z, blocks)
             total_iters += 1
             step = np.abs(z_next - z).max(initial=0.0)
             z = z_next

@@ -12,7 +12,9 @@ pulled-back integrands, evaluated at the unwarped quadrature nodes,
 where the kinetic form follows from integrating T by parts and substituting
 x = G(y); only G' and G'' are needed and the integrand stays symmetric in
 (i, j).  Passing ``params=None`` selects the identity map (G = id, G' = 1,
-G'' = 0), which is exactly the plain Hermite scheme.
+G'' = 0), which is exactly the plain Hermite scheme; it builds no jets, and its
+kinetic factor is B = phi' sqrt(w~), which has the bits of the warped formula's
+B at G' = 1, G'' = 0 up to the signs of zeros, and so the same matrix.
 
 Each sum over q is one BLAS matrix product: V = (phi * w~V(G)) phi^T and
 T = 1/2 B B^T with B_iq = A_i(x_q) sqrt(w~_q) / G'(x_q).  A product of a matrix
@@ -22,7 +24,7 @@ Q in {40, 90, 200}).  The assembly's asymmetry check therefore detects non-finit
 matrix elements and faults in the assembly, not an underresolved quadrature;
 the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  The
 assembly and the trace loss (`trainer`) read the same inputs: phi_0 .. phi_{N-1}
-and their derivatives from rows 0 .. N of the rule's Hermite table
+and their derivatives from the first N rows of the rule's tables
 (`_basis_at_nodes`), and V and V' from one `Potential`'s coefficients.
 `assemble_hamiltonian` is the one assembly path: it computes the jets once
 for both terms, and T and V are not formed apart.
@@ -37,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .flow import FlowParams, _map_jets
-from .hermite import BasisSpec, eval_hermite_functions, hermite_derivatives_from_table
+from .hermite import BasisSpec, eval_hermite_functions
 from .hermite import eval_hermite_derivatives  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import QuadratureRule
 
@@ -125,10 +127,10 @@ class HamiltonianMatrix:
 
 
 def _basis_at_nodes(N: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """phi_0 .. phi_{N-1} and their derivatives at the nodes, from the rule's table."""
+    """phi_0 .. phi_{N-1} and their derivatives at the nodes, read-only slices of the rule's tables."""
     if rule.order < N:
         raise ValueError(f"quadrature order {rule.order} is below basis size {N}")
-    return rule.hermite_table[:N], hermite_derivatives_from_table(rule.hermite_table[: N + 1])
+    return rule.hermite_table[:N], rule.derivative_table[:N]
 
 
 def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
@@ -140,11 +142,14 @@ def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
 
 
 def _kinetic_part(rule: QuadratureRule, phi, dphi, g1, g2) -> np.ndarray:
-    if np.any(g1 <= 0.0):
-        q = int(np.flatnonzero(g1 <= 0.0)[0])
-        raise MonotonicityError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={rule.nodes[q]})")
-    A = dphi - 0.5 * phi * (g2 / g1)
-    B = A * (np.sqrt(rule.lifted_weights) / g1)
+    """1/2 B B^T; with G' and G'' None, the identity warp's, which cannot fail the G' > 0 check."""
+    if g1 is None:
+        B = dphi * rule.sqrt_lifted_weights
+    else:
+        if np.any(g1 <= 0.0):
+            q = int(np.flatnonzero(g1 <= 0.0)[0])
+            raise MonotonicityError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={rule.nodes[q]})")
+        B = (dphi - 0.5 * phi * (g2 / g1)) * (rule.sqrt_lifted_weights / g1)
     return 0.5 * (B @ B.T)  # a product with its own transpose: exactly symmetric
 
 
@@ -159,8 +164,8 @@ def assemble_hamiltonian(
     The kinetic part is exactly symmetric and the potential part's asymmetry
     is rounding, so the check fails only on non-finite matrix elements (a NaN
     anywhere fails it) or on a fault in the assembly; an underresolved
-    quadrature passes it.  The jets are computed once and shared by both terms,
-    as are the rows phi_0 .. phi_N of the rule's Hermite table; N > Q raises ValueError.
+    quadrature passes it.  A warp's jets are computed once and shared by both terms,
+    as are the first N rows of the rule's tables; N > Q raises ValueError.
     """
     if rule.order < 2 * spec.size + 10:
         warnings.warn(
@@ -169,10 +174,7 @@ def assemble_hamiltonian(
             stacklevel=2,
         )
     phi, dphi = _basis_at_nodes(spec.size, rule)
-    if params is None:
-        y, g1, g2 = rule.nodes, np.ones_like(rule.nodes), np.zeros_like(rule.nodes)
-    else:
-        y, g1, g2 = _map_jets(params, rule.nodes)
+    y, g1, g2 = (rule.nodes, None, None) if params is None else _map_jets(params, rule.nodes)
     H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)
     if not asym <= _ASYMMETRY_TOL:  # also true when H holds a NaN
@@ -196,7 +198,7 @@ def overlap_matrix(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, f
     """
     N = spec.size
     phi = rule.hermite_table[:N] if N <= rule.order + 1 else eval_hermite_functions(N - 1, rule.nodes)
-    B = phi * np.sqrt(rule.lifted_weights)
+    B = phi * rule.sqrt_lifted_weights
     S = B @ B.T
     dev = float(np.abs(S - np.eye(N)).max())
     return S, dev

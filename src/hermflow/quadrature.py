@@ -17,10 +17,13 @@ integral over the real line is `rule.lifted_weights @ f(rule.nodes)`; by
 the identity above the lift is simply 1 / sum_k phi_k(x_q)^2, which never
 overflows even at the outermost node of a high-order rule.
 
-The table phi_0 .. phi_Q at the nodes is kept with the rule: its first Q rows
-give the weights, and assembly at any basis size N <= Q slices its first N + 1
-rows.  A row of the recurrence does not depend on how many rows follow it, so
-the slice equals a table built for N alone, bit for bit.
+The table phi_0 .. phi_Q at the nodes is kept with the rule (its first Q rows
+give the weights), and so are the derivatives phi_0' .. phi_{Q-1}', from the
+table by the ladder identity, and sqrt(w~_q), which assembly multiplies into
+its kinetic factor.  Assembly at any basis size N <= Q slices the first N rows of
+each table.  A row of the recurrence or of the ladder identity depends only on
+its neighbours, not on how many rows follow it, so a slice equals a table
+built for N alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import eigh_tridiagonal
-from .hermite import eval_hermite_functions
+from .hermite import eval_hermite_functions, hermite_derivatives_from_table
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule"]
 
@@ -40,14 +43,17 @@ MAX_ORDER = 200
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss-Hermite rule: ascending nodes, positive weights, lifted weights,
-    and the Hermite functions phi_0 .. phi_order at the nodes, one row each."""
+    """Gauss-Hermite rule: ascending nodes, positive weights, lifted weights and their
+    square roots, the Hermite functions phi_0 .. phi_order at the nodes and their
+    derivatives phi_0' .. phi_{order-1}', one row each."""
 
     order: int
     nodes: np.ndarray
     weights: np.ndarray
     lifted_weights: np.ndarray
+    sqrt_lifted_weights: np.ndarray
     hermite_table: np.ndarray
+    derivative_table: np.ndarray
 
 
 def gauss_hermite_rule(Q: int) -> QuadratureRule:
@@ -69,9 +75,8 @@ def _build_rule(Q: int) -> QuadratureRule:
     phi = table[:Q]
     lifted = 1.0 / (phi * phi).sum(axis=0)
     weights = lifted * np.exp(-nodes * nodes)
-    for arr in (nodes, weights, lifted, table):
+    sqrt_lifted, derivatives = np.sqrt(lifted), hermite_derivatives_from_table(table)
+    for arr in (nodes, weights, lifted, sqrt_lifted, table, derivatives):
         arr.flags.writeable = False
-    return QuadratureRule(
-        order=Q, nodes=nodes, weights=weights, lifted_weights=lifted, hermite_table=table
-    )
+    return QuadratureRule(Q, nodes, weights, lifted, sqrt_lifted, table, derivatives)
 

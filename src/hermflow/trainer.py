@@ -138,7 +138,8 @@ class TrainingTrace:
 
     def write_csv(self, path) -> None:
         rows = zip(range(len(self)), self.losses, self.grad_norms, self.wall_ms)
-        write_csv(path, "trace", "iteration,loss,grad_norm,wall_ms", rows, labels=1)
+        lines = (f"{i},{float(v)!r},{float(g)!r},{float(t)!r}\n" for i, v, g, t in rows)
+        write_csv(path, "trace", "iteration,loss,grad_norm,wall_ms", lines)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +226,9 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     if not math.isfinite(value):
         raise FloatingPointError(f"loss evaluated to a non-finite value: {value}")
     grad = _jets_reverse(params, saved, bars)
-    if not math.isfinite(grad @ grad) and (bad := np.flatnonzero(~np.isfinite(grad))).size:
-        raise FloatingPointError(f"non-finite adjoint at parameter index {int(bad[0])}")  # grad @ grad may overflow
+    if not np.isfinite(grad).all():
+        i = int(np.flatnonzero(~np.isfinite(grad))[0])
+        raise FloatingPointError(f"non-finite adjoint at parameter index {i}")
     return value, grad
 
 

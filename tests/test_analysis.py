@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hermflow import (
     BasisSpec,
     TrainingConfig,
+    TrainingTrace,
     anharmonic_potential,
     assemble_hamiltonian,
     band_average_errors,
@@ -174,6 +176,50 @@ class TestCsvWriters:
             "# hermflow bands csv v1\nscheme,N,band,abs_error,rel_error\naugmented,7,1,0.1,2.0\n"
         )
         assert (tmp_path / "r.csv").read_text() == "# hermflow rates csv v1\nscheme,N,e_N\nhermite,6,nan\n"
+
+    def test_golden_bytes(self, tmp_path):
+        # labels by str, values by repr(float(.)): numpy scalars print as plain numbers, and
+        # nan, -0.0 and the smallest subnormal keep their spelling
+        f, i = np.float64, np.int64
+        write_spectra_csv(tmp_path / "s.csv", [("hermite", i(3), i(0), f(0.1)), ("hermite", 3, 1, -0.0),
+                                               ("augmented", 3, 2, 5e-324)])
+        write_bands_csv(tmp_path / "b.csv", [("hermite", i(7), 0, f(1e-17), i(2)), ("augmented", 7, 1, math.nan, -0.0)])
+        write_rates_csv(tmp_path / "r.csv", [("hermite", i(6), f(math.nan)), ("augmented", 7, 5e-324)])
+        write_fits_csv(tmp_path / "f.csv", [("hermite", f(-0.25), -0.0), ("augmented", math.nan, i(1))])
+        trace = TrainingTrace(np.array([1.5, math.nan]), np.array([-0.0, 5e-324]), np.array([2.0, 1e300]))
+        trace.write_csv(tmp_path / "t.csv")
+        expected = {
+            "s.csv": "# hermflow spectra csv v1\nscheme,N,n,E\n"
+            "hermite,3,0,0.1\nhermite,3,1,-0.0\naugmented,3,2,5e-324\n",
+            "b.csv": "# hermflow bands csv v1\nscheme,N,band,abs_error,rel_error\n"
+            "hermite,7,0,1e-17,2.0\naugmented,7,1,nan,-0.0\n",
+            "r.csv": "# hermflow rates csv v1\nscheme,N,e_N\nhermite,6,nan\naugmented,7,5e-324\n",
+            "f.csv": "# hermflow fits csv v1\nscheme,slope,intercept\nhermite,-0.25,-0.0\naugmented,nan,1.0\n",
+            "t.csv": "# hermflow trace csv v1\niteration,loss,grad_norm,wall_ms\n"
+            "0,1.5,-0.0,2.0\n1,nan,5e-324,1e+300\n",
+        }
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode(), name
+
+    def test_spectra_round_trip_bitwise(self, tmp_path):
+        from hermflow.cli import read_spectra_csv
+
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6),
+                                 [-0.0, 0.0, 5e-324, -1.7976931348623157e308]])
+        rows = [("hermite", values.size, n, E) for n, E in enumerate(values)]
+        write_spectra_csv(tmp_path / "s.csv", rows)
+        back = read_spectra_csv(tmp_path / "s.csv")["hermite"][values.size]
+        assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+    def test_reader_errors_name_the_line(self, tmp_path):
+        from hermflow.cli import ConfigError, read_spectra_csv
+
+        path = tmp_path / "s.csv"
+        write_spectra_csv(path, [("hermite", 2, 0, 0.5), ("hermite", 2, 1, 1.5)])
+        path.write_text(path.read_text() + "hermite,2,x,0.5\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:5: expected 'scheme,N,n,E'"):
+            read_spectra_csv(path)
 
     def test_rates_and_fits_have_versioned_headers(self, tmp_path):
         write_rates_csv(tmp_path / "r.csv", [("hermite", 5, 0.5)])

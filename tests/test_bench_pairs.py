@@ -1,0 +1,61 @@
+"""The summary of `tools/bench_pairs.py` on synthetic runs; no benchmark is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "adam_steps_per_s": "higher"}
+
+
+def result(wall_s, rate=None, attempted=10, failed=0):
+    metrics = {"wall_s": {"value": wall_s, "unit": "s"}}
+    metrics["adam_steps_per_s"] = {"value": rate, "unit": "steps/s"}
+    return {"correct": True, "attempted": attempted, "failed": failed, "metrics": metrics}
+
+
+def pairs(parent_walls, change_walls, **change):
+    return [{"parent": result(p), "change": result(c, **change)} for p, c in zip(parent_walls, change_walls)]
+
+
+def test_clear_gain_is_claimable():
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    change = [w - 0.1 for w in parent]
+    wall = bench_pairs.summarize(pairs(parent, change), BETTER)["metrics"]["wall_s"]
+    assert wall["change_wins"] == "10/10" and wall["ties"] == 0
+    assert wall["parent"]["median"] == pytest.approx(1.0)
+    assert wall["change_vs_parent"] == pytest.approx(0.9)
+    assert wall["gain_claimable"]
+
+
+def test_eight_wins_of_ten_is_not_enough():
+    parent = [1.0] * 10
+    change = [0.8] * 8 + [1.2, 1.0]
+    wall = bench_pairs.summarize(pairs(parent, change), BETTER)["metrics"]["wall_s"]
+    assert wall["change_wins"] == "8/10" and wall["ties"] == 1
+    assert not wall["gain_claimable"]
+
+
+def test_gap_within_the_parents_spread_is_not_a_gain():
+    parent = [0.8, 1.2] * 5  # quartiles 0.8 and 1.2
+    change = [w - 0.05 for w in parent]  # wins every pair by less than the spread
+    wall = bench_pairs.summarize(pairs(parent, change), BETTER)["metrics"]["wall_s"]
+    assert wall["change_wins"] == "10/10"
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == pytest.approx(0.4)
+    assert not wall["gain_claimable"]
+
+
+def test_higher_is_better_and_failures_and_missing_values():
+    runs = [{"parent": result(1.0, 100.0, failed=1), "change": result(1.0, 150.0 + k)} for k in range(10)]
+    summary = bench_pairs.summarize(runs, BETTER)
+    rate = summary["metrics"]["adam_steps_per_s"]
+    assert rate["change_wins"] == "10/10" and rate["gain_claimable"]
+    assert summary["metrics"]["wall_s"]["ties"] == 10 and not summary["metrics"]["wall_s"]["gain_claimable"]
+    assert summary["parent_failed_share"] == pytest.approx(0.1) and summary["change_failed_share"] == 0.0
+    runs[0]["change"]["metrics"]["adam_steps_per_s"]["value"] = None  # a workload without Adam steps
+    assert "adam_steps_per_s" not in bench_pairs.summarize(runs, BETTER)["metrics"]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -194,25 +195,25 @@ class TestAssembleHamiltonian:
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_plain_ladder_equals_assembly_from_a_fresh_table(self):
-        # slicing the rule's table changes no bit of a plain-Hermite matrix or spectrum
+        # slicing the rule's tables, and leaving out the jets of the identity warp, changes
+        # no bit of a plain-Hermite matrix (signed zeros included) or spectrum
         from hermflow.galerkin import _kinetic_part, _potential_part
         from hermflow.hermite import hermite_derivatives_from_table
 
-        V = anharmonic_potential()
-        for Q in (40, 200):
+        for V, Q in itertools.product((harmonic_potential(), anharmonic_potential()), (40, 90, 200)):
             rule = gauss_hermite_rule(Q)
             ones, zeros = np.ones(Q), np.zeros(Q)
-            for N in range(1, min(Q, 180) + 1, 13):
+            for N in range(1, min(Q, 180) + 1):
                 table = eval_hermite_functions(N, rule.nodes)
                 phi, dphi = table[:-1], hermite_derivatives_from_table(table)
                 H = _kinetic_part(rule, phi, dphi, ones, zeros) + _potential_part(
                     rule, phi, V, rule.nodes
                 )
+                H = 0.5 * (H + H.T)
                 got = assemble_hamiltonian(BasisSpec(N), rule, V).entries
-                np.testing.assert_array_equal(got, 0.5 * (H + H.T))
-                np.testing.assert_array_equal(
-                    eigh(got).eigenvalues, eigh(0.5 * (H + H.T)).eigenvalues
-                )
+                assert np.array_equal(got.view(np.int64), H.view(np.int64)), (Q, N)
+                if N % 13 == 1:
+                    np.testing.assert_array_equal(eigh(got).eigenvalues, eigh(H).eigenvalues)
 
     def test_parts_exactly_symmetric_on_a_warp(self, rng, monkeypatch):
         rule = gauss_hermite_rule(90)

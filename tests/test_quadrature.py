@@ -5,6 +5,7 @@ import pytest
 
 from hermflow import eval_hermite_functions, gauss_hermite_rule
 from hermflow.eigensolver import eigh_tridiagonal
+from hermflow.hermite import hermite_derivatives_from_table
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -84,7 +85,8 @@ class TestRuleConstruction:
     def test_built_once_per_order_and_read_only(self):
         rule = gauss_hermite_rule(37)
         assert gauss_hermite_rule(np.int64(37)) is rule
-        for arr in (rule.nodes, rule.weights, rule.lifted_weights, rule.hermite_table):
+        arrays = (rule.nodes, rule.weights, rule.lifted_weights, rule.sqrt_lifted_weights)
+        for arr in arrays + (rule.hermite_table, rule.derivative_table):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -104,6 +106,19 @@ class TestRuleConstruction:
         np.testing.assert_array_equal(rule.nodes, nodes)
         np.testing.assert_array_equal(rule.lifted_weights, lifted)
         np.testing.assert_array_equal(rule.weights, lifted * np.exp(-nodes * nodes))
+
+    @pytest.mark.parametrize("Q", [1, 2, 3, 90, 91, 200])
+    def test_derivative_table_rows_equal_fresh_derivatives(self, Q):
+        # a slice of the rule's derivative table has the bits of the derivatives built from
+        # the first N + 1 rows of its Hermite table alone, for every basis size N <= Q
+        rule = gauss_hermite_rule(Q)
+        assert rule.derivative_table.shape == (Q, Q)
+        assert not rule.derivative_table.flags.writeable
+        for N in range(1, Q + 1):
+            fresh = hermite_derivatives_from_table(rule.hermite_table[: N + 1])
+            assert np.array_equal(rule.derivative_table[:N].view(np.int64), fresh.view(np.int64))
+            assert not rule.derivative_table[:N].flags.writeable
+        assert np.array_equal(rule.sqrt_lifted_weights, np.sqrt(rule.lifted_weights))
 
     def test_checks_repeat_on_every_call(self):
         for _ in range(2):

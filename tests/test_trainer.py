@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,8 +155,8 @@ class TestAdjointGradient:
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e200])
     def test_non_finite_adjoint_names_its_index(self, monkeypatch, value):
-        # the check is one dot product, which a finite 1e200 overflows (numpy warns): only the
-        # element-wise search that follows decides, and names the index
+        # a finite 1e200, whose square overflows, passes the check without a warning; a
+        # non-finite entry is named by its index
         rule = gauss_hermite_rule(30)
         loss = make_trace_loss(4, rule, anharmonic_potential())
         params = init_flow_params(hidden=4, alpha=1.05 * float(np.abs(rule.nodes).max()))
@@ -168,7 +169,8 @@ class TestAdjointGradient:
 
         monkeypatch.setattr(trainer, "_jets_reverse", corrupted)
         if math.isfinite(value):
-            with pytest.warns(RuntimeWarning, match="overflow"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 assert trainer.gradient(loss, params)[1][3] == value
         else:
             with pytest.raises(FloatingPointError, match=r"^non-finite adjoint at parameter index 3$"):
