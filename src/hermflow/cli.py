@@ -4,7 +4,8 @@ Subcommands:
 
 * ``solve``   - solve each scheme's case with `solve_case` (train the warp for
   the augmented scheme, assemble, diagonalize), write a spectrum CSV plus the
-  warp's checkpoint and loss trace, print a one-line summary.
+  warp's checkpoint and loss trace, print a one-line summary.  A hermite case
+  with an even potential (both named ones are) is solved as its two parity blocks.
 * ``sweep``   - the same over a range of basis sizes with per-N seeds derived
   from the master seed, aggregating one spectra CSV (an N's rows only once
   every scheme has solved) and a manifest.
@@ -187,6 +188,10 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> Case
         raise ValueError(f"solve_case takes scheme 'hermite' or 'augmented', got {scheme!r}")
     V = potential_from_descriptor(config.potential)
     rule = gauss_hermite_rule(config.Q)
+    if scheme == "hermite" and V.is_even:  # H_mn = 0 for m + n odd: the even and the odd block
+        blocks = [assemble_hamiltonian(BasisSpec(N, parity), rule, V).entries for parity in (0, 1)[:N]]
+        levels = np.sort(np.concatenate([eigh(H).eigenvalues for H in blocks]))
+        return CaseResult(levels, sum(float(np.trace(H)) for H in blocks), None, None)
     params = training = None
     if scheme == "augmented":
         params, training = train(config.training_config(N, seed), V)

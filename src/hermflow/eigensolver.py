@@ -45,7 +45,7 @@ def eigh(M: np.ndarray) -> Spectrum:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(top := np.abs(M).max(initial=0.0)):  # NaN or inf exactly when M holds one
         i, j = np.argwhere(~np.isfinite(M))[0]
         raise ValueError(f"matrix entry ({i}, {j}) is {M[i, j]}; expected finite entries")
     asym = np.abs(M - M.T).max() if M.size else 0.0
@@ -58,7 +58,7 @@ def eigh(M: np.ndarray) -> Spectrum:
     R = M @ vecs
     R -= vecs * vals
     residual = np.abs(R, out=R).max(initial=0.0)
-    scale = 1.0 + np.abs(M).max(initial=0.0)
+    scale = 1.0 + top
     if residual > _RESIDUAL_TOL * scale:
         raise SolverError(f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}*(1+||M||)")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)

@@ -155,6 +155,14 @@ def _block_vector(blocks, alpha, beta) -> tuple[int, np.ndarray]:
     return h, np.concatenate(parts + [[alpha, beta]], dtype=float)
 
 
+@np.errstate(over="ignore")
+def _overflow_safe_norm(w: np.ndarray) -> float:
+    """|w| for a weight whose plain sum of squares may overflow (an entry above about 1e154):
+    that sum while it is finite, else max |w| times the norm of w / max |w|."""
+    sig, m = math.sqrt(w.dot(w)), np.abs(w).max()
+    return sig if math.isfinite(sig) else float(m * math.sqrt((w / m).dot(w / m)))
+
+
 def _from_vector(
     theta: np.ndarray, hidden: int, n_blocks: int, margin: float, project: bool = False
 ) -> FlowParams:
@@ -168,7 +176,7 @@ def _from_vector(
     h, n = hidden, n_blocks * (3 * hidden + 1) + 2
     if theta.shape != (n,):
         raise ValueError(f"expected {n} parameters, got shape {theta.shape}")
-    if not np.isfinite(theta).all():
+    if not np.isfinite(top := np.abs(theta).max()):  # NaN or inf exactly when theta holds one
         i = int(np.flatnonzero(~np.isfinite(theta))[0])
         raise ValueError(f"non-finite {({n - 2: 'alpha', n - 1: 'beta'}).get(i, 'weight')} at index {i}")
     if not 0.0 < margin < 1.0:
@@ -179,7 +187,8 @@ def _from_vector(
     bound = target * (1.0 + _NORM_SLACK)
     for k, r in enumerate(theta[:-2].reshape(n_blocks, 3 * h + 1)):
         for name, w in (("w_in", r[:h]), ("w_out", r[2 * h : -1])):
-            sig = math.sqrt(w.dot(w))  # its spectral norm (w is rank-one), as np.linalg.norm sums it
+            # its spectral norm (w is rank-one), as np.linalg.norm sums it; below 1e150 that sum cannot overflow
+            sig = math.sqrt(w.dot(w)) if top < 1e150 else _overflow_safe_norm(w)
             if project and sig > target:
                 w *= target / sig
             elif sig > bound:

@@ -28,6 +28,11 @@ and their derivatives from the first N rows of the rule's tables
 (`_basis_at_nodes`), and V and V' from one `Potential`'s coefficients.
 `assemble_hamiltonian` is the one assembly path: it computes the jets once
 for both terms, and T and V are not formed apart.
+
+Parity: for an even V (`Potential.is_even`) and the identity warp, H_mn = 0
+when m + n is odd, up to rounding (1e-14 max |H| for N < Q, N <= 180).  A `BasisSpec`
+with `parity` 0 or 1 assembles the block of the even or odd indices below N,
+and `cli.solve_case` solves such a case as its two blocks; a warp breaks parity.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ class Potential:
             powers.append(powers[k - k // 2] * powers[k // 2])
         return _polynomial(self.coefficients, powers), _polynomial(self._slope, powers)
 
+    @property
+    def is_even(self) -> bool:  # V(-x) = V(x): every odd coefficient is zero
+        return not any(self.coefficients[1::2])
+
     @cached_property
     def _slope(self) -> tuple:
         """The coefficients k c_k (k >= 1) of V', formed at the first `value_and_derivative` call only."""
@@ -126,11 +135,11 @@ class HamiltonianMatrix:
     scheme: str  # "hermite" | "augmented"
 
 
-def _basis_at_nodes(N: int, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """phi_0 .. phi_{N-1} and their derivatives at the nodes, read-only slices of the rule's tables."""
+def _basis_at_nodes(N: int, rule: QuadratureRule, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """phi_n and phi_n' at the nodes for the n in `rows` of 0 .. N-1, read-only slices of the rule's tables."""
     if rule.order < N:
         raise ValueError(f"quadrature order {rule.order} is below basis size {N}")
-    return rule.hermite_table[:N], rule.derivative_table[:N]
+    return rule.hermite_table[:N][rows], rule.derivative_table[:N][rows]
 
 
 def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
@@ -165,15 +174,18 @@ def assemble_hamiltonian(
     is rounding, so the check fails only on non-finite matrix elements (a NaN
     anywhere fails it) or on a fault in the assembly; an underresolved
     quadrature passes it.  A warp's jets are computed once and shared by both terms,
-    as are the first N rows of the rule's tables; N > Q raises ValueError.
+    as are the spec's rows of the rule's tables; N > Q raises ValueError, and so does a
+    parity block with a warp, which breaks parity.
     """
+    if spec.parity is not None and params is not None:
+        raise ValueError(f"a parity block (parity {spec.parity}) takes no warp: a warp breaks parity")
     if rule.order < 2 * spec.size + 10:
         warnings.warn(
             f"quadrature order {rule.order} < 2N + 10 = {2 * spec.size + 10}; eigenvalues may "
             "drop below the variational limit",
             stacklevel=2,
         )
-    phi, dphi = _basis_at_nodes(spec.size, rule)
+    phi, dphi = _basis_at_nodes(spec.size, rule, spec.rows)
     y, g1, g2 = (rule.nodes, None, None) if params is None else _map_jets(params, rule.nodes)
     H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)
     asym = np.abs(H - H.T).max(initial=0.0)
@@ -184,7 +196,7 @@ def assemble_hamiltonian(
         )
     H = 0.5 * (H + H.T)
     return HamiltonianMatrix(
-        size=spec.size, entries=H, scheme="hermite" if params is None else "augmented"
+        size=H.shape[0], entries=H, scheme="hermite" if params is None else "augmented"
     )
 
 

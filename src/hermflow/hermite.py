@@ -29,13 +29,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Number of retained basis functions (indices 0 .. size-1)."""
+    """Number of retained basis functions (indices 0 .. size-1); with `parity` 0 or 1, only
+    the even or the odd indices among them."""
 
     size: int
+    parity: int | None = None
 
     def __post_init__(self):
         if not isinstance(self.size, (int, np.integer)) or self.size < 1:
             raise ValueError(f"basis size must be a positive integer, got {self.size!r}")
+        if self.parity is not None and self.parity not in (0, 1):
+            raise ValueError(f"basis parity must be None, 0 or 1, got {self.parity!r}")
+
+    @property
+    def rows(self) -> slice:  # the retained indices, as a slice of 0 .. size-1
+        return slice(self.size) if self.parity is None else slice(self.parity, self.size, 2)
 
 
 def eval_hermite_functions(n_max: int, x) -> np.ndarray:

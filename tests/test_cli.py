@@ -3,6 +3,7 @@ import collections
 import importlib
 import importlib.util
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -185,6 +186,55 @@ class TestSolve:
         config = ExperimentConfig(potential="harmonic", Q=20, hidden=4, iterations=3)
         with pytest.raises(ValueError, match=repr(scheme)):
             solve_case(config, scheme, 4, 0)
+
+
+class TestSolveCaseParity:
+    """A hermite case with an even potential is solved as its even and odd blocks; any other
+    case assembles and diagonalizes the full matrix, as `assemble_hamiltonian` and `eigh` do."""
+
+    @pytest.mark.parametrize("potential", ["harmonic", "anharmonic"])
+    def test_blocks_agree_with_the_full_matrix(self, potential):
+        config = ExperimentConfig(potential=potential, Q=200)
+        rule, V = hermflow.gauss_hermite_rule(200), hermflow.potential_from_descriptor(potential)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N > 95 warns below Q = 2N + 10
+            for N in range(1, 181):
+                case = solve_case(config, "hermite", N, 0)
+                H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(N), rule, V).entries
+                full = hermflow.eigh(H).eigenvalues
+                assert case.eigenvalues.shape == (N,) and np.all(np.diff(case.eigenvalues) >= 0)
+                assert np.all(np.abs(case.eigenvalues - full) <= 1e-11 * np.abs(full))
+                assert case.trace == pytest.approx(float(np.trace(H)), rel=1e-14)
+                assert case.params is None and case.training is None
+
+    def test_each_block_goes_through_the_cli_names(self, monkeypatch):
+        # the benchmark's tracer patches these names; N = 1 has no odd block
+        calls = collections.Counter()
+        for name in ("assemble_hamiltonian", "eigh"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, _fn=fn: calls.update([_name]) or _fn(*a))
+        for N, blocks in ((1, 1), (2, 2), (9, 2)):
+            calls.clear()
+            solve_case(ExperimentConfig(potential="anharmonic", Q=40), "hermite", N, 0)
+            assert calls == {"assemble_hamiltonian": blocks, "eigh": blocks}
+
+    def test_odd_potential_solves_the_full_matrix(self, monkeypatch):
+        odd = hermflow.Potential((0.0, 0.1, 0.5), "0.1*x + 0.5*x^2")
+        monkeypatch.setattr(cli, "potential_from_descriptor", lambda name: odd)
+        rule = hermflow.gauss_hermite_rule(40)
+        for N in (1, 2, 7, 15):
+            case = solve_case(ExperimentConfig(potential="harmonic", Q=40), "hermite", N, 0)
+            H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(N), rule, odd).entries
+            assert case.eigenvalues.tobytes() == hermflow.eigh(H).eigenvalues.tobytes()
+            assert case.trace == float(np.trace(H))
+
+    def test_augmented_case_solves_the_full_matrix(self):
+        config = ExperimentConfig(potential="anharmonic", Q=40, hidden=4, iterations=5)
+        case = solve_case(config, "augmented", 6, 3)
+        V = hermflow.anharmonic_potential()
+        H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(6), hermflow.gauss_hermite_rule(40), V, case.params)
+        assert case.eigenvalues.tobytes() == hermflow.eigh(H.entries).eigenvalues.tobytes()
+        assert case.trace == float(np.trace(H.entries))
 
 
 class TestSweep:

@@ -64,6 +64,13 @@ class TestEigh:
             with pytest.raises(ValueError, match="finite"):
                 eigh(M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_off_diagonal_entry_is_named(self, bad):
+        M = np.eye(4)
+        M[2, 1] = M[1, 2] = bad
+        with pytest.raises(ValueError, match=rf"^matrix entry \(1, 2\) is {bad}; expected finite entries$"):
+            eigh(M)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigh(np.zeros((2, 3)))

@@ -415,6 +415,17 @@ class TestInitialization:
             warnings.simplefilter("error")
             assert params.with_vector(theta).theta[5] == 1e200
 
+    def test_weight_whose_square_overflows_is_projected_onto_the_bound(self):
+        # its plain sum of squares overflows, so its norm is taken scaled by max |w|
+        block = ResidualBlock(np.array([[1e200], [1.0], [0.0], [0.0]]), np.zeros(4), np.full((1, 4), 0.1), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w_in = normalize_block(block, 0.9).w_in
+            with pytest.raises(ValueError, match=r"\|w_in\| = 1e\+200 exceeds"):
+                FlowParams([block], 2.0, 0.0, 0.9)
+        assert abs(np.linalg.norm(w_in) - math.sqrt(0.9)) <= 1e-15
+        assert w_in[0, 0] > 0.9 and np.all(w_in[1:, 0] < 1e-199)
+
     def test_block_arrays_must_hold_its_width(self):
         # w_in holds 4 values, b_in 3 and w_out 5: 13 in all, as a block of width 4 does, so
         # its theta would read as b_in = [0, 1, 2, 0.2] and w_out = four 0.2s

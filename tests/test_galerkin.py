@@ -262,6 +262,40 @@ class TestAssembleHamiltonian:
             assemble_hamiltonian(BasisSpec(20), gauss_hermite_rule(45), harmonic_potential())
 
 
+class TestParityBlocks:
+    def test_even_potentials(self):
+        assert harmonic_potential().is_even and anharmonic_potential().is_even
+        assert not Potential((0.0, 0.1, 0.5), "0.1*x + 0.5*x^2").is_even
+
+    @pytest.mark.parametrize("Q", [90, 200])
+    def test_cross_parity_entries_are_rounding(self, Q):
+        # the largest is 6.6e-15 max |H| below N = Q; at N = Q = 90, the anharmonic
+        # matrix's is 1.2e-14, from phi_89 on a 90-node rule
+        rule = gauss_hermite_rule(Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # N > (Q - 10)/2 warns
+            for V in (harmonic_potential(), anharmonic_potential()):
+                for N in range(1, min(Q, 180) + 1):
+                    H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
+                    odd = (np.arange(N)[:, None] + np.arange(N)) % 2 == 1
+                    tol = 1e-14 if N < Q else 2e-14
+                    assert np.abs(H[odd]).max(initial=0.0) <= tol * np.abs(H).max()
+
+    def test_blocks_are_the_full_matrix_s_blocks(self):
+        rule = gauss_hermite_rule(90)
+        H = assemble_hamiltonian(BasisSpec(40), rule, anharmonic_potential()).entries
+        for parity, size in ((0, 20), (1, 20)):
+            block = assemble_hamiltonian(BasisSpec(40, parity), rule, anharmonic_potential())
+            assert block.size == size and block.scheme == "hermite"
+            sub = H[parity::2, parity::2]
+            assert np.abs(block.entries - sub).max() <= 1e-14 * np.abs(H).max()
+
+    def test_parity_block_refuses_a_warp(self):
+        params = init_flow_params(hidden=4, alpha=20.0, seed=0)
+        with pytest.raises(ValueError, match="a warp breaks parity"):
+            assemble_hamiltonian(BasisSpec(6, 0), gauss_hermite_rule(30), harmonic_potential(), params)
+
+
 class TestOverlapMatrix:
     def test_resolved_is_identity(self):
         S, dev = overlap_matrix(BasisSpec(20), gauss_hermite_rule(40))

@@ -133,3 +133,14 @@ class TestBasisSpec:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             BasisSpec(bad)
+
+    def test_parity_selects_the_rows(self):
+        assert BasisSpec(5).rows == slice(5)
+        assert list(range(5)[BasisSpec(5, 0).rows]) == [0, 2, 4]
+        assert list(range(5)[BasisSpec(5, 1).rows]) == [1, 3]
+        assert list(range(1)[BasisSpec(1, 1).rows]) == []
+
+    @pytest.mark.parametrize("bad", [2, -1, "0", 0.5])
+    def test_invalid_parity(self, bad):
+        with pytest.raises(ValueError, match="parity must be None, 0 or 1"):
+            BasisSpec(4, bad)

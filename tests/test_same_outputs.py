@@ -1,0 +1,74 @@
+"""The comparison of `tools/same_outputs.py` on synthetic output directories; no sweep is run."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def spectra(rows) -> str:
+    return "# hermflow spectra csv v1\nscheme,N,n,E\n" + "".join(f"{s},{N},{n},{E!r}\n" for s, N, n, E in rows)
+
+
+def trace(walls) -> str:
+    lines = "".join(f"{i},{1.0 / (i + 1)!r},0.5,{w!r}\n" for i, w in enumerate(walls))
+    return "# hermflow trace csv v1\niteration,loss,grad_norm,wall_ms\n" + lines
+
+
+def write(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+ROWS = [("augmented", 5, 0, 0.62), ("augmented", 5, 1, 2.0), ("hermite", 5, 0, 0.63), ("hermite", 5, 1, 2.1),
+        ("hermite", 6, 0, 0.625)]
+
+
+def test_verdicts_per_file(tmp_path):
+    moved = [r if r[0] == "augmented" else r[:3] + (r[3] * (1 + 1e-12),) for r in ROWS]
+    moved[-1] = ROWS[-1]  # hermite N=6 keeps its bits
+    parent = write(tmp_path / "p", {
+        "sweep/spectra.csv": spectra(ROWS), "sweep/manifest.json": '{"completed": [5, 6]}\n',
+        "sweep/trace_augmented_N5.csv": trace([0.1, 0.2]), "sweep/checkpoint_augmented_N5.txt": "theta 1\n",
+        "sweep/analysis/rates.csv": "# hermflow rates csv v1\nscheme,N,e_N\nhermite,6,0.25\n",
+        "ladder/only_here.csv": "x\n",
+    })
+    change = write(tmp_path / "c", {
+        "sweep/spectra.csv": spectra(moved), "sweep/manifest.json": '{"completed": [5, 6]}\n',
+        "sweep/trace_augmented_N5.csv": trace([0.3, 0.1]), "sweep/checkpoint_augmented_N5.txt": "theta 2\n",
+        "sweep/analysis/rates.csv": "# hermflow rates csv v1\nscheme,N,e_N\nhermite,6,0.2500000001\n",
+    })
+    report = same_outputs.compare(parent, change)
+    assert report["sweep/manifest.json"] == {"verdict": "byte-identical"}
+    assert report["sweep/trace_augmented_N5.csv"] == {"verdict": "identical except wall_ms"}
+    assert report["sweep/checkpoint_augmented_N5.txt"] == {"verdict": "differs"}
+    assert report["ladder/only_here.csv"] == {"verdict": "only in parent"}
+    rates = report["sweep/analysis/rates.csv"]
+    assert rates["verdict"] == "differs" and rates["max_abs"] == pytest.approx(1e-10, rel=1e-5)
+    spec = report["sweep/spectra.csv"]
+    assert spec["verdict"] == "differs" and spec["moved_cases"] == "1/3"
+    assert list(spec["per_case"]) == ["hermite N=5"]
+    assert spec["per_case"]["hermite N=5"]["max_rel"] == pytest.approx(1e-12, rel=1e-3)
+    assert spec["per_case"]["hermite N=5"]["max_abs"] == pytest.approx(2.1e-12, rel=1e-3)
+    assert spec["per_scheme"]["augmented"] == {"max_abs": 0.0, "max_rel": 0.0}
+
+
+def test_a_trace_that_moved_outside_wall_ms_differs(tmp_path):
+    parent = write(tmp_path / "p", {"trace_augmented_N5.csv": trace([0.1, 0.2])})
+    text = trace([0.1, 0.2]).replace("0.5,", "0.25,", 1)
+    change = write(tmp_path / "c", {"trace_augmented_N5.csv": text})
+    assert same_outputs.compare(parent, change)["trace_augmented_N5.csv"] == {"verdict": "differs"}
+
+
+def test_spectra_with_different_rows_differ(tmp_path):
+    parent = write(tmp_path / "p", {"spectra.csv": spectra(ROWS)})
+    change = write(tmp_path / "c", {"spectra.csv": spectra(ROWS[:-1])})
+    entry = same_outputs.compare(parent, change)["spectra.csv"]
+    assert entry["verdict"] == "differs" and "different" in entry["levels"]

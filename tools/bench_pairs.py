@@ -13,9 +13,15 @@ summary gives each side's median and quartiles, the pairs the change won
 (ties count for neither side), the ratio of the medians, and whether a gain
 may be claimed: the change wins at least nine tenths of the pairs and its
 median beats the parent's by more than the distance between the parent's
-quartiles.  It also gives each side's share of failed operations.  Standard
-output is one JSON object (the runs and the summary); standard error has one
-line per run and per metric.
+quartiles.  It also gives each side's share of failed operations.
+
+Every paced metric is a raw time divided by the run's pace, so a change that
+moves the pace moves them too.  Each run's raw `wall_s` and pace medians are
+read from run.py's standard-error line "raw wall_s median ..., pace median ...",
+and the summary gives, for both, each side's quartiles and the median of the
+per-pair ratios change/parent.  Standard output is one JSON object (the runs
+and the summary); standard error has one line per run and per metric, and one
+for the raw wall and the pace.
 """
 
 from __future__ import annotations
@@ -23,12 +29,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+UNPACED = ("raw_wall_s", "pace")
+_UNPACED_LINE = re.compile(r"raw wall_s median (\S+), pace median (\S+),")
+
+
+def parse_unpaced(stderr: str) -> dict:
+    """{"raw_wall_s", "pace"} from run.py's last "raw wall_s median X, pace median Y," line; {} if none."""
+    found = _UNPACED_LINE.findall(stderr)
+    return dict(zip(UNPACED, map(float, found[-1]))) if found else {}
 
 
 def quartiles(values) -> dict:
@@ -64,6 +79,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "gain_claimable": wins >= 0.9 * len(runs) and gap > parent["q3"] - parent["q1"],
         }
     summary["metrics"] = metrics
+    summary["unpaced"] = {  # from every run's standard error, when all runs gave it
+        key: {**{side: quartiles([r[side][key] for r in runs]) for side in SIDES},
+              "change_vs_parent_median_ratio": statistics.median(r["change"][key] / r["parent"][key] for r in runs)}
+        for key in UNPACED if all(key in r[side] for r in runs for side in SIDES)
+    }
     return summary
 
 
@@ -74,7 +94,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return {**json.loads(done.stdout.strip().splitlines()[-1]), **parse_unpaced(done.stderr)}
 
 
 def main(argv=None) -> int:
@@ -104,6 +124,9 @@ def main(argv=None) -> int:
         print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], "
               f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}], "
               f"change wins {m['change_wins']}, gain claimable: {m['gain_claimable']}", file=sys.stderr)
+    for key, m in summary["unpaced"].items():
+        print(f"{key}: parent {m['parent']['median']:.6g}, change {m['change']['median']:.6g}, "
+              f"median change/parent ratio {m['change_vs_parent_median_ratio']:.4f}", file=sys.stderr)
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "runs": runs, "summary": summary}, indent=1))
     return 0
 

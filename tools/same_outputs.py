@@ -1,0 +1,182 @@
+"""What a change moved in the program's outputs: the same runs in two checkouts, file by file.
+
+    python tools/same_outputs.py PARENT CHANGE [--work DIR]
+
+PARENT and CHANGE are checkout roots, each with its own `src/`.  Each side runs,
+in its own checkout as the working directory, with one BLAS thread and no
+bytecode written:
+
+    hermflow sweep --scheme both --N-range 5..29             (Q = 90, the study)
+    hermflow analyze sweep/spectra.csv --n-ref 29
+    hermflow sweep --scheme hermite --Q 200 --N-range 5..180  (the plain ladder)
+    hermflow analyze ladder/spectra.csv --n-ref 180
+
+The outputs go under `--work` (a new temporary directory by default, removed
+afterwards), never into either checkout; the two sides run at the same time.
+Then every file is compared: byte-identical or not.  A loss-trace CSV
+(`trace_*.csv`) is compared on every column but `wall_ms`.  For a spectra CSV
+that differs, the report gives max |dE| and the largest relative change
+|dE|/|E| per (scheme, N); any other CSV that differs gets the largest absolute
+and relative change over its numeric cells.  Standard output is one JSON
+object, the report; standard error has one line per file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+RUNS = (
+    ("sweep", "--scheme", "both", "--N-range", "5..29", "--output-dir", "{out}/sweep"),
+    ("analyze", "{out}/sweep/spectra.csv", "--n-ref", "29", "--output-dir", "{out}/sweep/analysis"),
+    ("sweep", "--scheme", "hermite", "--Q", "200", "--N-range", "5..180", "--output-dir", "{out}/ladder"),
+    ("analyze", "{out}/ladder/spectra.csv", "--n-ref", "180", "--output-dir", "{out}/ladder/analysis"),
+)
+IGNORED_COLUMNS = {"wall_ms"}
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """The header's columns and the rows of a hermflow CSV, its `#` lines left out."""
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line and not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _as_float(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _change(a: float, b: float) -> tuple[float, float]:
+    """|b - a| and |b - a| / |a| (0 when both are equal, NaNs included)."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    d = abs(b - a)
+    return d, (d / abs(a) if a else math.inf)
+
+
+def trace_verdict(parent: Path, change: Path) -> dict:
+    """A loss-trace CSV: the same on every column but `wall_ms`, or not."""
+    (pc, prows), (cc, crows) = read_csv(parent), read_csv(change)
+    keep = [i for i, c in enumerate(pc) if c not in IGNORED_COLUMNS]
+    same = pc == cc and len(prows) == len(crows) and all(
+        [p[i] for i in keep] == [c[i] for i in keep] for p, c in zip(prows, crows))
+    return {"verdict": "identical except wall_ms" if same else "differs"}
+
+
+def spectra_changes(parent: Path, change: Path) -> dict:
+    """Per (scheme, N), max |dE| and max |dE|/|E| over the levels both sides have."""
+    levels = []
+    for path in (parent, change):
+        columns, rows = read_csv(path)
+        s, n, i, e = (columns.index(c) for c in ("scheme", "N", "n", "E"))
+        levels.append({(r[s], int(r[n]), int(r[i])): float(r[e]) for r in rows})
+    if levels[0].keys() != levels[1].keys():
+        return {"verdict": "differs", "levels": "the two sides hold different (scheme, N, n) rows"}
+    cases: dict[tuple, list] = {}  # (scheme, N) -> [max |dE|, max |dE|/|E|]
+    for key, a in levels[0].items():
+        worst = cases.setdefault(key[:2], [0.0, 0.0])
+        worst[:] = map(max, worst, _change(a, levels[1][key]))
+    per_scheme: dict[str, list] = {}
+    for (scheme, _), worst in cases.items():
+        per_scheme[scheme] = list(map(max, per_scheme.get(scheme, [0.0, 0.0]), worst))
+    moved = {f"{s} N={n}": {"max_abs": a, "max_rel": r} for (s, n), (a, r) in sorted(cases.items()) if a or r}
+    return {
+        "verdict": "differs",
+        "moved_cases": f"{len(moved)}/{len(cases)}",
+        "per_scheme": {s: {"max_abs": a, "max_rel": r} for s, (a, r) in sorted(per_scheme.items())},
+        "per_case": moved,
+    }
+
+
+def csv_changes(parent: Path, change: Path) -> dict:
+    """The largest absolute and relative change over the numeric cells of two CSVs of one shape."""
+    (pc, prows), (cc, crows) = read_csv(parent), read_csv(change)
+    if pc != cc or [len(r) for r in prows] != [len(r) for r in crows]:
+        return {"verdict": "differs", "cells": "the two sides differ in shape"}
+    worst = [0.0, 0.0]
+    for p, c in zip(prows, crows):
+        for a, b in zip(p, c):
+            x, y = _as_float(a), _as_float(b)
+            if x is None or y is None:
+                if a != b:
+                    return {"verdict": "differs", "cells": f"label {a!r} against {b!r}"}
+                continue
+            worst = [max(w, v) for w, v in zip(worst, _change(x, y))]
+    return {"verdict": "differs", "max_abs": worst[0], "max_rel": worst[1]}
+
+
+def compare(parent: Path, change: Path) -> dict[str, dict]:
+    """Per relative file path under either output directory, its verdict and, if it moved, how far."""
+    names = sorted({p.relative_to(root).as_posix() for root in (parent, change) for p in root.rglob("*") if p.is_file()})
+    report = {}
+    for name in names:
+        a, b = parent / name, change / name
+        if not (a.is_file() and b.is_file()):
+            report[name] = {"verdict": f"only in {'parent' if a.is_file() else 'change'}"}
+        elif Path(name).name.startswith("trace_") and name.endswith(".csv"):
+            report[name] = trace_verdict(a, b)
+        elif a.read_bytes() == b.read_bytes():
+            report[name] = {"verdict": "byte-identical"}
+        elif Path(name).name.startswith("spectr") and name.endswith(".csv"):
+            report[name] = spectra_changes(a, b)
+        elif name.endswith(".csv"):
+            report[name] = csv_changes(a, b)
+        else:
+            report[name] = {"verdict": "differs"}
+    return report
+
+
+def start_run(checkout: Path, out: Path, step: tuple) -> subprocess.Popen:
+    """One `hermflow` command of RUNS in `checkout`, writing under `out`."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [arg.format(out=out) for arg in step]
+    command = [sys.executable, "-c", "import sys; from hermflow.cli import main; sys.exit(main())", *argv]
+    return subprocess.Popen(command, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+
+
+def run_side_by_side(checkouts: dict[str, Path], work: Path) -> None:
+    """RUNS in both checkouts, each command on both sides at once; any non-zero exit stops."""
+    for k, step in enumerate(RUNS, start=1):
+        procs = {side: start_run(root, work / side, step) for side, root in checkouts.items()}
+        for side, proc in procs.items():
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                raise SystemExit(f"error: {side}: hermflow {' '.join(step)} exited {proc.returncode}:\n{err}")
+        print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--work", type=Path, help="where both sides write (kept); a temporary directory by default")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in checkouts.values():
+        if not (root / "src" / "hermflow" / "__init__.py").is_file():
+            parser.error(f"no hermflow sources under {root}")
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        work = (args.work or Path(tmp)).resolve()
+        run_side_by_side(checkouts, work)
+        report = compare(work / "parent", work / "change")
+    for name, entry in report.items():
+        detail = {k: v for k, v in entry.items() if k not in ("verdict", "per_case")}
+        print(f"{name}: {entry['verdict']}{' ' + json.dumps(detail) if detail else ''}", file=sys.stderr)
+    verdicts = collections.Counter(entry["verdict"] for entry in report.values())
+    print(f"{len(report)} files: " + ", ".join(f"{n} {v}" for v, n in sorted(verdicts.items())), file=sys.stderr)
+    print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]), "files": report}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
