@@ -206,11 +206,12 @@ def overlap_matrix(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, f
     The warped overlap integral pulls back to the plain Hermite one for any
     warp parameters, so this diagnostic takes none and serves both schemes;
     deviations measure quadrature underresolution only.  The rule's table holds
-    phi_0 .. phi_Q, so a table is built only for N > Q + 1.
+    phi_0 .. phi_Q, so a table is built only for N > Q + 1.  A parity block gives
+    the Gram matrix of its own rows, the ones `assemble_hamiltonian` projects onto.
     """
     N = spec.size
     phi = rule.hermite_table[:N] if N <= rule.order + 1 else eval_hermite_functions(N - 1, rule.nodes)
-    B = phi * rule.sqrt_lifted_weights
+    B = phi[spec.rows] * rule.sqrt_lifted_weights
     S = B @ B.T
-    dev = float(np.abs(S - np.eye(N)).max())
+    dev = float(np.abs(S - np.eye(len(S))).max(initial=0.0))
     return S, dev

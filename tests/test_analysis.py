@@ -68,24 +68,29 @@ class TestQSequence:
     def test_geometric_sequence_gives_ratio(self):
         r = 0.37
         xs = {N: 2.0 + r**N for N in range(3, 12)}
-        rates = q_sequence(xs, 2.0)
+        rates = q_sequence(xs, 2.0, 0.0)
         for e in rates.values():
             assert e == pytest.approx(r, rel=1e-9)
 
     def test_exact_limit_is_undefined_not_zero(self):
         xs = {N: 5.0 for N in range(3, 8)}
-        rates = q_sequence(xs, 5.0)
+        rates = q_sequence(xs, 5.0, 0.0)
         assert rates and all(math.isnan(e) for e in rates.values())
 
     def test_none_entries_skipped(self):
         xs = {3: None, 4: 1.5, 5: 1.25}
-        rates = q_sequence(xs, 1.0)
+        rates = q_sequence(xs, 1.0, 0.0)
         assert set(rates) == {5}
         assert rates[5] == pytest.approx(0.5)
 
     def test_requires_consecutive_predecessor(self):
-        rates = q_sequence({3: 1.5, 5: 1.1}, 1.0)
+        rates = q_sequence({3: 1.5, 5: 1.1}, 1.0, 0.0)
         assert rates == {}
+
+    def test_errors_at_or_below_the_floor_are_undefined(self):
+        rates = q_sequence({3: 1.5, 4: 1.25, 5: 1.0 + 2.0**-10, 6: 1.0 + 2.0**-12}, 1.0, 2.0**-10)
+        assert rates[4] == 0.5
+        assert math.isnan(rates[5]) and math.isnan(rates[6])
 
 
 class TestLinearFit:
@@ -152,6 +157,20 @@ class TestConvergenceReport:
         # plateau: e_N = (r^N - r^14)/(r^(N-1) - r^14) -> about r away from N_ref
         assert defined[9] == pytest.approx((r**9 - r**14) / (r**8 - r**14), rel=1e-12)
         assert report.fit[0] < 0
+
+    def test_rounding_plateau_is_undefined(self):
+        # the window levels converge as 0.5^N to N = 30, then wander at rounding, within
+        # 1.5 eps max |E| (the top level, 1000): each of those errors is under the report's
+        # floor 2 * 6 * eps * 1000, so their ratios are NaN, and the fit sees the ratios above it
+        eps = np.finfo(float).eps
+        wander = [0.3, -1.5, 0.9, 1.2, -0.4, 1.5, -1.1, 0.6, -0.8]
+        shift = {N: 0.5**N for N in range(8, 31)} | {N: w * eps * 1e3 for N, w in zip(range(31, 40), wander)}
+        spectra = {N: np.append(np.arange(12) + 0.5 + d, 1e3) for N, d in shift.items()}
+        spectra[40] = np.append(np.arange(12) + 0.5, 1e3)
+        report = build_convergence_report("hermite", spectra, n_ref=40, window=(5, 10))
+        assert all(report.rates[N] == pytest.approx(0.5, rel=1e-5) for N in range(9, 31))
+        assert all(math.isnan(report.rates[N]) for N in range(31, 41))
+        assert report.fit[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):

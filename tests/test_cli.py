@@ -468,6 +468,52 @@ def test_benchmark_tracer_bindings_resolve(monkeypatch):
     assert bindings and not missing
 
 
+@pytest.mark.parametrize("table", ["TRACED_BINDINGS", "TIMED_BINDINGS"])
+def test_benchmark_tracer_installs_and_uninstalls(monkeypatch, table):
+    """The tracer wraps every name it binds on the package, `autodiff.Var.backward` among
+    them; an inactive wrapper passes a call through, and `uninstall` puts back each original."""
+    tracing = load_tracing(monkeypatch)
+    bindings = getattr(tracing, table)
+    owners = []
+    for path, name, _ in bindings:
+        owner = hermflow
+        for part in filter(None, path.split(".")):
+            owner = getattr(owner, part)
+        owners.append((owner, name, getattr(owner, name)))
+    tracer = tracing.Tracer()
+    tracer.install(hermflow, bindings)
+    try:
+        for owner, name, original in owners:
+            wrapped = getattr(owner, name)
+            assert wrapped is not original and wrapped.__wrapped__ is original, name
+        if table == "TRACED_BINDINGS":
+            assert (hermflow.autodiff.Var, "backward") in [(owner, name) for owner, name, _ in owners]
+            x = hermflow.autodiff.Var(2.0)
+            x.backward()
+            assert float(x.grad) == 1.0 and not tracer.spans
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, name) is original for owner, name, original in owners)
+
+
+def test_only_the_package_imports_autodiff():
+    """No solver module uses the tape; the package imports it for the tracer's binding alone."""
+    importers = []
+    for path in sorted((REPO / "src" / "hermflow").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any("autodiff" in n.split(".") for n in names):
+                importers.append(path.name)
+    assert not importers
+
+
 def test_benchmark_cli_bindings_are_called(tmp_path, monkeypatch):
     """Every `cli` name the benchmark's tracer patches is called by a tiny solve, sweep
     and analyze: the tracer sees only the calls made through those names."""

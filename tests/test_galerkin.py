@@ -311,6 +311,21 @@ class TestOverlapMatrix:
         _, dev = overlap_matrix(BasisSpec(30), gauss_hermite_rule(90))
         assert dev < 1e-10
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    @pytest.mark.parametrize("N", [1, 2, 9, 10, 44])
+    def test_parity_block_is_the_full_gram_matrix_s_block(self, parity, N):
+        # N = 44 > Q + 1 builds its own table; a block's deviation is from its own identity
+        rule = gauss_hermite_rule(40)
+        full, _ = overlap_matrix(BasisSpec(N), rule)
+        S, dev = overlap_matrix(BasisSpec(N, parity), rule)
+        sub = full[parity::2, parity::2]
+        assert S.shape == sub.shape == (len(range(parity, N, 2)),) * 2
+        assert np.abs(S - sub).max(initial=0.0) <= 1e-14
+        assert dev == float(np.abs(S - np.eye(len(S))).max(initial=0.0))
+        if N <= 10:
+            H = assemble_hamiltonian(BasisSpec(N, parity), rule, harmonic_potential())
+            assert S.shape == (H.size, H.size)
+
 
 class TestPotentialDerivative:
     def test_builtins_equal_the_plain_expressions(self):
