@@ -15,7 +15,7 @@ from .analysis import (
     build_convergence_report,
 )
 from . import autodiff  # noqa: F401 - benchmarks/tracing.py binds autodiff.Var.backward
-from .eigensolver import Spectrum, eigh, eigh_tridiagonal
+from .eigensolver import Spectrum, eigh
 from .flow import (
     FlowParams,
     Jet2,

@@ -130,7 +130,9 @@ def build_convergence_report(
     plateau at rounding, at most 1.7 eps max |E|, from N = 84 on.
     """
     if n_ref not in spectra:
-        raise ValueError(f"spectra lack the reference basis size N={n_ref}")
+        raise ValueError(f"scheme {scheme!r} has no N_ref={n_ref} spectrum")
+    if (too_big := max(spectra)) > n_ref:
+        raise ValueError(f"N_ref={n_ref} must cover every analyzed basis size; {scheme!r} has N={too_big}")
     reference = np.asarray(spectra[n_ref], dtype=float)
     band_errors = {
         N: band_average_errors(vals, reference[: len(vals)], band_size) for N, vals in spectra.items()

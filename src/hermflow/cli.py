@@ -4,7 +4,7 @@ Subcommands:
 
 * ``solve``   - solve each scheme's case with `solve_case` (train the warp for
   the augmented scheme, assemble, diagonalize), write a spectrum CSV plus the
-  warp's checkpoint and loss trace, print a one-line summary.  A hermite case
+  warp's checkpoint and loss trace, print a one-line summary.  An unwarped case
   with an even potential (both named ones are) is solved as its two parity blocks.
 * ``sweep``   - the same over a range of basis sizes with per-N seeds derived
   from the master seed, aggregating one spectra CSV (an N's rows only once
@@ -188,15 +188,14 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> Case
         raise ValueError(f"solve_case takes scheme 'hermite' or 'augmented', got {scheme!r}")
     V = potential_from_descriptor(config.potential)
     rule = gauss_hermite_rule(config.Q)
-    if scheme == "hermite" and V.is_even:  # H_mn = 0 for m + n odd: the even and the odd block
-        blocks = [assemble_hamiltonian(BasisSpec(N, parity), rule, V).entries for parity in (0, 1)[:N]]
-        levels = np.sort(np.concatenate([eigh(H).eigenvalues for H in blocks]))
-        return CaseResult(levels, sum(float(np.trace(H)) for H in blocks), None, None)
     params = training = None
     if scheme == "augmented":
         params, training = train(config.training_config(N, seed), V)
-    H = assemble_hamiltonian(BasisSpec(N), rule, V, params)
-    return CaseResult(eigh(H.entries).eigenvalues, float(np.trace(H.entries)), params, training)
+    # unwarped, an even V has H_mn = 0 for m + n odd: the even and the odd block; warped, one block
+    specs = [BasisSpec(N, 0), BasisSpec(N, 1)][:N] if params is None and V.is_even else [BasisSpec(N)]
+    blocks = [assemble_hamiltonian(spec, rule, V, params).entries for spec in specs]
+    levels = np.sort(np.concatenate([eigh(H).eigenvalues for H in blocks]))
+    return CaseResult(levels, sum(float(np.trace(H)) for H in blocks), params, training)
 
 
 def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) -> list[tuple]:
@@ -285,8 +284,6 @@ def cmd_analyze(
     band_size: int = 5,
     window: tuple[int, int] = (5, 10),
 ) -> int:
-    if band_size < 1:
-        raise ConfigError(f"band_size must be >= 1, got {band_size}")
     data: dict[str, dict[int, np.ndarray]] = {}
     for path in spectra_paths:
         if not Path(path).exists():
@@ -299,31 +296,24 @@ def cmd_analyze(
                 merged[N] = vals
     if not data:
         raise ConfigError("no spectra rows found in the inputs")
-    for scheme, by_n in data.items():
-        if n_ref not in by_n:
-            raise ConfigError(
-                f"mismatched schemes in inputs: scheme {scheme!r} has no N_ref={n_ref} spectrum"
-            )
-        too_big = max(by_n)
-        if too_big > n_ref:
-            raise ConfigError(
-                f"N_ref={n_ref} must cover every analyzed basis size; {scheme!r} has N={too_big}"
-            )
-    output_dir.mkdir(parents=True, exist_ok=True)
     band_rows, rate_rows, fit_rows = [], [], []
-    for scheme in sorted(data):
-        report = build_convergence_report(scheme, data[scheme], n_ref, band_size, window)
-        for N in sorted(report.band_errors):
-            abs_err = report.band_errors[N]
-            rel_err = band_average_errors(
-                data[scheme][N], report.reference[:N], band_size, relative=True
-            )
-            band_rows.extend(
-                (scheme, N, b, abs_err[b], rel_err[b]) for b in range(abs_err.size)
-            )
-        rate_rows.extend((scheme, N, report.rates[N]) for N in sorted(report.rates))
-        if np.isfinite(report.fit[0]):
-            fit_rows.append((scheme, report.fit[0], report.fit[1]))
+    try:  # every report is built, and checked, before the output directory is made
+        for scheme in sorted(data):
+            report = build_convergence_report(scheme, data[scheme], n_ref, band_size, window)
+            for N in sorted(report.band_errors):
+                abs_err = report.band_errors[N]
+                rel_err = band_average_errors(
+                    data[scheme][N], report.reference[:N], band_size, relative=True
+                )
+                band_rows.extend(
+                    (scheme, N, b, abs_err[b], rel_err[b]) for b in range(abs_err.size)
+                )
+            rate_rows.extend((scheme, N, report.rates[N]) for N in sorted(report.rates))
+            if np.isfinite(report.fit[0]):
+                fit_rows.append((scheme, report.fit[0], report.fit[1]))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    output_dir.mkdir(parents=True, exist_ok=True)
     write_bands_csv(output_dir / "bands.csv", band_rows)
     write_rates_csv(output_dir / "rates.csv", rate_rows)
     write_fits_csv(output_dir / "fits.csv", fit_rows)

@@ -1,4 +1,5 @@
-"""Dense symmetric eigendecomposition and the tridiagonal kernel.
+"""Dense symmetric eigendecomposition: of the Galerkin matrices, and of the Jacobi
+matrix whose eigenvalues are the Gauss-Hermite nodes (Golub-Welsch).
 
 Backed by LAPACK through numpy; the contract enforced here is the similarity
 residual ||M C_n - E_n C_n||_inf <= 1e-9 * (1 + ||M||_inf) and ascending
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Spectrum", "SolverError", "eigh", "eigh_tridiagonal"]
+__all__ = ["Spectrum", "SolverError", "eigh"]
 
 _RESIDUAL_TOL = 1e-9
 _SYMMETRY_TOL = 1e-9
@@ -62,20 +63,3 @@ def eigh(M: np.ndarray) -> Spectrum:
     if residual > _RESIDUAL_TOL * scale:
         raise SolverError(f"residual {residual:.3e} exceeds {_RESIDUAL_TOL:.1e}*(1+||M||)")
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
-
-
-def eigh_tridiagonal(diag, offdiag) -> Spectrum:
-    """Diagonalize a symmetric tridiagonal matrix given its diagonals.
-
-    Shared kernel for Gauss quadrature generation (Golub-Welsch), which reads
-    only the eigenvalues (the nodes); the weights come from the Christoffel sum.
-    """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    n = diag.size
-    if offdiag.size != max(n - 1, 0):
-        raise ValueError(f"offdiag length {offdiag.size} does not match diag length {n}")
-    M = np.diag(diag)
-    if n > 1:
-        M += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    return eigh(M)

@@ -385,6 +385,15 @@ def _map_jets(params: FlowParams, x: np.ndarray):
     return jets
 
 
+def _unit_interval(params: FlowParams, x: np.ndarray):
+    """(raw, t, inside) at the points x: raw = (x - beta)/alpha, the map to the unit interval;
+    t = raw clipped to [-(1 - ATANH_CLIP), 1 - ATANH_CLIP], np.clip's bits (NaN included) at a
+    third of its cost; inside = |raw| < 1 - ATANH_CLIP, the points of the warp's interval."""
+    hi = 1.0 - ATANH_CLIP
+    raw = (x - params.beta) / params.alpha
+    return raw, np.minimum(np.maximum(raw, -hi), hi), np.abs(raw) < hi
+
+
 def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     """Forward sweep: ((G, G', G'') as a (3, points) array, what `_jets_reverse` needs).
 
@@ -405,10 +414,8 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     """
     x = np.asarray(x, dtype=float)
     alpha, beta = params.alpha, params.beta
-    lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
-    raw = (x - beta) / alpha
-    t0 = np.minimum(np.maximum(raw, lo), hi)  # np.clip's bits, NaN included, at a third of its cost
-    t1 = (np.abs(raw) < hi) / alpha  # 1/alpha inside the interval (lo = -hi), 0 outside
+    raw, t0, inside = _unit_interval(params, x)
+    t1 = inside / alpha  # 1/alpha inside the interval, 0 outside
     up = 1.0 / (1.0 - t0 * t0)
     z = np.empty((3, x.size), raw.dtype)
     np.arctanh(t0, out=z[0])
@@ -525,9 +532,11 @@ def flow_inverse(
 ):
     """G^{-1}(y) by unwrapping the sandwich and fixed-point iteration.
 
-    The affine-tanh layers invert in closed form; each residual stage
-    z + k(z) = w is solved by z_{t+1} = w - k(z_t), a contraction with rate
-    at most the Lipschitz margin c.  Iteration stops once successive
+    G maps the interval (beta - alpha, beta + alpha) onto itself, and y must lie in it:
+    a ValueError names the first point that is not finite or has
+    |y - beta| >= alpha (1 - ATANH_CLIP).  The affine-tanh layers invert in closed form;
+    each residual stage z + k(z) = w is solved by z_{t+1} = w - k(z_t), a contraction
+    with rate at most the Lipschitz margin c.  Iteration stops once successive
     iterates differ by less than `tol`.  With `return_iterations` the total
     fixed-point iteration count comes back alongside the result.
     """
@@ -535,8 +544,12 @@ def flow_inverse(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    lo, hi = -1.0 + ATANH_CLIP, 1.0 - ATANH_CLIP
-    w = np.arctanh(np.minimum(np.maximum((y - params.beta) / params.alpha, lo), hi))
+    _, t, inside = _unit_interval(params, y)
+    if not inside.all():  # NaN compares False
+        i = int(np.flatnonzero(~inside)[0])
+        raise ValueError(f"y[{i}] = {y[i]} lies outside the warp's interval: y must be finite and |y - beta|"
+                         f" < alpha (1 - {ATANH_CLIP}), with alpha = {params.alpha!r}, beta = {params.beta!r}")
+    w = np.arctanh(t)
     total_iters = 0
     blocks = _point_blocks(params.hidden, y.size)
     for block in reversed(params.blocks):
@@ -561,10 +574,17 @@ def flow_inverse(
 
 
 def evaluate_augmented_basis(params: FlowParams, n_max: int, x) -> np.ndarray:
-    """Warped-basis values phi_n(G^{-1}(x)) / sqrt(G'(G^{-1}(x))), n = 0..n_max."""
-    y = flow_inverse(params, np.atleast_1d(np.asarray(x, dtype=float)))
-    jets = flow_jet(params, y)
-    vals = eval_hermite_functions(n_max, y) / np.sqrt(jets.d1)
+    """Warped-basis values phi_n(G^{-1}(x)) / sqrt(G'(G^{-1}(x))), n = 0..n_max.
+
+    The warped functions span L2(beta - alpha, beta + alpha) extended by zero: they
+    are 0 at a finite point outside `flow_inverse`'s domain, and a point that is not
+    finite is refused by `flow_inverse`'s ValueError.
+    """
+    points = np.atleast_1d(np.asarray(x, dtype=float))
+    outside = ~_unit_interval(params, points)[2] & np.isfinite(points)
+    y = flow_inverse(params, np.where(outside, params.beta, points))  # beta stands in for them
+    vals = eval_hermite_functions(n_max, y) / np.sqrt(flow_jet(params, y).d1)
+    vals[:, outside] = 0.0
     return vals[:, 0] if (np.isscalar(x) or np.ndim(x) == 0) else vals
 
 

@@ -1,8 +1,9 @@
 """Gauss-Hermite quadrature rules.
 
 Nodes and weights for integrals against exp(-x^2).  Nodes are the
-eigenvalues of the symmetric tridiagonal Jacobi matrix with off-diagonals
-sqrt(k/2) (Golub-Welsch).  Weights use the Christoffel-function identity
+eigenvalues of the symmetric tridiagonal Jacobi matrix with zero diagonal and
+off-diagonals sqrt(k/2) (Golub-Welsch), found by the dense `eigh`: only the
+eigenvalues are read.  Weights use the Christoffel-function identity
 
     w_q = 1 / sum_{k<Q} p_k(x_q)^2 = exp(-x_q^2) / sum_{k<Q} phi_k(x_q)^2,
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import eigh_tridiagonal
+from .eigensolver import eigh
 from .hermite import eval_hermite_functions, hermite_derivatives_from_table
 
 __all__ = ["QuadratureRule", "gauss_hermite_rule"]
@@ -70,7 +71,8 @@ def gauss_hermite_rule(Q: int) -> QuadratureRule:
 @functools.cache
 def _build_rule(Q: int) -> QuadratureRule:
     """The order-Q rule, built once per order; its arrays are read-only, as callers share them."""
-    nodes = eigh_tridiagonal(np.zeros(Q), np.sqrt(0.5 * np.arange(1, Q))).eigenvalues
+    off = np.sqrt(0.5 * np.arange(1, Q))
+    nodes = eigh(np.diag(off, 1) + np.diag(off, -1)).eigenvalues  # of the Jacobi matrix
     table = eval_hermite_functions(Q, nodes)
     phi = table[:Q]
     lifted = 1.0 / (phi * phi).sum(axis=0)

@@ -189,8 +189,9 @@ class TestSolve:
 
 
 class TestSolveCaseParity:
-    """A hermite case with an even potential is solved as its even and odd blocks; any other
-    case assembles and diagonalizes the full matrix, as `assemble_hamiltonian` and `eigh` do."""
+    """A case without a warp and with an even potential is solved as its even and odd blocks;
+    any other case assembles and diagonalizes the full matrix, as `assemble_hamiltonian` and
+    `eigh` do."""
 
     @pytest.mark.parametrize("potential", ["harmonic", "anharmonic"])
     def test_blocks_agree_with_the_full_matrix(self, potential):
@@ -229,12 +230,15 @@ class TestSolveCaseParity:
             assert case.trace == float(np.trace(H))
 
     def test_augmented_case_solves_the_full_matrix(self):
-        config = ExperimentConfig(potential="anharmonic", Q=40, hidden=4, iterations=5)
-        case = solve_case(config, "augmented", 6, 3)
-        V = hermflow.anharmonic_potential()
-        H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(6), hermflow.gauss_hermite_rule(40), V, case.params)
-        assert case.eigenvalues.tobytes() == hermflow.eigh(H.entries).eigenvalues.tobytes()
-        assert case.trace == float(np.trace(H.entries))
+        # at 0 iterations the warp is the identity: the blocks follow the warp, not what it does
+        V, rule = hermflow.anharmonic_potential(), hermflow.gauss_hermite_rule(40)
+        for iterations in (0, 5):
+            config = ExperimentConfig(potential="anharmonic", Q=40, hidden=4, iterations=iterations)
+            case = solve_case(config, "augmented", 6, 3)
+            assert case.params is not None
+            H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(6), rule, V, case.params)
+            assert case.eigenvalues.tobytes() == hermflow.eigh(H.entries).eigenvalues.tobytes()
+            assert case.trace == float(np.trace(H.entries))
 
 
 class TestSweep:
@@ -371,12 +375,15 @@ class TestAnalyze:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reference_below_analyzed_sizes_exits_2(self, sweep_dir, tmp_path):
+    def test_reference_below_analyzed_sizes_exits_2(self, sweep_dir, tmp_path, capsys):
+        out = tmp_path / "an3"
         code = run(
             ["analyze", sweep_dir / "spectra.csv", "--n-ref", 12,
-             "--output-dir", tmp_path / "an3"]
+             "--output-dir", out]
         )
         assert code == 2
+        assert "N_ref=12 must cover every analyzed basis size; 'hermite' has N=16" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -396,16 +403,19 @@ class TestAnalyze:
         assert code == 2
         assert not out.exists()
 
-    def test_scheme_without_reference_exits_2(self, sweep_dir, tmp_path):
+    def test_scheme_without_reference_exits_2(self, sweep_dir, tmp_path, capsys):
         from hermflow.analysis import write_spectra_csv
 
         extra = tmp_path / "extra.csv"
         write_spectra_csv(extra, [("augmented", 5, n, float(n) + 0.5) for n in range(5)])
+        out = tmp_path / "an2"
         code = run(
             ["analyze", sweep_dir / "spectra.csv", extra, "--n-ref", 16,
-             "--output-dir", tmp_path / "an2"]
+             "--output-dir", out]
         )
         assert code == 2
+        assert "scheme 'augmented' has no N_ref=16 spectrum" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HERMFLOW_OUTPUT_ROOT", str(tmp_path))

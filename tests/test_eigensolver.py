@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermflow import eigh, eigh_tridiagonal
+from hermflow import eigh
 
 
 class TestEigh:
@@ -74,27 +74,3 @@ class TestEigh:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             eigh(np.zeros((2, 3)))
-
-
-class TestEighTridiagonal:
-    def test_single_entry(self):
-        spec = eigh_tridiagonal([0.0], [])
-        assert spec.eigenvalues[0] == 0.0
-
-    def test_order_two_jacobi(self):
-        # Jacobi matrix of the 2-point Gauss-Hermite rule
-        spec = eigh_tridiagonal([0.0, 0.0], [np.sqrt(0.5)])
-        np.testing.assert_allclose(spec.eigenvalues, [-np.sqrt(0.5), np.sqrt(0.5)], atol=1e-14)
-
-    def test_matches_dense(self):
-        rng = np.random.default_rng(9)
-        d = rng.normal(size=15)
-        e = rng.normal(size=14)
-        M = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-        np.testing.assert_allclose(
-            eigh_tridiagonal(d, e).eigenvalues, eigh(M).eigenvalues, atol=1e-11
-        )
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            eigh_tridiagonal([1.0, 2.0], [0.5, 0.5])

@@ -22,7 +22,7 @@ from hermflow import (
     save_checkpoint,
     spectral_norm,
 )
-from hermflow.flow import ConvergenceError, FlowNumericsError
+from hermflow.flow import ATANH_CLIP, ConvergenceError, FlowNumericsError
 from conftest import make_feasible_params
 
 
@@ -293,6 +293,25 @@ class TestFlowInverse:
         assert flow_inverse(params, np.empty(0)).shape == (0,)
         assert evaluate_augmented_basis(params, 4, np.empty(0)).shape == (5, 0)
 
+    @pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf, 1.0, -1.0, 1.2, -10.0, 1.0 - ATANH_CLIP])
+    def test_points_outside_the_interval_are_refused(self, rng, edge):
+        # beta + edge * alpha: not finite, at either end, beyond it, or on the clip bound
+        params = make_feasible_params(8, 5.0, 0.3, rng)
+        ys = np.array([0.3, params.beta + edge * params.alpha, 0.0])
+        with pytest.raises(ValueError, match=r"^y\[1\] = .* lies outside the warp's interval"):
+            flow_inverse(params, ys)
+        with pytest.raises(ValueError, match=r"^y\[0\] = "):
+            flow_inverse(params, ys[1])
+
+    def test_points_just_inside_the_interval_are_inverted(self, rng):
+        edges = np.array([-1.0, 1.0]) * (1.0 - 2 * ATANH_CLIP)
+        identity = zero_block_params(alpha=5.0, beta=0.3)
+        inside = identity.beta + edges * identity.alpha
+        assert np.abs(flow_inverse(identity, inside) - inside).max() < 1e-12
+        params = make_feasible_params(8, 5.0, 0.3, rng)
+        xs = flow_inverse(params, params.beta + edges * params.alpha)
+        assert np.all(np.abs(xs - params.beta) < params.alpha) and xs[0] < xs[1]
+
     def test_exhausted_iterations_raise(self, rng):
         params = make_feasible_params(8, 9.0, 0.0, rng, weight_scale=0.99, bias_scale=0.8)
         with pytest.raises(ConvergenceError):
@@ -348,6 +367,23 @@ class TestAugmentedBasis:
         grid = np.linspace(-0.999 * alpha, 0.999 * alpha, 100_001)
         vals = evaluate_augmented_basis(params, 0, grid)[0]
         assert np.trapezoid(vals**2, grid) == pytest.approx(1.0, abs=1e-4)
+
+
+    def test_zero_outside_the_interval(self, rng):
+        # the warped functions span L2(beta - alpha, beta + alpha) extended by zero
+        params = make_feasible_params(8, 5.0, 0.3, rng)
+        inside = np.linspace(-4.0, 4.5, 7)
+        outside = params.beta + np.array([-1.0, 1.0, 1.2, -10.0, 1.0 - ATANH_CLIP]) * params.alpha
+        vals = evaluate_augmented_basis(params, 4, np.concatenate([outside[:2], inside, outside[2:]]))
+        assert vals.shape == (5, 12) and not vals[:, :2].any() and not vals[:, -3:].any()
+        np.testing.assert_array_equal(vals[:, 2:-3], evaluate_augmented_basis(params, 4, inside))
+        assert evaluate_augmented_basis(params, 2, 6.0).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_are_refused(self, rng, bad):
+        params = make_feasible_params(8, 5.0, 0.3, rng)
+        with pytest.raises(ValueError, match=r"^y\[2\] = .* lies outside the warp's interval"):
+            evaluate_augmented_basis(params, 3, np.array([0.0, 6.0, bad]))
 
 
 class TestInitialization:

@@ -72,3 +72,30 @@ def test_spectra_with_different_rows_differ(tmp_path):
     change = write(tmp_path / "c", {"spectra.csv": spectra(ROWS[:-1])})
     entry = same_outputs.compare(parent, change)["spectra.csv"]
     assert entry["verdict"] == "differs" and "different" in entry["levels"]
+
+
+def checkout(root: Path, main: str = "return 0") -> Path:
+    """A checkout whose `hermflow.cli.main` has the body `main`."""
+    return write(root, {"src/hermflow/__init__.py": "", "src/hermflow/cli.py": f"def main():\n    {main}\n"})
+
+
+@pytest.mark.parametrize("moved,status", [({}, 0), ({"sweep/manifest.json": "{}\n"}, 1), ({"extra.txt": "x\n"}, 1)])
+def test_exit_status_is_the_verdict(tmp_path, monkeypatch, capsys, moved, status):
+    # 0 when every file is the same (a trace but for wall_ms), 1 when one moved or is on one side only
+    same = {"sweep/manifest.json": '{"completed": [5]}\n', "sweep/trace_augmented_N5.csv": trace([0.1])}
+    sides = {"parent": same, "change": {**same, "sweep/trace_augmented_N5.csv": trace([0.2]), **moved}}
+    monkeypatch.setattr(same_outputs, "run_side_by_side",
+                        lambda checkouts, work: [write(work / side, files) for side, files in sides.items()])
+    roots = [checkout(tmp_path / side) for side in sides]
+    assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == status
+    assert '"files"' in capsys.readouterr().out
+
+
+def test_a_failed_run_exits_2(tmp_path, capsys):
+    # the change side's first `hermflow` command fails; the parent side's succeeds
+    parent = checkout(tmp_path / "p")
+    change = checkout(tmp_path / "c", "raise RuntimeError('broken')")
+    assert same_outputs.main([str(parent), str(change), "--work", str(tmp_path / "work")]) == 2
+    captured = capsys.readouterr()
+    assert "error: change: hermflow sweep" in captured.err and "broken" in captured.err
+    assert captured.out == ""

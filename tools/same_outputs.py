@@ -19,6 +19,10 @@ that differs, the report gives max |dE| and the largest relative change
 |dE|/|E| per (scheme, N); any other CSV that differs gets the largest absolute
 and relative change over its numeric cells.  Standard output is one JSON
 object, the report; standard error has one line per file.
+
+The exit status is the verdict, as `diff` gives it: 0 when every file is
+byte-identical or identical except `wall_ms`, 1 when a file moved or exists on
+one side only, 2 when a run fails.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ RUNS = (
     ("analyze", "{out}/ladder/spectra.csv", "--n-ref", "180", "--output-dir", "{out}/ladder/analysis"),
 )
 IGNORED_COLUMNS = {"wall_ms"}
+SAME = {"byte-identical", "identical except wall_ms"}
+
+
+class RunFailed(RuntimeError):
+    """A `hermflow` command of RUNS exited non-zero on one side."""
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -148,10 +157,10 @@ def run_side_by_side(checkouts: dict[str, Path], work: Path) -> None:
     """RUNS in both checkouts, each command on both sides at once; any non-zero exit stops."""
     for k, step in enumerate(RUNS, start=1):
         procs = {side: start_run(root, work / side, step) for side, root in checkouts.items()}
+        errors = {side: proc.communicate()[1] for side, proc in procs.items()}  # both finish first
         for side, proc in procs.items():
-            _, err = proc.communicate()
             if proc.returncode != 0:
-                raise SystemExit(f"error: {side}: hermflow {' '.join(step)} exited {proc.returncode}:\n{err}")
+                raise RunFailed(f"{side}: hermflow {' '.join(step)} exited {proc.returncode}:\n{errors[side]}")
         print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
 
 
@@ -167,7 +176,11 @@ def main(argv=None) -> int:
             parser.error(f"no hermflow sources under {root}")
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = (args.work or Path(tmp)).resolve()
-        run_side_by_side(checkouts, work)
+        try:
+            run_side_by_side(checkouts, work)
+        except RunFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         report = compare(work / "parent", work / "change")
     for name, entry in report.items():
         detail = {k: v for k, v in entry.items() if k not in ("verdict", "per_case")}
@@ -175,7 +188,7 @@ def main(argv=None) -> int:
     verdicts = collections.Counter(entry["verdict"] for entry in report.values())
     print(f"{len(report)} files: " + ", ".join(f"{n} {v}" for v, n in sorted(verdicts.items())), file=sys.stderr)
     print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]), "files": report}, indent=1))
-    return 0
+    return 0 if set(verdicts) <= SAME else 1
 
 
 if __name__ == "__main__":
