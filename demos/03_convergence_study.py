@@ -15,11 +15,11 @@ Runtime is a couple of minutes (every N trains its own warp).
 import math
 
 from hermflow import build_convergence_report
+from hermflow.analysis import WINDOW
 from hermflow.cli import ExperimentConfig, solve_case
 
 N_VALUES = range(5, 22)
 N_REF = max(N_VALUES)
-WINDOW = (5, 10)
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
         for scheme, by_n in spectra.items():
             by_n[N] = solve_case(config, scheme, N, seed=N).eigenvalues
         print(f"  solved N={N} (both schemes)")
-    reports = {s: build_convergence_report(s, by_n, N_REF, 5, WINDOW) for s, by_n in spectra.items()}
+    reports = {s: build_convergence_report(s, by_n, N_REF) for s, by_n in spectra.items()}
 
     print(f"\nBand-1 (states 0-4) average error vs own reference at N={N_REF}:")
     print(f"  {'N':>4} {'hermite':>12} {'warped':>12}")

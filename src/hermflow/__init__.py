@@ -37,7 +37,6 @@ from .galerkin import (
     anharmonic_potential,
     assemble_hamiltonian,
     harmonic_potential,
-    overlap_matrix,
     potential_from_descriptor,
 )
 from .hermite import BasisSpec, eval_hermite_derivatives, eval_hermite_functions

@@ -2,11 +2,11 @@
 
 Convergence in the basis size N is summarized two ways:
 
-* banded errors - eigenvalues are grouped into consecutive bands (five per
-  band by default) and the average error of each band against a converged
+* banded errors - eigenvalues are grouped into consecutive bands of
+  `BAND_SIZE` (5) levels and the average error of each band against a converged
   reference is tracked as N grows;
-* error ratios  - for a scalar summary x_N (here a sum over a window of
-  states), e_N = |x_N - x*| / |x_{N-1} - x*|; ratios tending to zero mean
+* error ratios  - for a scalar summary x_N (here the sum over the states of
+  `WINDOW`, 5..10), e_N = |x_N - x*| / |x_{N-1} - x*|; ratios tending to zero mean
   faster-than-linear convergence.  The noisy e_N sequence is summarized by
   an ordinary least-squares line.
 
@@ -28,6 +28,8 @@ from typing import Mapping
 import numpy as np
 
 __all__ = [
+    "BAND_SIZE",
+    "WINDOW",
     "ConvergenceReport",
     "band_average_errors",
     "window_sum",
@@ -40,6 +42,9 @@ __all__ = [
     "write_fits_csv",
     "write_bands_csv",
 ]
+
+BAND_SIZE = 5  # levels per band of the banded errors
+WINDOW = (5, 10)  # the states, inclusive, whose summed levels give the error ratios
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,11 @@ def linear_fit(points) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
-def build_convergence_report(
-    scheme: str,
-    spectra: Mapping[int, np.ndarray],
-    n_ref: int,
-    band_size: int = 5,
-    window: tuple[int, int] = (5, 10),
-) -> ConvergenceReport:
-    """Summarize a sweep of one scheme against its own n_ref spectrum.
+def build_convergence_report(scheme: str, spectra: Mapping[int, np.ndarray], n_ref: int) -> ConvergenceReport:
+    """Summarize a sweep of one scheme against its own n_ref spectrum, in bands of `BAND_SIZE`
+    levels and by the ratios of the `WINDOW` sums.
 
-    An error of a window sum is the difference of two sums of w = window[1] - window[0] + 1
+    An error of a window sum is the difference of two sums of w = WINDOW[1] - WINDOW[0] + 1
     levels, and a backward-stable eigh gives each level to about eps ||H|| = eps max |E|, so
     an error at or below 2 w eps max |E| may be rounding alone and its ratios are undefined;
     so is the ratio at n_ref, whose error is zero by construction.  On the plain ladder
@@ -135,15 +135,15 @@ def build_convergence_report(
         raise ValueError(f"N_ref={n_ref} must cover every analyzed basis size; {scheme!r} has N={too_big}")
     reference = np.asarray(spectra[n_ref], dtype=float)
     band_errors = {
-        N: band_average_errors(vals, reference[: len(vals)], band_size) for N, vals in spectra.items()
+        N: band_average_errors(vals, reference[: len(vals)], BAND_SIZE) for N, vals in spectra.items()
     }
-    x_star = window_sum(reference, window)
+    x_star = window_sum(reference, WINDOW)
     rates: dict[int, float] = {}
     fit = (math.nan, math.nan)
     if x_star is not None:
         top = max(float(np.abs(v).max()) for v in spectra.values())  # max |E|
-        floor = 2 * (window[1] - window[0] + 1) * np.finfo(float).eps * top
-        rates = q_sequence({N: window_sum(v, window) for N, v in spectra.items()}, x_star, floor)
+        floor = 2 * (WINDOW[1] - WINDOW[0] + 1) * np.finfo(float).eps * top
+        rates = q_sequence({N: window_sum(v, WINDOW) for N, v in spectra.items()}, x_star, floor)
         defined = [(N, e) for N, e in rates.items() if math.isfinite(e)]
         if len(defined) >= 2:
             fit = linear_fit(defined)

@@ -21,10 +21,11 @@ directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
 
 Exit codes: 0 success, 1 computation error, 2 configuration error.  A
 configuration error is found before any file is written; the training
-settings are checked by `TrainingConfig` alone.  A solve whose N exceeds Q is
-a configuration error.  A sweep's N range is not checked against Q: an N > Q
-fails alone, is recorded under "failed" in ``manifest.json``, and the sweep
-exits 1 after writing the sizes that did complete.
+settings are checked by `TrainingConfig` alone.  A solve whose N exceeds Q, or
+a plain solve past `galerkin.check_plain_size`, is a configuration error.  A
+sweep's N range is not checked: such an N fails alone, is recorded under
+"failed" in ``manifest.json``, and the sweep exits 1 after writing the sizes
+that did complete.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import NamedTuple, get_args, get_type_hints
 import numpy as np
 
 from .analysis import (
+    BAND_SIZE,
     band_average_errors,
     build_convergence_report,
     write_bands_csv,
@@ -49,7 +51,7 @@ from .analysis import (
 )
 from .eigensolver import eigh
 from .flow import FlowParams, save_checkpoint
-from .galerkin import assemble_hamiltonian, potential_from_descriptor
+from .galerkin import assemble_hamiltonian, check_plain_size, potential_from_descriptor
 from .hermite import BasisSpec
 from .quadrature import gauss_hermite_rule
 from .trainer import TrainingConfig, TrainingTrace, train
@@ -66,15 +68,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2)."""
 
 
-def parse_range(text: str, name: str, lowest: int) -> tuple[int, int]:
-    """The inclusive integer bounds of 'lo..hi', with lowest <= lo <= hi."""
+def parse_range(text: str, name: str) -> tuple[int, int]:
+    """The inclusive integer bounds of 'lo..hi', with 1 <= lo <= hi."""
     lo, sep, hi = text.partition("..")
     try:
         bounds = (int(lo), int(hi)) if sep else None
     except ValueError:
         bounds = None
-    if bounds is None or not lowest <= bounds[0] <= bounds[1]:
-        raise ConfigError(f"{name} must be 'lo..hi' with {lowest} <= lo <= hi, got {text!r}")
+    if bounds is None or not 1 <= bounds[0] <= bounds[1]:
+        raise ConfigError(f"{name} must be 'lo..hi' with 1 <= lo <= hi, got {text!r}")
     return bounds
 
 
@@ -95,9 +97,11 @@ class _ExperimentMethods:
         if self.scheme not in _SCHEMES:
             raise ConfigError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         try:
-            potential_from_descriptor(self.potential)
+            V = potential_from_descriptor(self.potential)
             # TrainingConfig checks every training setting, and N (N <= Q) when it is given.
             self.training_config(1 if self.N is None else self.N, self.seed)
+            if self.N is not None and "hermite" in self.schemes():
+                check_plain_size(self.N, self.Q, V)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -225,7 +229,7 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     config = config.validate()
     if config.N_range is None:
         raise ConfigError("sweep needs N_range")
-    lo, hi = parse_range(config.N_range, "N_range", 1)
+    lo, hi = parse_range(config.N_range, "N_range")
     outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     all_rows = []
@@ -277,13 +281,7 @@ def read_spectra_csv(path) -> dict[str, dict[int, np.ndarray]]:
     return out
 
 
-def cmd_analyze(
-    spectra_paths,
-    n_ref: int,
-    output_dir: Path,
-    band_size: int = 5,
-    window: tuple[int, int] = (5, 10),
-) -> int:
+def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:
     data: dict[str, dict[int, np.ndarray]] = {}
     for path in spectra_paths:
         if not Path(path).exists():
@@ -299,11 +297,11 @@ def cmd_analyze(
     band_rows, rate_rows, fit_rows = [], [], []
     try:  # every report is built, and checked, before the output directory is made
         for scheme in sorted(data):
-            report = build_convergence_report(scheme, data[scheme], n_ref, band_size, window)
+            report = build_convergence_report(scheme, data[scheme], n_ref)
             for N in sorted(report.band_errors):
                 abs_err = report.band_errors[N]
                 rel_err = band_average_errors(
-                    data[scheme][N], report.reference[:N], band_size, relative=True
+                    data[scheme][N], report.reference[:N], BAND_SIZE, relative=True
                 )
                 band_rows.extend(
                     (scheme, N, b, abs_err[b], rel_err[b]) for b in range(abs_err.size)
@@ -343,8 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("spectra", nargs="+", help="spectra CSVs from sweep/solve")
     p_an.add_argument("--n-ref", type=int, required=True)
     p_an.add_argument("--output-dir", dest="output_dir", default="analysis")
-    p_an.add_argument("--band-size", type=int, default=5)
-    p_an.add_argument("--window", default="5..10", help="state window for e_N, e.g. 5..10")
     return parser
 
 
@@ -356,13 +352,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(load_config(args))
         if args.command == "analyze":
-            return cmd_analyze(
-                args.spectra,
-                n_ref=args.n_ref,
-                output_dir=resolve_output_dir(args.output_dir),
-                band_size=args.band_size,
-                window=parse_range(args.window, "window", 0),
-            )
+            return cmd_analyze(args.spectra, args.n_ref, resolve_output_dir(args.output_dir))
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -577,13 +577,16 @@ def evaluate_augmented_basis(params: FlowParams, n_max: int, x) -> np.ndarray:
     """Warped-basis values phi_n(G^{-1}(x)) / sqrt(G'(G^{-1}(x))), n = 0..n_max.
 
     The warped functions span L2(beta - alpha, beta + alpha) extended by zero: they
-    are 0 at a finite point outside `flow_inverse`'s domain, and a point that is not
+    are 0 at a finite point outside `flow_inverse`'s domain, and at a point whose
+    preimage lies where the forward map clips (G' = 0 there); a point that is not
     finite is refused by `flow_inverse`'s ValueError.
     """
     points = np.atleast_1d(np.asarray(x, dtype=float))
     outside = ~_unit_interval(params, points)[2] & np.isfinite(points)
     y = flow_inverse(params, np.where(outside, params.beta, points))  # beta stands in for them
-    vals = eval_hermite_functions(n_max, y) / np.sqrt(flow_jet(params, y).d1)
+    d1 = flow_jet(params, y).d1
+    outside |= d1 == 0.0
+    vals = eval_hermite_functions(n_max, y) / np.sqrt(np.where(outside, 1.0, d1))
     vals[:, outside] = 0.0
     return vals[:, 0] if (np.isscalar(x) or np.ndim(x) == 0) else vals
 

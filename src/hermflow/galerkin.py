@@ -21,18 +21,23 @@ T = 1/2 B B^T with B_iq = A_i(x_q) sqrt(w~_q) / G'(x_q).  A product of a matrix
 with its own transpose is exactly symmetric, so the raw asymmetry of T + V is
 the rounding of the potential product alone (at most 1.1e-12 over N <= 180,
 Q in {40, 90, 200}).  The assembly's asymmetry check therefore detects non-finite
-matrix elements and faults in the assembly, not an underresolved quadrature;
-the overlap deviation and the Q >= 2N + 10 warning speak to resolution.  The
-assembly and the trace loss (`trainer`) read the same inputs: phi_0 .. phi_{N-1}
-and their derivatives from the first N rows of the rule's tables
+matrix elements and faults in the assembly, not an underresolved quadrature.
+Resolution has its own rule: the Q-point rule is exact for a polynomial times
+exp(-x^2) up to degree 2Q - 1, and of the plain products phi_i' phi_j' has degree
+2N and phi_i V phi_j 2N - 2 + d for V of degree d, so the plain matrix is exact
+for N <= Q - max(d, 2)//2 and `check_plain_size` refuses a larger N (harmonic at
+N = Q: one level 1.0 below n + 1/2).  A warped integrand is not polynomial; a
+warped assembly warns below Q = 2N + 10, a rule of thumb.  The assembly and the
+trace loss (`trainer`) read the same inputs: phi_0 .. phi_{N-1} and their
+derivatives from the first N rows of the rule's tables
 (`_basis_at_nodes`), and V and V' from one `Potential`'s coefficients.
 `assemble_hamiltonian` is the one assembly path: it computes the jets once
 for both terms, and T and V are not formed apart.
 
 Parity: for an even V (`Potential.is_even`) and the identity warp, H_mn = 0
-when m + n is odd, up to rounding (1e-14 max |H| for N < Q, N <= 180).  A `BasisSpec`
-with `parity` 0 or 1 assembles the block of the even or odd indices below N,
-and `cli.solve_case` solves such a case as its two blocks; a warp breaks parity.
+when m + n is odd, up to rounding (1e-14 max |H| within the bound, N <= 180).  A
+`BasisSpec` with `parity` 0 or 1 assembles the block of the even or odd indices
+below N, and `cli.solve_case` solves such a case as its two blocks; a warp breaks parity.
 """
 
 from __future__ import annotations
@@ -44,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from .flow import FlowParams, _map_jets
-from .hermite import BasisSpec, eval_hermite_functions
-from .hermite import eval_hermite_derivatives  # noqa: F401 - benchmarks/tracing.py binds it here
+from .hermite import BasisSpec
+from .hermite import eval_hermite_derivatives, eval_hermite_functions  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import QuadratureRule
 
 __all__ = [
@@ -57,7 +62,7 @@ __all__ = [
     "anharmonic_potential",
     "potential_from_descriptor",
     "assemble_hamiltonian",
-    "overlap_matrix",
+    "check_plain_size",
 ]
 
 _ASYMMETRY_TOL = 1e-9
@@ -91,6 +96,10 @@ class Potential:
         for k in range(2, len(self.coefficients)):
             powers.append(powers[k - k // 2] * powers[k // 2])
         return _polynomial(self.coefficients, powers), _polynomial(self._slope, powers)
+
+    @property
+    def degree(self) -> int:  # of the highest nonzero coefficient; 0 for V = 0
+        return max((k for k, c in enumerate(self.coefficients) if c), default=0)
 
     @property
     def is_even(self) -> bool:  # V(-x) = V(x): every odd coefficient is zero
@@ -162,6 +171,16 @@ def _kinetic_part(rule: QuadratureRule, phi, dphi, g1, g2) -> np.ndarray:
     return 0.5 * (B @ B.T)  # a product with its own transpose: exactly symmetric
 
 
+def check_plain_size(N: int, Q: int, V: Potential) -> None:
+    """Refuse a plain basis, or a parity block, of N > Q - max(d, 2)//2 functions: past the
+    largest N whose matrix the Q-point rule integrates exactly (see the module docstring)."""
+    if N > (limit := Q - max(V.degree, 2) // 2):
+        raise ValueError(
+            f"plain basis size N = {N} exceeds {limit}, the largest that the Q = {Q} rule "
+            f"integrates exactly for a degree-{V.degree} potential (N <= Q - max(d, 2)//2)"
+        )
+
+
 def assemble_hamiltonian(
     spec: BasisSpec,
     rule: QuadratureRule,
@@ -172,14 +191,16 @@ def assemble_hamiltonian(
 
     The kinetic part is exactly symmetric and the potential part's asymmetry
     is rounding, so the check fails only on non-finite matrix elements (a NaN
-    anywhere fails it) or on a fault in the assembly; an underresolved
-    quadrature passes it.  A warp's jets are computed once and shared by both terms,
-    as are the spec's rows of the rule's tables; N > Q raises ValueError, and so does a
-    parity block with a warp, which breaks parity.
+    anywhere fails it) or on a fault in the assembly.  A warp's jets are computed once
+    and shared by both terms, as are the spec's rows of the rule's tables.  ValueError:
+    a plain basis past `check_plain_size`'s bound, a warped N > Q, or a parity block
+    with a warp, which breaks parity.  A warped assembly warns below Q = 2N + 10.
     """
-    if spec.parity is not None and params is not None:
+    if params is None:
+        check_plain_size(spec.size, rule.order, V)
+    elif spec.parity is not None:
         raise ValueError(f"a parity block (parity {spec.parity}) takes no warp: a warp breaks parity")
-    if rule.order < 2 * spec.size + 10:
+    elif rule.order < 2 * spec.size + 10:
         warnings.warn(
             f"quadrature order {rule.order} < 2N + 10 = {2 * spec.size + 10}; eigenvalues may "
             "drop below the variational limit",
@@ -198,20 +219,3 @@ def assemble_hamiltonian(
     return HamiltonianMatrix(
         size=H.shape[0], entries=H, scheme="hermite" if params is None else "augmented"
     )
-
-
-def overlap_matrix(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, float]:
-    """Quadrature Gram matrix of the basis and its max deviation from identity.
-
-    The warped overlap integral pulls back to the plain Hermite one for any
-    warp parameters, so this diagnostic takes none and serves both schemes;
-    deviations measure quadrature underresolution only.  The rule's table holds
-    phi_0 .. phi_Q, so a table is built only for N > Q + 1.  A parity block gives
-    the Gram matrix of its own rows, the ones `assemble_hamiltonian` projects onto.
-    """
-    N = spec.size
-    phi = rule.hermite_table[:N] if N <= rule.order + 1 else eval_hermite_functions(N - 1, rule.nodes)
-    B = phi[spec.rows] * rule.sqrt_lifted_weights
-    S = B @ B.T
-    dev = float(np.abs(S - np.eye(len(S))).max(initial=0.0))
-    return S, dev

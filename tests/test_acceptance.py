@@ -32,7 +32,6 @@ Notes on what three of the checks can and cannot claim:
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -97,7 +96,7 @@ def reports(sweep):
     """Each scheme's convergence report against its own N = 29 spectrum, band size 5,
     window states 5-10, as `hermflow analyze --n-ref 29` builds it."""
     return {
-        scheme: build_convergence_report(scheme, {N: sweep[N][scheme] for N in SWEEP_RANGE}, 29, 5, (5, 10))
+        scheme: build_convergence_report(scheme, {N: sweep[N][scheme] for N in SWEEP_RANGE}, 29)
         for scheme in ("herm", "aug")
     }
 
@@ -107,17 +106,15 @@ def converged_reference(sinc_dvr_reference):
     """Plain-Hermite spectrum at N = 160, Q = 200, checked against N = 180 and
     against the sinc-DVR reference, which shares no code with the solver.
 
-    The 2N+10 heuristic warning does not apply: all integrands are still
-    polynomial-exact at this order.
+    Both matrices are exact: the 200-point rule integrates the plain quartic
+    products exactly up to N = Q - 2 = 198 (`galerkin.check_plain_size`).
     """
     V = anharmonic_potential()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rule = gauss_hermite_rule(200)
-        E160, E180 = (
-            eigh(assemble_hamiltonian(BasisSpec(M), rule, V).entries).eigenvalues
-            for M in (160, 180)
-        )
+    rule = gauss_hermite_rule(200)
+    E160, E180 = (
+        eigh(assemble_hamiltonian(BasisSpec(M), rule, V).entries).eigenvalues
+        for M in (160, 180)
+    )
     drift = float(np.abs(E160[:30] - E180[:30]).max())
     assert drift <= 1e-9, f"N=160 reference not converged in states 0-29 (drift {drift:.2e})"
     apart = float(np.abs(E160[:30] - sinc_dvr_reference).max())

@@ -76,11 +76,10 @@ class TestConfigParsing:
             parse_config_file(cfg)
 
     def test_n_range_parsing(self, tmp_path):
-        assert parse_range("3..5", "N_range", 1) == (3, 5)
-        with pytest.raises(ConfigError):
-            parse_range("5..3", "N_range", 1)
-        with pytest.raises(ConfigError):
-            parse_range("5-7", "N_range", 1)
+        assert parse_range("3..5", "N_range") == (3, 5)
+        for text in ("5..3", "5-7", "0..4"):
+            with pytest.raises(ConfigError, match="1 <= lo <= hi"):
+                parse_range(text, "N_range")
         assert run(["sweep", "--N-range", "5..3", "--output-dir", tmp_path / "x"]) == 2
         assert not (tmp_path / "x").exists()
 
@@ -171,6 +170,24 @@ class TestSolve:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "potential,N,Q", [("harmonic", 40, 40), ("anharmonic", 39, 40), ("anharmonic", 199, 200)]
+    )
+    @pytest.mark.parametrize("scheme", ["hermite", "both"])
+    def test_plain_basis_past_its_exact_size_exits_2_without_directory(
+        self, tmp_path, capsys, potential, N, Q, scheme
+    ):
+        out = tmp_path / "out"
+        code = run(["solve", "--potential", potential, "--scheme", scheme, "--N", N, "--Q", Q,
+                    "--output-dir", out])
+        assert code == 2
+        assert f"plain basis size N = {N} exceeds {N - 1}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_augmented_basis_is_not_held_to_the_plain_bound(self):
+        config = ExperimentConfig(potential="anharmonic", scheme="augmented", N=40, Q=40)
+        assert config.validate() is config
+
     def test_missing_n_exits_2(self, tmp_path):
         code = run(["solve", "--potential", "harmonic", "--output-dir", tmp_path / "x"])
         assert code == 2
@@ -197,16 +214,14 @@ class TestSolveCaseParity:
     def test_blocks_agree_with_the_full_matrix(self, potential):
         config = ExperimentConfig(potential=potential, Q=200)
         rule, V = hermflow.gauss_hermite_rule(200), hermflow.potential_from_descriptor(potential)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # N > 95 warns below Q = 2N + 10
-            for N in range(1, 181):
-                case = solve_case(config, "hermite", N, 0)
-                H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(N), rule, V).entries
-                full = hermflow.eigh(H).eigenvalues
-                assert case.eigenvalues.shape == (N,) and np.all(np.diff(case.eigenvalues) >= 0)
-                assert np.all(np.abs(case.eigenvalues - full) <= 1e-11 * np.abs(full))
-                assert case.trace == pytest.approx(float(np.trace(H)), rel=1e-14)
-                assert case.params is None and case.training is None
+        for N in range(1, 181):
+            case = solve_case(config, "hermite", N, 0)
+            H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(N), rule, V).entries
+            full = hermflow.eigh(H).eigenvalues
+            assert case.eigenvalues.shape == (N,) and np.all(np.diff(case.eigenvalues) >= 0)
+            assert np.all(np.abs(case.eigenvalues - full) <= 1e-11 * np.abs(full))
+            assert case.trace == pytest.approx(float(np.trace(H)), rel=1e-14)
+            assert case.params is None and case.training is None
 
     def test_each_block_goes_through_the_cli_names(self, monkeypatch):
         # the benchmark's tracer patches these names; N = 1 has no odd block
@@ -254,22 +269,30 @@ class TestSweep:
         e0 = [data[N][0] for N in range(1, 10)]
         assert np.all(np.diff(e0) <= 1e-12)  # nested bases cannot raise E0
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_partial_failure_recorded_in_manifest(self, tmp_path):
         import json
 
         out = tmp_path / "sweep"
-        # N = 4 exceeds Q = 3: that sweep entry fails, earlier ones survive
+        # at Q = 4 the plain harmonic basis is exact up to N = 3: N = 4 is past that bound and
+        # N = 5 past Q, so those sweep entries fail, and the earlier ones survive
         code = run(
             ["sweep", "--potential", "harmonic", "--scheme", "hermite",
-             "--N-range", "2..4", "--Q", 3, "--output-dir", out]
+             "--N-range", "2..5", "--Q", 4, "--output-dir", out]
         )
         assert code == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["completed"] == [2, 3]
-        assert "4" in manifest["failed"]
+        assert sorted(manifest["failed"]) == ["4", "5"]
+        assert "N = 4 exceeds 3" in manifest["failed"]["4"]
         data = read_spectra_csv(out / "spectra.csv")["hermite"]
         assert sorted(data) == [2, 3]
+
+    def test_plain_ladder_raises_no_warning(self, tmp_path):
+        # every plain size of the Q = 200 ladder is exact, so none warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["sweep", "--scheme", "hermite", "--Q", 200, "--N-range", "5..180",
+                        "--output-dir", tmp_path]) == 0
 
     def test_failed_n_writes_no_rows(self, tmp_path, monkeypatch):
         # N = 4's hermite case solves, then its training fails: neither scheme keeps its rows
@@ -320,7 +343,7 @@ class TestAnalyze:
         out = tmp_path / "an"
         assert run(["analyze", sweep_dir / "spectra.csv", "--n-ref", 16, "--output-dir", out]) == 0
         spectra = read_spectra_csv(sweep_dir / "spectra.csv")["hermite"]
-        report = build_convergence_report("hermite", spectra, 16, 5, (5, 10))
+        report = build_convergence_report("hermite", spectra, 16)
 
         def bits(rows):
             return [np.array(row, dtype=float).tobytes() for row in rows]
@@ -394,13 +417,13 @@ class TestAnalyze:
             ("--band-size", -2),
         ],
     )
-    def test_bad_window_exits_2(self, sweep_dir, tmp_path, flag, value):
+    def test_bad_window_exits_2(self, sweep_dir, tmp_path, capsys, flag, value):
+        # the band size and the window are analysis constants: analyze takes no such flag
         out = tmp_path / "an4"
-        code = run(
-            ["analyze", sweep_dir / "spectra.csv", "--n-ref", 16,
-             flag, value, "--output-dir", out]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", sweep_dir / "spectra.csv", "--n-ref", 16, flag, value, "--output-dir", out])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scheme_without_reference_exits_2(self, sweep_dir, tmp_path, capsys):

@@ -379,6 +379,16 @@ class TestAugmentedBasis:
         np.testing.assert_array_equal(vals[:, 2:-3], evaluate_augmented_basis(params, 4, inside))
         assert evaluate_augmented_basis(params, 2, 6.0).tolist() == [0.0, 0.0, 0.0]
 
+    def test_zero_where_the_preimage_is_clipped(self):
+        # just inside the interval, the preimage lies where the forward map clips and G' = 0:
+        # the basis is 0 there, with no divide-by-zero warning (the suite makes warnings errors)
+        params = make_feasible_params(8, 5.0, 0.3, np.random.default_rng(0))
+        y = params.beta + np.array([1.0, -1.0]) * params.alpha * (1.0 - 2 * ATANH_CLIP)
+        assert flow_jet(params, flow_inverse(params, y)).d1[0] == 0.0
+        vals = evaluate_augmented_basis(params, 3, np.concatenate([y, [0.0]]))
+        assert not vals[:, 0].any() and np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals[:, 1:], evaluate_augmented_basis(params, 3, np.array([y[1], 0.0])), rtol=1e-9)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_are_refused(self, rng, bad):
         params = make_feasible_params(8, 5.0, 0.3, rng)

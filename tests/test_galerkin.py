@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +17,10 @@ from hermflow import (
     gauss_hermite_rule,
     harmonic_potential,
     init_flow_params,
-    overlap_matrix,
     potential_from_descriptor,
 )
 from hermflow import galerkin
-from hermflow.galerkin import AssemblyError, MonotonicityError
+from hermflow.galerkin import AssemblyError, MonotonicityError, check_plain_size
 from conftest import make_feasible_params
 
 
@@ -83,14 +81,13 @@ class TestPotentialMatrix:
             )
             assert np.abs(M - oracle).max() < 1e-6
 
-    @pytest.mark.filterwarnings("ignore::UserWarning", "ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_potential_names_node(self):
         rule = gauss_hermite_rule(5)  # nodes 0, +-0.96, +-2.02: x^4 > 1 at the outer two
         bad = Potential((0.0, 0.0, 0.0, 0.0, 1e308), "overflowing quartic")
         with pytest.raises(AssemblyError, match="node"):
             assemble_hamiltonian(BasisSpec(3), rule, bad)
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_quadrature_below_basis_rejected(self):
         with pytest.raises(ValueError):
             assemble_hamiltonian(BasisSpec(10), gauss_hermite_rule(9), harmonic_potential())
@@ -137,9 +134,7 @@ class TestKineticMatrix:
 
 class TestAssembleHamiltonian:
     def test_harmonic_diagonal(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            H = assemble_hamiltonian(BasisSpec(6), gauss_hermite_rule(20), harmonic_potential())
+        H = assemble_hamiltonian(BasisSpec(6), gauss_hermite_rule(20), harmonic_potential())
         np.testing.assert_allclose(H.entries, np.diag(np.arange(6) + 0.5), atol=1e-12)
         assert H.scheme == "hermite"
         assert H.size == 6
@@ -178,32 +173,18 @@ class TestAssembleHamiltonian:
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential(), params)
         assemble_hamiltonian(BasisSpec(12), rule, anharmonic_potential())
         assert calls == {"functions": 0, "derivatives": 0}  # the rule's table serves
-        overlap_matrix(BasisSpec(12), rule)  # so it does for the overlap
-        assert calls == {"functions": 0, "derivatives": 0}
 
-    def test_overlap_builds_a_table_only_beyond_the_rules(self, request):
-        # the rule's table holds phi_0 .. phi_Q: N = Q + 1 slices it, N = Q + 2 builds one,
-        # and either way S has the bits of a product of a freshly built table
-        rule = gauss_hermite_rule(40)
-        calls = request.getfixturevalue("table_builds")
-        for N, builds in ((41, 0), (42, 1)):
-            S, dev = overlap_matrix(BasisSpec(N), rule)
-            assert calls["functions"] == builds
-            B = eval_hermite_functions(N - 1, rule.nodes) * np.sqrt(rule.lifted_weights)
-            assert np.array_equal(S, B @ B.T)
-            assert dev == float(np.abs(B @ B.T - np.eye(N)).max())
-
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_plain_ladder_equals_assembly_from_a_fresh_table(self):
         # slicing the rule's tables, and leaving out the jets of the identity warp, changes
-        # no bit of a plain-Hermite matrix (signed zeros included) or spectrum
+        # no bit of a plain-Hermite matrix (signed zeros included) or spectrum, for every N
+        # up to the exactness bound Q - max(d, 2)//2 (capped at 180)
         from hermflow.galerkin import _kinetic_part, _potential_part
         from hermflow.hermite import hermite_derivatives_from_table
 
         for V, Q in itertools.product((harmonic_potential(), anharmonic_potential()), (40, 90, 200)):
             rule = gauss_hermite_rule(Q)
             ones, zeros = np.ones(Q), np.zeros(Q)
-            for N in range(1, min(Q, 180) + 1):
+            for N in range(1, min(Q - V.degree // 2, 180) + 1):
                 table = eval_hermite_functions(N, rule.nodes)
                 phi, dphi = table[:-1], hermite_derivatives_from_table(table)
                 H = _kinetic_part(rule, phi, dphi, ones, zeros) + _potential_part(
@@ -219,9 +200,7 @@ class TestAssembleHamiltonian:
         rule = gauss_hermite_rule(90)
         params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.1, rng)
         T, _ = assembled_parts(monkeypatch, BasisSpec(12), rule, anharmonic_potential(), params)
-        S, _ = overlap_matrix(BasisSpec(12), rule)
         assert np.array_equal(T, T.T)
-        assert np.array_equal(S, S.T)
 
     @pytest.mark.parametrize("fault", ["asymmetric", "nan"])
     def test_asymmetry_check_catches_faults(self, monkeypatch, fault):
@@ -257,9 +236,53 @@ class TestAssembleHamiltonian:
         assert np.isfinite(trace)
         assert trace >= sum(n + 0.5 for n in range(30))
 
-    def test_warns_below_2n_plus_10(self):
-        with pytest.warns(UserWarning, match="variational"):
-            assemble_hamiltonian(BasisSpec(20), gauss_hermite_rule(45), harmonic_potential())
+    def test_warns_below_2n_plus_10(self, rng):
+        # a warped integrand is not polynomial: below Q = 2N + 10 a warped assembly warns, and
+        # the plain scheme's exactness bound does not apply to it (N = Q is assembled)
+        for Q in (45, 20):
+            rule = gauss_hermite_rule(Q)
+            params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
+            with pytest.warns(UserWarning, match="variational"):
+                assert assemble_hamiltonian(BasisSpec(20), rule, anharmonic_potential(), params).size == 20
+
+
+class TestPlainExactnessBound:
+    """A plain matrix is exact for N <= Q - max(d, 2)//2, and a larger N is refused."""
+
+    def test_bound_follows_the_degree(self):
+        for coefficients, limit in (((1.0,), 39), ((0.0, 0.3), 39), ((0.0, 0.0, 0.5), 39),
+                                    ((0.0, 1.0, 0.0, 1.0), 39), ((0.0, 0.0, 0.5, 0.0, 0.25), 38)):
+            V = Potential(coefficients, "V")
+            check_plain_size(limit, 40, V)
+            with pytest.raises(ValueError, match=f"exceeds {limit}, the largest that the Q = 40 rule"):
+                check_plain_size(limit + 1, 40, V)
+
+    @pytest.mark.parametrize("Q", [10, 40, 90, 200])
+    def test_harmonic_levels_exact_up_to_the_bound(self, Q):
+        # n + 1/2 to rounding at N = Q - 1 (1.2e-12 at Q = 200, 6e-15 of the top level); at
+        # N = Q the rule misses phi_{Q-1}'^2, and one level fell 1.0 below n + 1/2
+        rule, V = gauss_hermite_rule(Q), harmonic_potential()
+        E = eigh(assemble_hamiltonian(BasisSpec(Q - 1), rule, V).entries).eigenvalues
+        assert np.abs(E - (np.arange(Q - 1) + 0.5)).max() <= 1e-14 * (Q - 0.5)
+        with pytest.raises(ValueError, match=f"N = {Q} exceeds {Q - 1}"):
+            assemble_hamiltonian(BasisSpec(Q), rule, V)
+
+    @pytest.mark.parametrize("Q", [10, 40, 90])
+    def test_anharmonic_bound(self, Q):
+        # at Q = 10, 40, 90, N = Q - 1 and N = Q gave a level 0.04 - 3.8 below the converged spectrum
+        rule, V = gauss_hermite_rule(Q), anharmonic_potential()
+        assert assemble_hamiltonian(BasisSpec(Q - 2), rule, V).size == Q - 2
+        for N in (Q - 1, Q):
+            with pytest.raises(ValueError, match=f"N = {N} exceeds {Q - 2}"):
+                assemble_hamiltonian(BasisSpec(N), rule, V)
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_parity_blocks_follow_the_bound_of_n(self, parity):
+        rule = gauss_hermite_rule(40)
+        for V, limit in ((harmonic_potential(), 39), (anharmonic_potential(), 38)):
+            assert assemble_hamiltonian(BasisSpec(limit, parity), rule, V).size == len(range(parity, limit, 2))
+            with pytest.raises(ValueError, match=f"exceeds {limit}"):
+                assemble_hamiltonian(BasisSpec(limit + 1, parity), rule, V)
 
 
 class TestParityBlocks:
@@ -269,17 +292,13 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("Q", [90, 200])
     def test_cross_parity_entries_are_rounding(self, Q):
-        # the largest is 6.6e-15 max |H| below N = Q; at N = Q = 90, the anharmonic
-        # matrix's is 1.2e-14, from phi_89 on a 90-node rule
+        # the largest is 6.6e-15 max |H|, for every N up to the exactness bound (capped at 180)
         rule = gauss_hermite_rule(Q)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # N > (Q - 10)/2 warns
-            for V in (harmonic_potential(), anharmonic_potential()):
-                for N in range(1, min(Q, 180) + 1):
-                    H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
-                    odd = (np.arange(N)[:, None] + np.arange(N)) % 2 == 1
-                    tol = 1e-14 if N < Q else 2e-14
-                    assert np.abs(H[odd]).max(initial=0.0) <= tol * np.abs(H).max()
+        for V in (harmonic_potential(), anharmonic_potential()):
+            for N in range(1, min(Q - V.degree // 2, 180) + 1):
+                H = assemble_hamiltonian(BasisSpec(N), rule, V).entries
+                odd = (np.arange(N)[:, None] + np.arange(N)) % 2 == 1
+                assert np.abs(H[odd]).max(initial=0.0) <= 1e-14 * np.abs(H).max()
 
     def test_blocks_are_the_full_matrix_s_blocks(self):
         rule = gauss_hermite_rule(90)
@@ -294,37 +313,6 @@ class TestParityBlocks:
         params = init_flow_params(hidden=4, alpha=20.0, seed=0)
         with pytest.raises(ValueError, match="a warp breaks parity"):
             assemble_hamiltonian(BasisSpec(6, 0), gauss_hermite_rule(30), harmonic_potential(), params)
-
-
-class TestOverlapMatrix:
-    def test_resolved_is_identity(self):
-        S, dev = overlap_matrix(BasisSpec(20), gauss_hermite_rule(40))
-        assert dev < 1e-10
-        assert np.abs(S - np.eye(20)).max() == dev
-
-    def test_underresolved_reports_without_raising(self):
-        S, dev = overlap_matrix(BasisSpec(20), gauss_hermite_rule(10))
-        assert dev > 1e-6
-        assert S.shape == (20, 20)
-
-    def test_default_production_orders(self):
-        _, dev = overlap_matrix(BasisSpec(30), gauss_hermite_rule(90))
-        assert dev < 1e-10
-
-    @pytest.mark.parametrize("parity", [0, 1])
-    @pytest.mark.parametrize("N", [1, 2, 9, 10, 44])
-    def test_parity_block_is_the_full_gram_matrix_s_block(self, parity, N):
-        # N = 44 > Q + 1 builds its own table; a block's deviation is from its own identity
-        rule = gauss_hermite_rule(40)
-        full, _ = overlap_matrix(BasisSpec(N), rule)
-        S, dev = overlap_matrix(BasisSpec(N, parity), rule)
-        sub = full[parity::2, parity::2]
-        assert S.shape == sub.shape == (len(range(parity, N, 2)),) * 2
-        assert np.abs(S - sub).max(initial=0.0) <= 1e-14
-        assert dev == float(np.abs(S - np.eye(len(S))).max(initial=0.0))
-        if N <= 10:
-            H = assemble_hamiltonian(BasisSpec(N, parity), rule, harmonic_potential())
-            assert S.shape == (H.size, H.size)
 
 
 class TestPotentialDerivative:
