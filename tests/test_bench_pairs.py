@@ -62,23 +62,28 @@ def test_higher_is_better_and_failures_and_missing_values():
 
 
 STDERR = """failed operation: none
-10 timed rounds: raw wall_s median {raw:.4f}, pace median {pace:.4f}, paced wall_s median 0.6000; raw setup_s 0.5000
+10 timed rounds: raw wall_s median {raw:.4f}, pace median {pace:.4f}, paced wall_s median 0.6000; raw setup_s {setup:.4f}
 """
 
 
 def test_raw_wall_and_pace_are_read_from_the_run_s_standard_error():
-    assert bench_pairs.parse_unpaced(STDERR.format(raw=1.2345, pace=2.5)) == {"raw_wall_s": 1.2345, "pace": 2.5}
+    parsed = bench_pairs.parse_unpaced(STDERR.format(raw=1.2345, pace=2.5, setup=0.2291))
+    assert parsed == {"raw_wall_s": 1.2345, "pace": 2.5, "raw_setup_s": 0.2291}
     assert bench_pairs.parse_unpaced("check failed: no line here\n") == {}
 
 
 def test_summary_gives_the_median_pace_ratio():
     runs = pairs([1.0] * 10, [0.9] * 10)
     for k, pair in enumerate(runs):
-        pair["parent"].update(bench_pairs.parse_unpaced(STDERR.format(raw=2.0, pace=2.0)))
-        pair["change"].update(bench_pairs.parse_unpaced(STDERR.format(raw=1.9, pace=2.0 + 0.1 * (k % 3))))
+        pair["parent"].update(bench_pairs.parse_unpaced(STDERR.format(raw=2.0, pace=2.0, setup=0.25)))
+        change = STDERR.format(raw=1.9, pace=2.0 + 0.1 * (k % 3), setup=0.2 + 0.01 * k)
+        pair["change"].update(bench_pairs.parse_unpaced(change))
     unpaced = bench_pairs.summarize(runs, BETTER)["unpaced"]
     assert unpaced["pace"]["change_vs_parent_median_ratio"] == pytest.approx(1.05)  # ratios 1, 1.05, 1.1
     assert unpaced["raw_wall_s"]["change_vs_parent_median_ratio"] == pytest.approx(0.95)
     assert unpaced["raw_wall_s"]["parent"]["median"] == 2.0
-    del runs[0]["change"]["pace"]  # a run without the line: no pace summary
-    assert list(bench_pairs.summarize(runs, BETTER)["unpaced"]) == ["raw_wall_s"]
+    setup = unpaced["raw_setup_s"]  # change 0.20 ... 0.29 against 0.25: ratios 0.80 ... 1.16
+    assert setup["change_vs_parent_median_ratio"] == pytest.approx(0.98)
+    assert setup["change"]["median"] == pytest.approx(0.245) and setup["parent"]["q3"] == 0.25
+    del runs[0]["change"]["pace"]  # a run without the value: no summary of it
+    assert list(bench_pairs.summarize(runs, BETTER)["unpaced"]) == ["raw_wall_s", "raw_setup_s"]

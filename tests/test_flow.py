@@ -22,6 +22,7 @@ from hermflow import (
     save_checkpoint,
     spectral_norm,
 )
+from hermflow import flow
 from hermflow.flow import ATANH_CLIP, ConvergenceError, FlowNumericsError
 from conftest import make_feasible_params
 
@@ -123,14 +124,12 @@ class TestNormalizeBlock:
         scaled = normalize_block(block, c)
         params = FlowParams([scaled], 5.0, 0.0, c)
         xs = rng.uniform(-4, 4, size=(1000, 2))
-        from hermflow.flow import _point_blocks, _residual
-
         block = params.blocks[0]
-        a, c_out = np.ravel(block.w_in), np.ravel(block.w_out) / 1.1  # the stage's weights
-        blocks = _point_blocks(16, xs.shape[0])
-        k1 = _residual(block, a, c_out, xs[:, 0], blocks)
-        k2 = _residual(block, a, c_out, xs[:, 1], blocks)
-        ratios = np.abs(k1 - k2) / np.abs(xs[:, 0] - xs[:, 1])
+
+        def k(z):  # the stage's residual w_out . lipswish(w_in z + b_in) + b_out
+            return block.w_out @ lipswish(block.w_in * z + block.b_in[:, None]) + block.b_out
+
+        ratios = np.abs(k(xs[:, 0]) - k(xs[:, 1]))[0] / np.abs(xs[:, 0] - xs[:, 1])
         assert ratios.max() <= c + 1e-9
         assert params.lipschitz_margin == c
 
@@ -275,18 +274,13 @@ class TestFlowInverse:
             back = flow_inverse(params, flow_forward(params, xs))
             assert np.abs(back - xs).max() < 1e-10
 
-    def test_iteration_count_contraction_bound(self, rng):
-        tol = 1e-10
-        alpha = 9.0
-        c = 0.97
-        bound = math.ceil(math.log(tol / alpha) / math.log(c)) + 10
-        for _ in range(10):
-            params = make_feasible_params(8, alpha, 0.0, rng, weight_scale=0.99, bias_scale=0.8)
+    def test_newton_step_count(self, rng):
+        # from z = w, Newton's quadratic convergence settles every point in a few steps per stage
+        for n_blocks in (1, 2, 3):
+            params = make_feasible_params(8, 9.0, 0.0, rng, weight_scale=0.99, bias_scale=0.8, n_blocks=n_blocks)
             xs = rng.uniform(-8.5, 8.5, size=200)
-            _, iters = flow_inverse(
-                params, flow_forward(params, xs), tol=tol, return_iterations=True
-            )
-            assert iters <= bound
+            _, steps = flow_inverse(params, flow_forward(params, xs), return_iterations=True)
+            assert n_blocks <= steps <= 6 * n_blocks
 
     def test_empty_point_set(self, rng):
         params = make_feasible_params(8, 9.0, 0.1, rng, n_blocks=2)
@@ -312,10 +306,32 @@ class TestFlowInverse:
         xs = flow_inverse(params, params.beta + edges * params.alpha)
         assert np.all(np.abs(xs - params.beta) < params.alpha) and xs[0] < xs[1]
 
-    def test_exhausted_iterations_raise(self, rng):
+    def test_exhausted_iterations_raise(self, rng, monkeypatch):
         params = make_feasible_params(8, 9.0, 0.0, rng, weight_scale=0.99, bias_scale=0.8)
-        with pytest.raises(ConvergenceError):
-            flow_inverse(params, 3.0, tol=1e-15, max_iter=2)
+        monkeypatch.setattr(flow, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError, match=r"left 1 of 1 points moving after 1 steps"):
+            flow_inverse(params, 3.0)
+
+    def test_newton_at_the_constraint_s_edge(self):
+        # seeded warps of 1-3 blocks, widths 1-128 and margins up to 0.999, with weights drawn
+        # up to 50 times the bound and projected onto it; ~500 points across the interval
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            margin, h = rng.uniform(0.5, 0.999), int(rng.integers(1, 129))
+            blocks = []
+            for _ in range(rng.integers(1, 4)):
+                w_in, w_out = rng.normal(size=(h, 1)), rng.normal(size=(1, h))
+                w_in *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_in)
+                w_out *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_out)
+                block = ResidualBlock(w_in, rng.uniform(-3, 3, h), w_out, float(rng.uniform(-1, 1)))
+                blocks.append(normalize_block(block, margin))
+            params = FlowParams(blocks, rng.uniform(1, 15), rng.uniform(-1, 1), margin)
+            y = flow_forward(params, params.beta + params.alpha * np.tanh(np.linspace(-8, 8, 500)))
+            y = y[np.abs(y - params.beta) < params.alpha * (1 - ATANH_CLIP)]  # G can round onto the ends
+            x, steps = flow_inverse(params, y, return_iterations=True)
+            # at most 10 steps per stage over 6,000 such draws, against the cap of 50
+            assert steps <= 12 * len(blocks)
+            assert np.abs(flow_forward(params, x) - y).max() <= 1e-12 * params.alpha
 
     @pytest.mark.parametrize("hidden", [8, 128])
     def test_many_points_match_pointwise_inverse(self, rng, hidden):
@@ -324,7 +340,7 @@ class TestFlowInverse:
         ys = np.linspace(-8.5, 8.5, 2001)
         together = flow_inverse(params, ys)
         one_by_one = np.array([flow_inverse(params, y) for y in ys])
-        assert np.abs(together - one_by_one).max() <= 1e-12
+        assert np.abs(together - one_by_one).max() <= 1e-13
 
     def test_round_trip_with_stacked_blocks(self, rng):
         params = make_feasible_params(8, 9.0, 0.2, rng, n_blocks=3)
@@ -387,7 +403,7 @@ class TestAugmentedBasis:
         assert flow_jet(params, flow_inverse(params, y)).d1[0] == 0.0
         vals = evaluate_augmented_basis(params, 3, np.concatenate([y, [0.0]]))
         assert not vals[:, 0].any() and np.all(np.isfinite(vals))
-        np.testing.assert_allclose(vals[:, 1:], evaluate_augmented_basis(params, 3, np.array([y[1], 0.0])), rtol=1e-9)
+        np.testing.assert_allclose(vals[:, 1:], evaluate_augmented_basis(params, 3, np.array([y[1], 0.0])), rtol=1e-13)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_are_refused(self, rng, bad):

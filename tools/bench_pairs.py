@@ -16,12 +16,14 @@ median beats the parent's by more than the distance between the parent's
 quartiles.  It also gives each side's share of failed operations.
 
 Every paced metric is a raw time divided by the run's pace, so a change that
-moves the pace moves them too.  Each run's raw `wall_s` and pace medians are
-read from run.py's standard-error line "raw wall_s median ..., pace median ...",
-and the summary gives, for both, each side's quartiles and the median of the
-per-pair ratios change/parent.  Standard output is one JSON object (the runs
-and the summary); standard error has one line per run and per metric, and one
-for the raw wall and the pace.
+moves the pace moves them too.  Each run's raw `wall_s` and pace medians and its
+raw `setup_s` are read from run.py's standard-error line "raw wall_s median ...,
+pace median ..., ...; raw setup_s ...", and the summary gives, for all three,
+each side's quartiles and the median of the per-pair ratios change/parent: a
+paced `setup_s` that moves with the pace while the raw one holds is the host's
+swing, not the code's.  Standard output is one JSON object (the runs and the
+summary); standard error has one line per run and per metric, and one each for
+the raw wall, the pace and the raw set-up.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-UNPACED = ("raw_wall_s", "pace")
-_UNPACED_LINE = re.compile(r"raw wall_s median (\S+), pace median (\S+),")
+UNPACED = ("raw_wall_s", "pace", "raw_setup_s")
+_UNPACED_LINE = re.compile(r"raw wall_s median (\S+), pace median (\S+),.*; raw setup_s (\S+)")
 
 
 def parse_unpaced(stderr: str) -> dict:
-    """{"raw_wall_s", "pace"} from run.py's last "raw wall_s median X, pace median Y," line; {} if none."""
+    """{"raw_wall_s", "pace", "raw_setup_s"} from run.py's last "raw wall_s median X, pace median Y,
+    ...; raw setup_s Z" line; {} if none."""
     found = _UNPACED_LINE.findall(stderr)
     return dict(zip(UNPACED, map(float, found[-1]))) if found else {}
 
