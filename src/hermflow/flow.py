@@ -8,9 +8,10 @@ The map G is an affine-tanh sandwich around an invertible residual network:
 where each residual k is a one-hidden-layer network with Lipswish
 activations whose weights have spectral norm at most sqrt(c), so that
 Lip(k) <= c < 1.  That bound makes every residual stage a contraction, hence
-F (and G) is a strictly increasing bijection of the interval
+F (and G) is a strictly increasing bijection of the open interval
 (beta - alpha, beta + alpha) onto itself, inverted stage by stage by Newton's
-method (each stage's derivative 1 + k' lies in [1 - c, 1 + c]).
+method (each stage's derivative 1 + k' lies in [1 - c, 1 + c]).  That interval is the
+warp's one domain, which `_check_inside` decides for every entry point.
 
 First and second derivatives with respect to the input are propagated
 alongside the value as order-2 jets; Galerkin assembly and the trace loss
@@ -22,8 +23,7 @@ every sum over hidden units is a matrix-vector product.  The inverse evaluates
 each stage's k(z) and k'(z) with the forward sweep's stage code.
 
 The stage code holds the pre-activation negated (see `_swish`), and the jets and
-their adjoints as (3, points) arrays.  The reverse sweep assumes every point lies
-inside the interval, as its one caller, `trainer.gradient`, checks.
+their adjoints as (3, points) arrays.
 
 The stage code writes each stage's (hidden, points) arrays, and the small
 operands of its matrix products, into stage buffers, which a caller that
@@ -75,8 +75,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-ATANH_CLIP = 1e-7  # guards the open endpoints of the sandwich interval
 
 _CHECKPOINT_MAGIC = "hermflow-checkpoint"
 _CHECKPOINT_VERSION = 1
@@ -364,7 +362,6 @@ def _map_jets(params: FlowParams, x: np.ndarray):
     One set of stage buffers serves every stage and every block, since nothing
     is kept for a reverse sweep.
     """
-    x = np.asarray(x, dtype=float)
     jets = np.empty((3, x.size))
     for part, views in _point_blocks(params.hidden, x.size):
         jets[:, part] = _jets_forward(params, x[part], [views] * len(params.blocks))[0]
@@ -372,16 +369,24 @@ def _map_jets(params: FlowParams, x: np.ndarray):
 
 
 def _unit_interval(params: FlowParams, x: np.ndarray):
-    """(raw, t, inside) at the points x: raw = (x - beta)/alpha, the map to the unit interval;
-    t = raw clipped to [-(1 - ATANH_CLIP), 1 - ATANH_CLIP], np.clip's bits (NaN included) at a
-    third of its cost; inside = |raw| < 1 - ATANH_CLIP, the points of the warp's interval."""
-    hi = 1.0 - ATANH_CLIP
+    """(raw, inside) at the points x: raw = (x - beta)/alpha, the map to the unit interval, and
+    inside = |raw| < 1, the points of the warp's open interval (a NaN is not inside)."""
     raw = (x - params.beta) / params.alpha
-    return raw, np.minimum(np.maximum(raw, -hi), hi), np.abs(raw) < hi
+    return raw, np.abs(raw) < 1.0
+
+
+def _check_inside(params: FlowParams, x: np.ndarray, name: str, error: type) -> np.ndarray:
+    """raw at the points x (`_unit_interval`), once `error` has named the first point not inside."""
+    raw, inside = _unit_interval(params, x)
+    if not inside.all():
+        i = int(np.flatnonzero(~inside)[0])
+        raise error(f"{name}[{i}] = {x[i]} lies outside the warp's interval (beta - alpha, beta + alpha)"
+                    f" = ({params.beta - params.alpha!r}, {params.beta + params.alpha!r})")
+    return raw
 
 
 def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
-    """Forward sweep: ((G, G', G'') as a (3, points) array, what `_jets_reverse` needs).
+    """Forward sweep at checked points: ((G, G', G'') as a (3, points) array, what `_jets_reverse` needs).
 
     In a stage with weights a = w_in and c = w_out / 1.1 (lipswish is f(p)/1.1
     with f(p) = p sigmoid(p)), the pre-activations are
@@ -398,15 +403,13 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     until the reverse sweep, which runs once on them (its f''' overwrites the
     2 sig1 that `_swish_derivatives` leaves for it).
     """
-    x = np.asarray(x, dtype=float)
     alpha, beta = params.alpha, params.beta
-    raw, t0, inside = _unit_interval(params, x)
-    t1 = inside / alpha  # 1/alpha inside the interval, 0 outside
+    t0 = (x - beta) / alpha
     up = 1.0 / (1.0 - t0 * t0)
-    z = np.empty((3, x.size), raw.dtype)
+    z = np.empty((3, x.size), t0.dtype)
     np.arctanh(t0, out=z[0])
-    z1 = np.multiply(up, t1, out=z[1])
-    np.multiply((t0 + t0) * z1, z1, out=z[2])  # 2 t0 up^2 t1^2
+    z1 = np.multiply(up, 1.0 / alpha, out=z[1])
+    np.multiply((t0 + t0) * z1, z1, out=z[2])  # 2 t0 up^2 / alpha^2
     stages = []
     for block, buf in zip(params.blocks, buffers, strict=True):
         a = block.w_in.ravel()
@@ -428,7 +431,7 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     np.add(gpp * z[1] * z[1], gp * z[2], out=r[2])
     jets = r * alpha
     jets[0] += beta
-    return jets, (raw, t0, up, z1, stages, gp, gpp, z, r)
+    return jets, (t0, up, z1, stages, gp, gpp, z, r)
 
 
 def _jets_reverse(params: FlowParams, saved, bars) -> np.ndarray:
@@ -438,11 +441,10 @@ def _jets_reverse(params: FlowParams, saved, bars) -> np.ndarray:
     dL/dtheta, each block's adjoint written into its row of theta's layout.  A
     stage's pre0 adjoint is f'(pre0) c z0_bar + f''(pre0) u p1_bar
     + f'''(pre0) v p2_bar; it is used only through its sums against 1, z0 and a,
-    so it is never formed.  Every point must lie inside the interval (the entry's
-    clip is then the identity and t1 is 1/alpha), as `trainer.gradient` checks.
+    so it is never formed.
     """
     alpha, h = params.alpha, params.hidden
-    raw, t0, up, z1_in, stages, gp, gpp, z, r = saved
+    t0, up, z1_in, stages, gp, gpp, z, r = saved
     grad = np.empty(params.n_parameters)
     rows = grad[:-2].reshape(len(stages), 3 * h + 1)
     b = bars * alpha  # dL/d(g, d1, d2)
@@ -484,24 +486,27 @@ def _jets_reverse(params: FlowParams, saved, bars) -> np.ndarray:
     z0_bar, z1_bar, z2_bar = zb
     tz = t0 * z1_in
     z1_bar += 4.0 * tz * z2_bar  # with z2's share
-    raw_bar = (z0_bar + (tz + tz) * z1_bar) * up + 2.0 * z1_in * z1_in * z2_bar  # dup/dt0 = 2 t0 up^2
-    # raw = (x - beta)/alpha and t1 = 1/alpha, with t1_bar t1 = z1_bar z1
-    grad[-2] = (np.vdot(b, r) - raw_bar.dot(raw) - z1_bar.dot(z1_in)) / alpha
-    grad[-1] = (b[0] - raw_bar).sum() / alpha
+    t0_bar = (z0_bar + (tz + tz) * z1_bar) * up + 2.0 * z1_in * z1_in * z2_bar  # dup/dt0 = 2 t0 up^2
+    # t0 = (x - beta)/alpha and t1 = 1/alpha, with t1_bar t1 = z1_bar z1
+    grad[-2] = (np.vdot(b, r) - t0_bar.dot(t0) - z1_bar.dot(z1_in)) / alpha
+    grad[-1] = (b[0] - t0_bar).sum() / alpha
     return grad
 
 
 def flow_forward(params: FlowParams, x):
-    """G(x) for a scalar or array of points inside the sandwich interval."""
+    """G(x) for a scalar or array of points inside the sandwich interval (see `flow_jet`)."""
     return flow_jet(params, x).value
 
 
 def flow_jet(params: FlowParams, x) -> Jet2:
-    """G, G' and G'' at x (scalar in, scalar jet out; arrays pass through)."""
+    """G, G' and G'' at x (scalar in, scalar jet out; arrays pass through); a ValueError names
+    a point outside the warp's interval, a FlowNumericsError a non-finite jet inside it."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    jets = _map_jets(params, np.atleast_1d(np.asarray(x, dtype=float)))
+    points = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_inside(params, points, "x", ValueError)
+    jets = _map_jets(params, points)
     if not np.all(np.isfinite(jets)):
-        bad = np.atleast_1d(x)[~np.isfinite(jets).all(axis=0)][0]
+        bad = points[~np.isfinite(jets).all(axis=0)][0]
         raise FlowNumericsError(f"flow jet produced a non-finite value at x={bad}")
     g, d1, d2 = jets
     if scalar:
@@ -542,28 +547,24 @@ def _invert_stage(block: ResidualBlock, w, buf) -> tuple[np.ndarray, int]:
 def flow_inverse(params: FlowParams, y, return_iterations: bool = False):
     """G^{-1}(y) by unwrapping the sandwich and Newton's method on each residual stage.
 
-    G maps the interval (beta - alpha, beta + alpha) onto itself, and y must lie in it:
-    a ValueError names the first point that is not finite or has
-    |y - beta| >= alpha (1 - ATANH_CLIP).  The affine-tanh layers invert in closed form;
-    each residual stage z + k(z) = w is solved point by point (`_invert_stage`), whose
+    G maps the open interval (beta - alpha, beta + alpha) onto itself.  `_check_inside` refuses
+    a y outside it, and a result that rounds onto an end (a near-flat warp's preimage of a y
+    near that end), by a ValueError naming the point.  The affine-tanh layers invert in closed
+    form; each residual stage z + k(z) = w is solved point by point (`_invert_stage`), whose
     derivative 1 + k'(z) lies in [1 - c, 1 + c] for the Lipschitz margin c.  With
-    `return_iterations` the Newton step count comes back alongside the result: per stage,
-    the most steps a point took, summed over the stages.
+    `return_iterations` the Newton step count comes back alongside the result: per stage, the
+    most steps a point took, summed over the stages.
     """
     scalar = np.isscalar(y) or np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    _, t, inside = _unit_interval(params, y)
-    if not inside.all():  # NaN compares False
-        i = int(np.flatnonzero(~inside)[0])
-        raise ValueError(f"y[{i}] = {y[i]} lies outside the warp's interval: y must be finite and |y - beta|"
-                         f" < alpha (1 - {ATANH_CLIP}), with alpha = {params.alpha!r}, beta = {params.beta!r}")
-    z = np.arctanh(t)
+    z = np.arctanh(_check_inside(params, y, "y", ValueError))
     steps = [0] * len(params.blocks)
     for part, buf in _point_blocks(params.hidden, y.size):
         for s in reversed(range(len(params.blocks))):
             z[part], n = _invert_stage(params.blocks[s], z[part], buf)
             steps[s] = max(steps[s], n)
     x = np.tanh(z) * params.alpha + params.beta
+    _check_inside(params, x, "G^-1(y)", ValueError)
     result = float(x[0]) if scalar else x
     return (result, sum(steps)) if return_iterations else result
 
@@ -572,16 +573,14 @@ def evaluate_augmented_basis(params: FlowParams, n_max: int, x) -> np.ndarray:
     """Warped-basis values phi_n(G^{-1}(x)) / sqrt(G'(G^{-1}(x))), n = 0..n_max.
 
     The warped functions span L2(beta - alpha, beta + alpha) extended by zero: they
-    are 0 at a finite point outside `flow_inverse`'s domain, and at a point whose
-    preimage lies where the forward map clips (G' = 0 there); a point that is not
-    finite is refused by `flow_inverse`'s ValueError.
+    are 0 at a finite point outside the warp's open interval.  `flow_inverse`'s
+    ValueError refuses a point that is not finite, and one whose preimage rounds onto
+    an end of the interval.
     """
     points = np.atleast_1d(np.asarray(x, dtype=float))
-    outside = ~_unit_interval(params, points)[2] & np.isfinite(points)
+    outside = ~_unit_interval(params, points)[1] & np.isfinite(points)
     y = flow_inverse(params, np.where(outside, params.beta, points))  # beta stands in for them
-    d1 = flow_jet(params, y).d1
-    outside |= d1 == 0.0
-    vals = eval_hermite_functions(n_max, y) / np.sqrt(np.where(outside, 1.0, d1))
+    vals = eval_hermite_functions(n_max, y) / np.sqrt(flow_jet(params, y).d1)
     vals[:, outside] = 0.0
     return vals[:, 0] if (np.isscalar(x) or np.ndim(x) == 0) else vals
 

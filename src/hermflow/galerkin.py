@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import FlowParams, _map_jets
+from .flow import FlowParams, _check_inside, _map_jets
 from .hermite import BasisSpec
 from .hermite import eval_hermite_derivatives, eval_hermite_functions  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import QuadratureRule
@@ -73,7 +73,7 @@ class AssemblyError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """The warp map lost strict monotonicity at a quadrature node."""
+    """A quadrature node lies outside the warp's interval, or G' <= 0 at a node (tanh saturates)."""
 
 
 @dataclass(frozen=True)
@@ -194,18 +194,21 @@ def assemble_hamiltonian(
     anywhere fails it) or on a fault in the assembly.  A warp's jets are computed once
     and shared by both terms, as are the spec's rows of the rule's tables.  ValueError:
     a plain basis past `check_plain_size`'s bound, a warped N > Q, or a parity block
-    with a warp, which breaks parity.  A warped assembly warns below Q = 2N + 10.
+    with a warp, which breaks parity.  A warped assembly warns below Q = 2N + 10.  MonotonicityError:
+    a node outside the warp's interval (named before the jets), or G' <= 0 at a node.
     """
     if params is None:
         check_plain_size(spec.size, rule.order, V)
     elif spec.parity is not None:
         raise ValueError(f"a parity block (parity {spec.parity}) takes no warp: a warp breaks parity")
-    elif rule.order < 2 * spec.size + 10:
-        warnings.warn(
-            f"quadrature order {rule.order} < 2N + 10 = {2 * spec.size + 10}; eigenvalues may "
-            "drop below the variational limit",
-            stacklevel=2,
-        )
+    else:
+        _check_inside(params, rule.nodes, "node", MonotonicityError)
+        if rule.order < 2 * spec.size + 10:
+            warnings.warn(
+                f"quadrature order {rule.order} < 2N + 10 = {2 * spec.size + 10}; eigenvalues may "
+                "drop below the variational limit",
+                stacklevel=2,
+            )
     phi, dphi = _basis_at_nodes(spec.size, rule, spec.rows)
     y, g1, g2 = (rule.nodes, None, None) if params is None else _map_jets(params, rule.nodes)
     H = _kinetic_part(rule, phi, dphi, g1, g2) + _potential_part(rule, phi, V, y)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .flow import (
     FlowParams,
+    _check_inside,
     _from_vector,
     _jets_forward,
     _jets_reverse,
@@ -213,14 +214,11 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """The loss and its gradient with respect to every parameter.
 
     Returns (loss value, flat gradient) with entries in `params.theta` order;
-    raises FloatingPointError if either is non-finite, or, before the loss is
-    formed, if G' <= 0 at a node (a node outside the warp's interval).
+    raises FloatingPointError if either is non-finite, or, before the sweep, if a
+    node lies outside the warp's interval (`flow._check_inside` names it).
     """
+    _check_inside(params, loss.nodes, "node", FloatingPointError)
     jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
-    g1 = jets[1]
-    for q in (0, g1.size - 1):  # the nodes ascend and the interval is one piece: the ends decide
-        if g1[q] <= 0.0:
-            raise FloatingPointError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={loss.nodes[q]})")
     value, bars = loss.head(*jets)
     value = float(value)
     if not math.isfinite(value):

@@ -23,7 +23,7 @@ from hermflow import (
     spectral_norm,
 )
 from hermflow import flow
-from hermflow.flow import ATANH_CLIP, ConvergenceError, FlowNumericsError
+from hermflow.flow import ConvergenceError, FlowNumericsError
 from conftest import make_feasible_params
 
 
@@ -33,6 +33,33 @@ def zero_block_params(hidden=8, alpha=10.0, beta=0.0, n_blocks=1):
         for _ in range(n_blocks)
     ]
     return FlowParams(blocks, alpha, beta, 0.97)
+
+
+def constraint_edge_warp(rng):
+    """A warp of 1-3 blocks, widths 1-128 and a margin up to 0.999, whose weights are drawn up
+    to 50 times the bound and projected onto it: near-flat where u = c a comes near -c."""
+    margin, h = rng.uniform(0.5, 0.999), int(rng.integers(1, 129))
+    blocks = []
+    for _ in range(rng.integers(1, 4)):
+        w_in, w_out = rng.normal(size=(h, 1)), rng.normal(size=(1, h))
+        w_in *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_in)
+        w_out *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_out)
+        block = ResidualBlock(w_in, rng.uniform(-3, 3, h), w_out, float(rng.uniform(-1, 1)))
+        blocks.append(normalize_block(block, margin))
+    return FlowParams(blocks, rng.uniform(1, 15), rng.uniform(-1, 1), margin)
+
+
+def invert_or_refuse(params, y):
+    """flow_inverse(params, y), with NaN at each point that it refuses because the point's
+    preimage rounds onto an end of the interval; a call that refuses is split in halves."""
+    try:
+        return flow_inverse(params, y)
+    except ValueError as exc:
+        if y.size > 1:
+            return np.concatenate([invert_or_refuse(params, part) for part in np.array_split(y, 2)])
+        ends = (params.beta - params.alpha, params.beta + params.alpha)
+        assert any(str(exc).startswith(f"G^-1(y)[0] = {end} lies outside") for end in ends), str(exc)
+        return np.array([np.nan])
 
 
 class TestLipswish:
@@ -185,8 +212,15 @@ class TestFlowForward:
 
     @pytest.mark.parametrize("evaluate", [flow_forward, flow_jet])
     def test_non_finite_point_raises(self, evaluate):
-        with pytest.raises(FlowNumericsError, match="x=nan"):
+        # refused as a point outside the warp's interval, before any jet is computed
+        with pytest.raises(ValueError, match=r"^x\[1\] = nan lies outside the warp's interval"):
             evaluate(zero_block_params(), [0.0, math.nan])
+
+    def test_non_finite_jet_raises(self, monkeypatch):
+        # the guard on computed jets, at a point inside the interval
+        monkeypatch.setattr(flow, "_map_jets", lambda params, x: np.full((3, x.size), np.nan))
+        with pytest.raises(FlowNumericsError, match=r"non-finite value at x=0.25"):
+            flow_jet(zero_block_params(), [0.25])
 
 
 class TestFlowJet:
@@ -287,9 +321,9 @@ class TestFlowInverse:
         assert flow_inverse(params, np.empty(0)).shape == (0,)
         assert evaluate_augmented_basis(params, 4, np.empty(0)).shape == (5, 0)
 
-    @pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf, 1.0, -1.0, 1.2, -10.0, 1.0 - ATANH_CLIP])
+    @pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf, 1.0, -1.0, 1.2, -10.0])
     def test_points_outside_the_interval_are_refused(self, rng, edge):
-        # beta + edge * alpha: not finite, at either end, beyond it, or on the clip bound
+        # beta + edge * alpha: not finite, at either end, or beyond it
         params = make_feasible_params(8, 5.0, 0.3, rng)
         ys = np.array([0.3, params.beta + edge * params.alpha, 0.0])
         with pytest.raises(ValueError, match=r"^y\[1\] = .* lies outside the warp's interval"):
@@ -298,12 +332,15 @@ class TestFlowInverse:
             flow_inverse(params, ys[1])
 
     def test_points_just_inside_the_interval_are_inverted(self, rng):
-        edges = np.array([-1.0, 1.0]) * (1.0 - 2 * ATANH_CLIP)
+        # the last doubles inside the open interval: both maps accept them
         identity = zero_block_params(alpha=5.0, beta=0.3)
-        inside = identity.beta + edges * identity.alpha
-        assert np.abs(flow_inverse(identity, inside) - inside).max() < 1e-12
-        params = make_feasible_params(8, 5.0, 0.3, rng)
-        xs = flow_inverse(params, params.beta + edges * params.alpha)
+        last = identity.beta + np.array([-1.0, 1.0]) * identity.alpha * np.nextafter(1.0, 0.0)
+        assert np.all(np.abs(last - identity.beta) < identity.alpha)
+        np.testing.assert_array_equal(flow_inverse(identity, last), last)
+        np.testing.assert_array_equal(flow_forward(identity, last), last)
+        params = make_feasible_params(8, 5.0, 0.3, rng)  # the same interval; tanh saturates at the upper end
+        assert np.all(flow_jet(params, last).d1 >= 0.0)
+        xs = flow_inverse(params, params.beta + np.array([-1.0, 1.0]) * params.alpha * (1.0 - 2e-7))
         assert np.all(np.abs(xs - params.beta) < params.alpha) and xs[0] < xs[1]
 
     def test_exhausted_iterations_raise(self, rng, monkeypatch):
@@ -317,21 +354,39 @@ class TestFlowInverse:
         # up to 50 times the bound and projected onto it; ~500 points across the interval
         rng = np.random.default_rng(26)
         for _ in range(100):
-            margin, h = rng.uniform(0.5, 0.999), int(rng.integers(1, 129))
-            blocks = []
-            for _ in range(rng.integers(1, 4)):
-                w_in, w_out = rng.normal(size=(h, 1)), rng.normal(size=(1, h))
-                w_in *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_in)
-                w_out *= rng.uniform(0.1, 50) * math.sqrt(margin) / np.linalg.norm(w_out)
-                block = ResidualBlock(w_in, rng.uniform(-3, 3, h), w_out, float(rng.uniform(-1, 1)))
-                blocks.append(normalize_block(block, margin))
-            params = FlowParams(blocks, rng.uniform(1, 15), rng.uniform(-1, 1), margin)
+            params = constraint_edge_warp(rng)
             y = flow_forward(params, params.beta + params.alpha * np.tanh(np.linspace(-8, 8, 500)))
-            y = y[np.abs(y - params.beta) < params.alpha * (1 - ATANH_CLIP)]  # G can round onto the ends
+            y = y[np.abs((y - params.beta) / params.alpha) < 1]  # G can round onto the ends
             x, steps = flow_inverse(params, y, return_iterations=True)
             # at most 10 steps per stage over 6,000 such draws, against the cap of 50
-            assert steps <= 12 * len(blocks)
+            assert steps <= 12 * len(params.blocks)
             assert np.abs(flow_forward(params, x) - y).max() <= 1e-12 * params.alpha
+
+    def test_the_interval_s_edges(self):
+        # y across the whole open interval of seeded warps near the constraint's edge: each y is
+        # refused, its preimage having rounded onto an end, or inverted to an x with G'(x) > 0
+        # that G maps back to rounding; an x inside whose image is inside comes back to
+        # rounding (y holds G(x) to eps alpha, so x to eps alpha/G'(x)): 1e-12 alpha where G' >= 0.01
+        eps, rng = np.finfo(float).eps, np.random.default_rng(28)
+        refused = accepted = 0
+        for _ in range(30):
+            params = constraint_edge_warp(rng)
+            alpha = params.alpha
+            y = params.beta + alpha * np.tanh(np.linspace(-18, 18, 301))
+            y = y[np.abs((y - params.beta) / alpha) < 1]
+            x = invert_or_refuse(params, y)
+            ok = np.isfinite(x)
+            refused, accepted = refused + np.count_nonzero(~ok), accepted + np.count_nonzero(ok)
+            g = flow_jet(params, x[ok])
+            assert np.all(g.d1 > 0.0)
+            assert np.all(np.abs(g.value - y[ok]) <= 8 * eps * (alpha + g.d1 * (np.abs(x[ok]) + alpha)))
+            x = params.beta + alpha * np.tanh(np.linspace(-8, 8, 101))
+            g = flow_jet(params, x)
+            inside = np.abs((g.value - params.beta) / alpha) < 1
+            x, g1, back = x[inside], g.d1[inside], flow_inverse(params, g.value[inside])
+            assert np.all(np.abs(back - x) <= 8 * eps * (alpha / g1 + np.abs(x) + alpha))
+            assert np.all(np.abs(back - x)[g1 >= 0.01] <= 1e-12 * alpha)
+        assert refused > 0 and accepted > 20 * refused
 
     @pytest.mark.parametrize("hidden", [8, 128])
     def test_many_points_match_pointwise_inverse(self, rng, hidden):
@@ -389,21 +444,35 @@ class TestAugmentedBasis:
         # the warped functions span L2(beta - alpha, beta + alpha) extended by zero
         params = make_feasible_params(8, 5.0, 0.3, rng)
         inside = np.linspace(-4.0, 4.5, 7)
-        outside = params.beta + np.array([-1.0, 1.0, 1.2, -10.0, 1.0 - ATANH_CLIP]) * params.alpha
+        outside = params.beta + np.array([-1.0, 1.0, 1.2, -10.0]) * params.alpha
         vals = evaluate_augmented_basis(params, 4, np.concatenate([outside[:2], inside, outside[2:]]))
-        assert vals.shape == (5, 12) and not vals[:, :2].any() and not vals[:, -3:].any()
-        np.testing.assert_array_equal(vals[:, 2:-3], evaluate_augmented_basis(params, 4, inside))
+        assert vals.shape == (5, 11) and not vals[:, :2].any() and not vals[:, -2:].any()
+        np.testing.assert_array_equal(vals[:, 2:-2], evaluate_augmented_basis(params, 4, inside))
         assert evaluate_augmented_basis(params, 2, 6.0).tolist() == [0.0, 0.0, 0.0]
 
-    def test_zero_where_the_preimage_is_clipped(self):
-        # just inside the interval, the preimage lies where the forward map clips and G' = 0:
-        # the basis is 0 there, with no divide-by-zero warning (the suite makes warnings errors)
+    def test_points_next_to_the_ends_round_trip(self):
+        # 2e-7 alpha inside each end, the preimages lie inside the interval, where G' > 0
+        # and G maps them back; the basis is finite there
         params = make_feasible_params(8, 5.0, 0.3, np.random.default_rng(0))
-        y = params.beta + np.array([1.0, -1.0]) * params.alpha * (1.0 - 2 * ATANH_CLIP)
-        assert flow_jet(params, flow_inverse(params, y)).d1[0] == 0.0
+        y = params.beta + np.array([1.0, -1.0]) * params.alpha * (1.0 - 2e-7)
+        x = flow_inverse(params, y)
+        assert np.all(flow_jet(params, x).d1 > 0.0)
+        assert np.abs(flow_forward(params, x) - y).max() <= 1e-14
         vals = evaluate_augmented_basis(params, 3, np.concatenate([y, [0.0]]))
-        assert not vals[:, 0].any() and np.all(np.isfinite(vals))
+        assert vals[:, 0].any() and np.all(np.isfinite(vals))
         np.testing.assert_allclose(vals[:, 1:], evaluate_augmented_basis(params, 3, np.array([y[1], 0.0])), rtol=1e-13)
+
+    def test_a_preimage_on_an_end_is_refused(self):
+        # a near-flat warp: F'(z) tends to 1 - 0.999/1.1 as z grows, so y = beta + alpha tanh(3),
+        # well inside, has a preimage z near 30, whose tanh rounds onto 1: refused, not returned
+        s = math.sqrt(0.999)
+        params = FlowParams([ResidualBlock(np.array([[s]]), np.zeros(1), np.array([[-s]]), 0.0)], 5.0, 0.3, 0.999)
+        y = params.beta + params.alpha * np.tanh(np.array([0.0, 3.0]))
+        refused = r"^G\^-1\(y\)\[1\] = 5.3 lies outside the warp's interval"
+        with pytest.raises(ValueError, match=refused):
+            flow_inverse(params, y)
+        with pytest.raises(ValueError, match=refused):
+            evaluate_augmented_basis(params, 3, y)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_are_refused(self, rng, bad):

@@ -7,7 +7,9 @@ import pytest
 
 from hermflow import (
     BasisSpec,
+    FlowParams,
     Potential,
+    ResidualBlock,
     anharmonic_potential,
     assemble_hamiltonian,
     eigh,
@@ -123,12 +125,21 @@ class TestKineticMatrix:
         oracle = 0.5 * np.trapezoid(dphiA[:, None, :] * dphiA[None, :, :], grid, axis=2)
         assert np.abs(T - oracle).max() < 1e-5
 
-    def test_clipped_warp_raises_monotonicity_error(self):
-        # alpha smaller than the node range puts outer nodes on the clipped
-        # plateau where G' = 0 exactly
+    def test_nodes_outside_the_interval_raise_monotonicity_error(self, monkeypatch):
+        # alpha smaller than the node range leaves the outer nodes outside the warp's
+        # interval: refused, naming the first, before any jet is computed
         rule = gauss_hermite_rule(30)
         params = init_flow_params(hidden=4, alpha=1.0, seed=0)
-        with pytest.raises(MonotonicityError):
+        monkeypatch.setattr(galerkin, "_map_jets", None)
+        with pytest.raises(MonotonicityError, match=rf"^node\[0\] = {rule.nodes[0]} lies outside the warp's interval"):
+            assemble_hamiltonian(BasisSpec(4), rule, harmonic_potential(), params)
+
+    def test_saturated_warp_raises_monotonicity_error(self):
+        # every node inside the interval, but a large output bias saturates tanh: G' = 0
+        rule = gauss_hermite_rule(30)
+        block = ResidualBlock(np.zeros((4, 1)), np.zeros(4), np.zeros((1, 4)), 40.0)
+        params = FlowParams([block], 1.05 * float(np.abs(rule.nodes).max()), 0.0, 0.97)
+        with pytest.raises(MonotonicityError, match=r"^warp derivative G' = 0.0 <= 0 at node 0 "):
             assemble_hamiltonian(BasisSpec(4), rule, harmonic_potential(), params)
 
 

@@ -1,6 +1,7 @@
 """The comparison of `tools/same_outputs.py` on synthetic output directories; no sweep is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,23 @@ def test_exit_status_is_the_verdict(tmp_path, monkeypatch, capsys, moved, status
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == status
     assert '"files"' in capsys.readouterr().out
+
+
+def test_summed_trace_wall_time_per_side(tmp_path, monkeypatch, capsys):
+    # every trace's wall_ms summed per side, and change/parent; the verdict does not read them
+    def side(walls5, walls6):
+        return {"ladder/spectra.csv": spectra(ROWS), "sweep/trace_augmented_N5.csv": trace(walls5),
+                "sweep/trace_augmented_N6.csv": trace(walls6)}
+
+    sides = {"parent": side([1.0, 2.0], [1.0]), "change": side([0.5, 1.0], [0.5])}
+    assert same_outputs.trace_wall_ms(write(tmp_path / "p", sides["parent"])) == 4.0
+    monkeypatch.setattr(same_outputs, "run_side_by_side",
+                        lambda checkouts, work: [write(work / side, files) for side, files in sides.items()])
+    roots = [checkout(tmp_path / side) for side in sides]
+    assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["trace_wall_ms"] == {"parent": 4.0, "change": 2.0, "ratio": 0.5}
+    assert "summed trace wall_ms: parent 4.0, change 2.0, change/parent 0.5" in captured.err
 
 
 def test_a_failed_run_exits_2(tmp_path, capsys):

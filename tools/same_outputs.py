@@ -18,7 +18,10 @@ Then every file is compared: byte-identical or not.  A loss-trace CSV
 that differs, the report gives max |dE| and the largest relative change
 |dE|/|E| per (scheme, N); any other CSV that differs gets the largest absolute
 and relative change over its numeric cells.  Standard output is one JSON
-object, the report; standard error has one line per file.
+object, the report; standard error has one line per file.  The report also
+gives each side's summed trace `wall_ms` (the study's Adam steps; the ladder
+trains nothing) and the change/parent ratio of the two: a timing of the study
+from runs made at the same time, which the verdict does not read.
 
 The exit status is the verdict, as `diff` gives it: 0 when every file is
 byte-identical or identical except `wall_ms`, 1 when a file moved or exists on
@@ -123,6 +126,16 @@ def csv_changes(parent: Path, change: Path) -> dict:
     return {"verdict": "differs", "max_abs": worst[0], "max_rel": worst[1]}
 
 
+def trace_wall_ms(root: Path) -> float:
+    """The `wall_ms` column summed over every loss-trace CSV under root."""
+    total = 0.0
+    for path in sorted(root.rglob("trace_*.csv")):
+        columns, rows = read_csv(path)
+        column = columns.index("wall_ms")
+        total += sum(float(row[column]) for row in rows)
+    return total
+
+
 def compare(parent: Path, change: Path) -> dict[str, dict]:
     """Per relative file path under either output directory, its verdict and, if it moved, how far."""
     names = sorted({p.relative_to(root).as_posix() for root in (parent, change) for p in root.rglob("*") if p.is_file()})
@@ -182,12 +195,17 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         report = compare(work / "parent", work / "change")
+        walls = {side: trace_wall_ms(work / side) for side in checkouts}
+    walls["ratio"] = walls["change"] / walls["parent"] if walls["parent"] else None
     for name, entry in report.items():
         detail = {k: v for k, v in entry.items() if k not in ("verdict", "per_case")}
         print(f"{name}: {entry['verdict']}{' ' + json.dumps(detail) if detail else ''}", file=sys.stderr)
     verdicts = collections.Counter(entry["verdict"] for entry in report.values())
     print(f"{len(report)} files: " + ", ".join(f"{n} {v}" for v, n in sorted(verdicts.items())), file=sys.stderr)
-    print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]), "files": report}, indent=1))
+    print(f"summed trace wall_ms: parent {walls['parent']:.1f}, change {walls['change']:.1f}, "
+          f"change/parent {walls['ratio']}", file=sys.stderr)
+    print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]),
+                      "trace_wall_ms": walls, "files": report}, indent=1))
     return 0 if set(verdicts) <= SAME else 1
 
 
