@@ -25,9 +25,10 @@ N_REF = max(N_VALUES)
 def main():
     config = ExperimentConfig(potential="anharmonic", Q=90, iterations=800)
     spectra = {"hermite": {}, "augmented": {}}
+    memo = {}  # one per sweep, as `hermflow sweep` keeps it: each plain parity block is solved once
     for N in N_VALUES:
         for scheme, by_n in spectra.items():
-            by_n[N] = solve_case(config, scheme, N, seed=N).eigenvalues
+            by_n[N] = solve_case(config, scheme, N, seed=N, memo=memo).eigenvalues
         print(f"  solved N={N} (both schemes)")
     reports = {s: build_convergence_report(s, by_n, N_REF) for s, by_n in spectra.items()}
 

@@ -8,7 +8,11 @@ Subcommands:
   with an even potential (both named ones are) is solved as its two parity blocks.
 * ``sweep``   - the same over a range of basis sizes with per-N seeds derived
   from the master seed, aggregating one spectra CSV (an N's rows only once
-  every scheme has solved) and a manifest.
+  every scheme has solved) and a manifest.  Growing the basis from N to N + 1
+  adds index N, which grows one parity block only: the other is N's, bit for
+  bit.  So a sweep keeps a memo of the plain blocks it has solved, their
+  eigenvalues and traces, and solves each block once.  The memo lives for one
+  sweep call: nothing is cached across calls, and a warped case never uses it.
 * ``analyze`` - turn sweep spectra into band-error, convergence-rate and
   linear-fit CSVs against each scheme's own reference spectrum.
 
@@ -186,8 +190,15 @@ class CaseResult(NamedTuple):
     training: TrainingTrace | None
 
 
-def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> CaseResult:
-    """Train (augmented scheme only), assemble and diagonalize one case; writes no file."""
+def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: dict | None = None) -> CaseResult:
+    """Train (augmented scheme only), assemble and diagonalize one case; writes no file.
+
+    `memo` holds each unwarped block's eigenvalues and trace, keyed by Q, the potential
+    and the block's indices: a block met again (N + 1 adds index N, so the other parity
+    block is N's, bit for bit) is read, not assembled and diagonalized again.  Pass
+    one memo to the cases of one sweep (`cmd_sweep` owns one per call); without one
+    the case solves every block.  A warped case neither reads nor writes it.
+    """
     if scheme not in ("hermite", "augmented"):
         raise ValueError(f"solve_case takes scheme 'hermite' or 'augmented', got {scheme!r}")
     V = potential_from_descriptor(config.potential)
@@ -197,9 +208,16 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int) -> Case
         params, training = train(config.training_config(N, seed), V)
     # unwarped, an even V has H_mn = 0 for m + n odd: the even and the odd block; warped, one block
     specs = [BasisSpec(N, 0), BasisSpec(N, 1)][:N] if params is None and V.is_even else [BasisSpec(N)]
-    blocks = [assemble_hamiltonian(spec, rule, V, params).entries for spec in specs]
-    levels = np.sort(np.concatenate([eigh(H).eigenvalues for H in blocks]))
-    return CaseResult(levels, sum(float(np.trace(H)) for H in blocks), params, training)
+    memo = {} if memo is None or params is not None else memo
+    blocks = []
+    for spec in specs:
+        key = (config.Q, config.potential, range(N)[spec.rows])  # ranges compare by content
+        if key not in memo:
+            H = assemble_hamiltonian(spec, rule, V, params).entries
+            memo[key] = (eigh(H).eigenvalues, float(np.trace(H)))
+        blocks.append(memo[key])
+    levels = np.sort(np.concatenate([E for E, _ in blocks]))
+    return CaseResult(levels, sum(trace for _, trace in blocks), params, training)
 
 
 def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) -> list[tuple]:
@@ -234,12 +252,14 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     all_rows = []
     completed, failed = [], {}
+    memo = {}  # the plain blocks solved so far, for this sweep only
     for N in range(lo, hi + 1):
         seed_n = config.seed + N  # per-N seeds: fixed offset from the master seed
         try:
             rows = []  # an N's rows are kept only once every scheme has succeeded
             for scheme in config.schemes():
-                rows += _write_case(outdir, scheme, N, seed_n, solve_case(config, scheme, N, seed_n))
+                case = solve_case(config, scheme, N, seed_n, memo)
+                rows += _write_case(outdir, scheme, N, seed_n, case)
             all_rows.extend(rows)
             completed.append(N)
             print(f"sweep N={N} done")

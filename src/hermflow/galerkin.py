@@ -38,6 +38,9 @@ Parity: for an even V (`Potential.is_even`) and the identity warp, H_mn = 0
 when m + n is odd, up to rounding (1e-14 max |H| within the bound, N <= 180).  A
 `BasisSpec` with `parity` 0 or 1 assembles the block of the even or odd indices
 below N, and `cli.solve_case` solves such a case as its two blocks; a warp breaks parity.
+The block of parity p at N + 1 is the block at N unless p = N mod 2 (only index N is
+new): the same rows of the same tables, so the same matrix bit for bit, and a sweep
+(`cli.cmd_sweep`) assembles each distinct block once.
 """
 
 from __future__ import annotations

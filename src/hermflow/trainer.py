@@ -214,11 +214,17 @@ def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """The loss and its gradient with respect to every parameter.
 
     Returns (loss value, flat gradient) with entries in `params.theta` order;
-    raises FloatingPointError if either is non-finite, or, before the sweep, if a
-    node lies outside the warp's interval (`flow._check_inside` names it).
+    raises FloatingPointError if either is non-finite, before the sweep if a node
+    lies outside the warp's interval (`flow._check_inside` names it), and after it
+    if G' is not positive at a node (tanh saturates inside the interval), naming
+    the node as `galerkin._kinetic_part` does.
     """
     _check_inside(params, loss.nodes, "node", FloatingPointError)
     jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
+    g1 = jets[1]
+    if not g1.min() > 0.0:  # the head divides by G'; a NaN fails too
+        q = int(np.flatnonzero(~(g1 > 0.0))[0])
+        raise FloatingPointError(f"warp derivative G' = {g1[q]} is not positive at node {q} (x={loss.nodes[q]})")
     value, bars = loss.head(*jets)
     value = float(value)
     if not math.isfinite(value):

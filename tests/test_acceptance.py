@@ -78,14 +78,15 @@ def rule90():
 def sweep():
     """Both schemes over N = 5..29, each case solved as `hermflow sweep` solves it:
     spectra, traces of the projected Hamiltonians, loss traces, and the augmented
-    cases' solve times."""
+    cases' solve times.  Like `cmd_sweep`, it passes one memo to every case, so each
+    plain parity block is solved once."""
     config = ExperimentConfig(potential="anharmonic", Q=90)
-    out = {}
+    out, memo = {}, {}
     for N in SWEEP_RANGE:
         tick = time.perf_counter()
-        aug = solve_case(config, "augmented", N, MASTER_SEED + N)
+        aug = solve_case(config, "augmented", N, MASTER_SEED + N, memo)
         seconds = time.perf_counter() - tick
-        herm = solve_case(config, "hermite", N, MASTER_SEED + N)
+        herm = solve_case(config, "hermite", N, MASTER_SEED + N, memo)
         out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, trace=dict(aug=aug.trace, herm=herm.trace),
                       losses=aug.training.losses, seconds=seconds)
     return out

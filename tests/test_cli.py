@@ -225,10 +225,7 @@ class TestSolveCaseParity:
 
     def test_each_block_goes_through_the_cli_names(self, monkeypatch):
         # the benchmark's tracer patches these names; N = 1 has no odd block
-        calls = collections.Counter()
-        for name in ("assemble_hamiltonian", "eigh"):
-            fn = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *a, _name=name, _fn=fn: calls.update([_name]) or _fn(*a))
+        calls = count_cli_calls(monkeypatch, ("assemble_hamiltonian", "eigh"))
         for N, blocks in ((1, 1), (2, 2), (9, 2)):
             calls.clear()
             solve_case(ExperimentConfig(potential="anharmonic", Q=40), "hermite", N, 0)
@@ -249,11 +246,59 @@ class TestSolveCaseParity:
         V, rule = hermflow.anharmonic_potential(), hermflow.gauss_hermite_rule(40)
         for iterations in (0, 5):
             config = ExperimentConfig(potential="anharmonic", Q=40, hidden=4, iterations=iterations)
-            case = solve_case(config, "augmented", 6, 3)
-            assert case.params is not None
+            memo = {}
+            case = solve_case(config, "augmented", 6, 3, memo)
+            assert case.params is not None and memo == {}  # a warped case writes no block
             H = hermflow.assemble_hamiltonian(hermflow.BasisSpec(6), rule, V, case.params)
             assert case.eigenvalues.tobytes() == hermflow.eigh(H.entries).eigenvalues.tobytes()
             assert case.trace == float(np.trace(H.entries))
+
+
+def count_cli_calls(monkeypatch, names):
+    """A counter of the calls made through `cli`'s names, which the benchmark's tracer binds."""
+    calls = collections.Counter()
+    for name in names:
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _fn=fn: calls.update([_name]) or _fn(*a))
+    return calls
+
+
+class TestSweepMemo:
+    """A sweep solves each distinct plain parity block once: N + 1 adds index N, which
+    grows one block, and the other is N's.  The memo lives for one sweep."""
+
+    @pytest.mark.parametrize("potential", ["harmonic", "anharmonic"])
+    @pytest.mark.parametrize("lo,hi", [(3, 12), (4, 13)])
+    def test_spectra_match_cases_solved_alone(self, tmp_path, potential, lo, hi):
+        assert run(["sweep", "--potential", potential, "--scheme", "hermite", "--Q", 40,
+                    "--N-range", f"{lo}..{hi}", "--output-dir", tmp_path / "sweep"]) == 0
+        config, memo, rows = ExperimentConfig(potential=potential, Q=40), {}, []
+        for N in range(lo, hi + 1):
+            alone, shared = solve_case(config, "hermite", N, N), solve_case(config, "hermite", N, N, memo)
+            assert shared.eigenvalues.tobytes() == alone.eigenvalues.tobytes() and shared.trace == alone.trace
+            rows += [("hermite", N, n, E) for n, E in enumerate(alone.eigenvalues.tolist())]
+        hermflow.analysis.write_spectra_csv(tmp_path / "alone.csv", rows)
+        assert (tmp_path / "sweep" / "spectra.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    def test_each_distinct_block_is_solved_once_per_sweep(self, tmp_path, monkeypatch):
+        # N = lo has two blocks and each later N one new block: (hi - lo) + 2; a second
+        # sweep in the same process solves them all again
+        calls = count_cli_calls(monkeypatch, ("assemble_hamiltonian", "eigh"))
+        for lo, hi in ((3, 12), (4, 13), (3, 12)):
+            calls.clear()
+            assert run(["sweep", "--scheme", "hermite", "--Q", 40, "--N-range", f"{lo}..{hi}",
+                        "--output-dir", tmp_path / f"{lo}"]) == 0
+            assert calls == {"assemble_hamiltonian": (hi - lo) + 2, "eigh": (hi - lo) + 2}
+
+    def test_augmented_cases_train_and_assemble_once(self, tmp_path, monkeypatch):
+        warped = collections.Counter()
+        assemble, fit = cli.assemble_hamiltonian, cli.train
+        monkeypatch.setattr(cli, "assemble_hamiltonian",
+                            lambda spec, rule, V, params: warped.update([params is not None]) or assemble(spec, rule, V, params))
+        monkeypatch.setattr(cli, "train", lambda config, V: warped.update(["train"]) or fit(config, V))
+        assert run(["sweep", "--scheme", "both", "--Q", 30, "--hidden", 4, "--iterations", 3,
+                    "--N-range", "4..7", "--output-dir", tmp_path]) == 0
+        assert warped == {"train": 4, True: 4, False: (7 - 4) + 2}
 
 
 class TestSweep:
@@ -283,7 +328,7 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["completed"] == [2, 3]
         assert sorted(manifest["failed"]) == ["4", "5"]
-        assert "N = 4 exceeds 3" in manifest["failed"]["4"]
+        assert "N = 4 exceeds 3" in manifest["failed"]["4"] and "N = 5 exceeds 3" in manifest["failed"]["5"]
         data = read_spectra_csv(out / "spectra.csv")["hermite"]
         assert sorted(data) == [2, 3]
 

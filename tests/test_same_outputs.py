@@ -75,6 +75,15 @@ def test_spectra_with_different_rows_differ(tmp_path):
     assert entry["verdict"] == "differs" and "different" in entry["levels"]
 
 
+def fake_runs(sides: dict[str, dict], seconds: dict | None = None):
+    """A stand-in for `run_side_by_side`: writes each side's files and returns its wall time per step."""
+    def run_side_by_side(checkouts, work):
+        for side, files in sides.items():
+            write(work / side, files)
+        return seconds or {side: {same_outputs.step_name(step): 1.0 for step in same_outputs.RUNS} for side in sides}
+    return run_side_by_side
+
+
 def checkout(root: Path, main: str = "return 0") -> Path:
     """A checkout whose `hermflow.cli.main` has the body `main`."""
     return write(root, {"src/hermflow/__init__.py": "", "src/hermflow/cli.py": f"def main():\n    {main}\n"})
@@ -85,8 +94,7 @@ def test_exit_status_is_the_verdict(tmp_path, monkeypatch, capsys, moved, status
     # 0 when every file is the same (a trace but for wall_ms), 1 when one moved or is on one side only
     same = {"sweep/manifest.json": '{"completed": [5]}\n', "sweep/trace_augmented_N5.csv": trace([0.1])}
     sides = {"parent": same, "change": {**same, "sweep/trace_augmented_N5.csv": trace([0.2]), **moved}}
-    monkeypatch.setattr(same_outputs, "run_side_by_side",
-                        lambda checkouts, work: [write(work / side, files) for side, files in sides.items()])
+    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides))
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == status
     assert '"files"' in capsys.readouterr().out
@@ -100,13 +108,40 @@ def test_summed_trace_wall_time_per_side(tmp_path, monkeypatch, capsys):
 
     sides = {"parent": side([1.0, 2.0], [1.0]), "change": side([0.5, 1.0], [0.5])}
     assert same_outputs.trace_wall_ms(write(tmp_path / "p", sides["parent"])) == 4.0
-    monkeypatch.setattr(same_outputs, "run_side_by_side",
-                        lambda checkouts, work: [write(work / side, files) for side, files in sides.items()])
+    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides))
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["trace_wall_ms"] == {"parent": 4.0, "change": 2.0, "ratio": 0.5}
     assert "summed trace wall_ms: parent 4.0, change 2.0, change/parent 0.5" in captured.err
+
+
+def test_wall_time_of_each_step_per_side(tmp_path, monkeypatch, capsys):
+    # each step's wall time on both sides and change/parent, by its output directory; the verdict
+    # does not read them
+    names = [same_outputs.step_name(step) for step in same_outputs.RUNS]
+    assert names == ["sweep", "sweep/analysis", "ladder", "ladder/analysis"]
+    seconds = {"parent": dict(zip(names, [30.0, 1.0, 4.0, 0.5])), "change": dict(zip(names, [30.0, 1.0, 2.0, 0.25]))}
+    sides = {"parent": {"ladder/manifest.json": "{}\n"}, "change": {"ladder/manifest.json": "{}\n"}}
+    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides, seconds))
+    roots = [checkout(tmp_path / side) for side in sides]
+    assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
+    captured = capsys.readouterr()
+    steps = json.loads(captured.out)["step_wall_s"]
+    assert list(steps) == names
+    assert steps["ladder"] == {"parent": 4.0, "change": 2.0, "ratio": 0.5}
+    assert steps["ladder/analysis"] == {"parent": 0.5, "change": 0.25, "ratio": 0.5}
+    assert steps["sweep"]["ratio"] == 1.0
+    assert "wall s of step ladder: parent 4.000, change 2.000, change/parent 0.5" in captured.err
+
+
+def test_each_step_is_timed_on_both_sides(tmp_path):
+    # the checkouts' `hermflow.cli.main` sleeps 0.2 s on one side only
+    checkouts = {"parent": checkout(tmp_path / "p"), "change": checkout(tmp_path / "c", "__import__('time').sleep(0.2)")}
+    walls = same_outputs.run_side_by_side(checkouts, tmp_path / "work")
+    for side, lowest in (("parent", 0.0), ("change", 0.2)):
+        assert list(walls[side]) == [same_outputs.step_name(step) for step in same_outputs.RUNS]
+        assert all(seconds > lowest for seconds in walls[side].values())
 
 
 def test_a_failed_run_exits_2(tmp_path, capsys):

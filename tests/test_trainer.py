@@ -33,6 +33,12 @@ from hermflow.flow import _jets_forward, _stage_buffers
 from conftest import complex_params, complex_step_gradient, finite_diff_gradient, make_feasible_params
 
 
+def saturated_warp(hidden, alpha):
+    """One block with zero weights and output bias 40: tanh saturates, G' = 0 everywhere inside."""
+    block = ResidualBlock(np.zeros((hidden, 1)), np.zeros(hidden), np.zeros((1, hidden)), 40.0)
+    return FlowParams([block], alpha, 0.0, 0.97)
+
+
 def identity_value(loss):
     """The loss head on the identity map's jets (G = x, G' = 1, G'' = 0)."""
     x = loss.nodes
@@ -152,6 +158,17 @@ class TestAdjointGradient:
         for alpha, beta, node in ((0.9 * edge, 0.0, 0), (edge, -0.5, 29)):
             params = make_feasible_params(8, alpha, beta, rng)
             with pytest.raises(FloatingPointError, match=rf"^node\[{node}\] = {rule.nodes[node]} lies outside the warp's"):
+                trainer.gradient(loss, params)
+
+    def test_saturated_warp_names_the_node(self):
+        # every node inside the interval, but a large output bias saturates tanh: G' = 0 at
+        # each node, refused before the loss head divides by it, with no warning
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = saturated_warp(4, 1.05 * float(np.abs(rule.nodes).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=rf"^warp derivative G' = 0.0 is not positive at node 0 \(x={rule.nodes[0]}\)$"):
                 trainer.gradient(loss, params)
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e200])
@@ -483,6 +500,16 @@ class TestTrain:
         with pytest.raises(TrainingAborted, match=r"node\[\d+\] = \S+ lies outside the warp's interval") as err:
             train(cfg, anharmonic_potential())
         assert len(err.value.trace) >= 1
+
+    def test_saturated_warp_aborts_training(self, monkeypatch):
+        # a warp whose tanh saturates inside the interval stops training at its first step
+        monkeypatch.setattr(trainer, "init_flow_params", lambda hidden, alpha, **_: saturated_warp(hidden, alpha))
+        cfg = TrainingConfig(N=4, Q=30, hidden=8, iterations=5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingAborted, match=r"^training aborted: warp derivative G' = 0.0 is not positive at node 0 ") as err:
+                train(cfg, anharmonic_potential())
+        assert len(err.value.trace) == 0
 
     def test_variational_floor_against_converged_reference(self, sinc_dvr_reference):
         # with Q = 90 the warped-basis quadrature stays faithful enough that

@@ -20,8 +20,11 @@ that differs, the report gives max |dE| and the largest relative change
 and relative change over its numeric cells.  Standard output is one JSON
 object, the report; standard error has one line per file.  The report also
 gives each side's summed trace `wall_ms` (the study's Adam steps; the ladder
-trains nothing) and the change/parent ratio of the two: a timing of the study
-from runs made at the same time, which the verdict does not read.
+trains nothing) and each step's wall time on each side, from the command's start
+to its exit, named by its output directory (`ladder` is the plain ladder's sweep,
+`ladder/analysis` its analyze), each with its change/parent ratio.  The two sides
+run at the same time and share the machine, so these timings are evidence, not a
+measurement of a gain or a loss; the verdict does not read them.
 
 The exit status is the verdict, as `diff` gives it: 0 when every file is
 byte-identical or identical except `wall_ms`, 1 when a file moved or exists on
@@ -38,6 +41,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RUNS = (
@@ -157,24 +162,44 @@ def compare(parent: Path, change: Path) -> dict[str, dict]:
     return report
 
 
-def start_run(checkout: Path, out: Path, step: tuple) -> subprocess.Popen:
-    """One `hermflow` command of RUNS in `checkout`, writing under `out`."""
+def step_name(step: tuple) -> str:
+    """A step of RUNS by its output directory under the side's work directory: `ladder`, `ladder/analysis`, ..."""
+    return step[-1].removeprefix("{out}/")
+
+
+def run_step(checkout: Path, out: Path, step: tuple) -> tuple[int, str, float]:
+    """One `hermflow` command of RUNS in `checkout`, writing under `out`: its exit status,
+    its standard error and its wall time (s), interpreter start included."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     argv = [arg.format(out=out) for arg in step]
     command = [sys.executable, "-c", "import sys; from hermflow.cli import main; sys.exit(main())", *argv]
-    return subprocess.Popen(command, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    tick = time.perf_counter()
+    done = subprocess.run(command, cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    return done.returncode, done.stderr, time.perf_counter() - tick
 
 
-def run_side_by_side(checkouts: dict[str, Path], work: Path) -> None:
-    """RUNS in both checkouts, each command on both sides at once; any non-zero exit stops."""
-    for k, step in enumerate(RUNS, start=1):
-        procs = {side: start_run(root, work / side, step) for side, root in checkouts.items()}
-        errors = {side: proc.communicate()[1] for side, proc in procs.items()}  # both finish first
-        for side, proc in procs.items():
-            if proc.returncode != 0:
-                raise RunFailed(f"{side}: hermflow {' '.join(step)} exited {proc.returncode}:\n{errors[side]}")
-        print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
+def run_side_by_side(checkouts: dict[str, Path], work: Path) -> dict[str, dict[str, float]]:
+    """RUNS in both checkouts, each command on both sides at once; any non-zero exit stops.
+    Returns each side's wall time (s) per step, by `step_name`."""
+    walls = {side: {} for side in checkouts}
+    with ThreadPoolExecutor(len(checkouts)) as pool:
+        for k, step in enumerate(RUNS, start=1):
+            runs = {side: pool.submit(run_step, root, work / side, step) for side, root in checkouts.items()}
+            results = {side: run.result() for side, run in runs.items()}  # both finish first
+            for side, (code, errors, seconds) in results.items():
+                if code != 0:
+                    raise RunFailed(f"{side}: hermflow {' '.join(step)} exited {code}:\n{errors}")
+                walls[side][step_name(step)] = seconds
+            print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
+    return walls
+
+
+def step_walls(walls: dict[str, dict[str, float]]) -> dict[str, dict]:
+    """Per step, each side's wall time (s) and the change/parent ratio."""
+    return {name: {"parent": seconds, "change": walls["change"][name],
+                   "ratio": walls["change"][name] / seconds if seconds else None}
+            for name, seconds in walls["parent"].items()}
 
 
 def main(argv=None) -> int:
@@ -190,7 +215,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = (args.work or Path(tmp)).resolve()
         try:
-            run_side_by_side(checkouts, work)
+            steps = step_walls(run_side_by_side(checkouts, work))
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -204,8 +229,11 @@ def main(argv=None) -> int:
     print(f"{len(report)} files: " + ", ".join(f"{n} {v}" for v, n in sorted(verdicts.items())), file=sys.stderr)
     print(f"summed trace wall_ms: parent {walls['parent']:.1f}, change {walls['change']:.1f}, "
           f"change/parent {walls['ratio']}", file=sys.stderr)
+    for name, step in steps.items():
+        print(f"wall s of step {name}: parent {step['parent']:.3f}, change {step['change']:.3f}, "
+              f"change/parent {step['ratio']}", file=sys.stderr)
     print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]),
-                      "trace_wall_ms": walls, "files": report}, indent=1))
+                      "trace_wall_ms": walls, "step_wall_s": steps, "files": report}, indent=1))
     return 0 if set(verdicts) <= SAME else 1
 
 
