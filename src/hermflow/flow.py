@@ -20,10 +20,13 @@ arrays by one forward sweep, whose reverse sweep (`_jets_reverse`) gives the
 gradient of any function of the jets with respect to every parameter.  The
 weights are rank-one, so each stage's hidden layer is an outer product and
 every sum over hidden units is a matrix-vector product.  The inverse evaluates
-each stage's k(z) and k'(z) with the forward sweep's stage code.
+each stage's k(z) and k'(z) with the forward sweep's stage code, its first-order
+half, and `evaluate_augmented_basis` takes G' at the preimages from an order-1
+sweep: neither reads a second derivative, so neither computes one.
 
 The stage code holds the pre-activation negated (see `_swish`), and the jets and
-their adjoints as (3, points) arrays.
+their adjoints as (order + 1, points) arrays, order 2 wherever G'' or a gradient
+is read.
 
 The stage code writes each stage's (hidden, points) arrays, and the small
 operands of its matrix products, into stage buffers, which a caller that
@@ -265,23 +268,30 @@ def _swish(buf):
     np.multiply(npre, sig, out=nf0)
 
 
-def _swish_derivatives(buf):
-    """sig1, sig2, f1, f2 = sigma', sigma'', f' and f'' at pre, given sig; d = 1 - 2 sig
-    and the scratch array's 2 sig1 are left for `_swish_third_derivative`."""
-    npre, sig, sig1, sig2, _, f1, f2, _, tmp, d = buf[:10]
+def _swish_first_derivative(buf):
+    """sig1, f1 = sigma' and f' at pre, given sig; d = 1 - sig is left for
+    `_swish_second_derivative`.  The inverse's Newton step reads no more than this."""
+    npre, sig, sig1, _, _, f1, _, _, _, d = buf[:10]
     np.subtract(1.0, sig, out=d)
     np.multiply(sig, d, out=sig1)  # sig (1 - sig)
-    np.subtract(d, sig, out=d)  # (1 - sig) - sig
-    np.multiply(sig1, d, out=sig2)  # sig1 (1 - 2 sig)
     np.multiply(npre, sig1, out=f1)
     np.subtract(sig, f1, out=f1)  # sig + pre sig1
+
+
+def _swish_second_derivative(buf):
+    """sig2, f2 = sigma'' and f'' at pre, from what `_swish_first_derivative` left; d = 1 - 2 sig
+    and the scratch array's 2 sig1 are left for `_swish_third_derivative`."""
+    npre, sig, sig1, sig2, _, _, f2, _, tmp, d = buf[:10]
+    np.subtract(d, sig, out=d)  # (1 - sig) - sig
+    np.multiply(sig1, d, out=sig2)  # sig1 (1 - 2 sig)
     np.multiply(2.0, sig1, out=tmp)
     np.multiply(npre, sig2, out=f2)
     np.subtract(tmp, f2, out=f2)  # 2 sig1 + pre sig2
 
 
 def _swish_third_derivative(buf):
-    """f3 = f''' at pre, from what `_swish_derivatives` left in the same buffers."""
+    """f3 = f''' at pre, from what `_swish_second_derivative` left in the same buffers: the
+    reverse sweep's, after an order-2 forward sweep."""
     npre, _, sig1, sig2, _, _, _, f3, tmp, d = buf[:10]
     np.multiply(tmp, sig1, out=f3)  # (2 sig1) sig1
     np.multiply(sig2, d, out=tmp)
@@ -356,15 +366,16 @@ def _point_blocks(hidden: int, points: int) -> list:
     return [(slice(lo, lo + n), views[n]) for lo, n in zip(range(0, points, step), sizes)]
 
 
-def _map_jets(params: FlowParams, x: np.ndarray):
-    """The (3, points) array of G(x), G'(x) and G''(x), a block of points at a time.
+def _map_jets(params: FlowParams, x: np.ndarray, order: int = 2):
+    """The (order + 1, points) array of G(x), G'(x) and, at order 2, G''(x), a block of
+    points at a time (`_jets_forward` at that order).
 
     One set of stage buffers serves every stage and every block, since nothing
     is kept for a reverse sweep.
     """
-    jets = np.empty((3, x.size))
+    jets = np.empty((order + 1, x.size))
     for part, views in _point_blocks(params.hidden, x.size):
-        jets[:, part] = _jets_forward(params, x[part], [views] * len(params.blocks))[0]
+        jets[:, part] = _jets_forward(params, x[part], [views] * len(params.blocks), order)[0]
     return jets
 
 
@@ -385,8 +396,9 @@ def _check_inside(params: FlowParams, x: np.ndarray, name: str, error: type) -> 
     return raw
 
 
-def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
-    """Forward sweep at checked points: ((G, G', G'') as a (3, points) array, what `_jets_reverse` needs).
+def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list, order: int = 2):
+    """Forward sweep at checked points: (the jets as an (order + 1, points) array, what
+    `_jets_reverse` needs).  The jets are G and G' at order 1, and G, G' and G'' at order 2.
 
     In a stage with weights a = w_in and c = w_out / 1.1 (lipswish is f(p)/1.1
     with f(p) = p sigmoid(p)), the pre-activations are
@@ -394,41 +406,50 @@ def _jets_forward(params: FlowParams, x: np.ndarray, buffers: list):
     v = u*a the stage's jets are
         k0 = c.f(pre0) + b_out,  k1 = z1 (u.f'(pre0)),
         k2 = z1^2 (v.f''(pre0)) + z2 (u.f'(pre0)),
-    so only pre0 and f, f', f'' are (hidden, points) arrays.
+    so only pre0 and f, f', f'' are (hidden, points) arrays.  Order 1 forms no
+    f'', k2 or G'' (`_swish_second_derivative` is not called); every value it
+    does form takes the same operations as at order 2, so it has the same bits.
 
     `buffers` holds one set of stage buffers (`_stage_buffers`) at
     (hidden, points) per stage, of the dtype of that stage's arrays (complex
     from the first stage with complex inputs on).  The stage's arrays are
     written there and `saved` refers to them, so they must stay untouched
     until the reverse sweep, which runs once on them (its f''' overwrites the
-    2 sig1 that `_swish_derivatives` leaves for it).
+    2 sig1 that `_swish_second_derivative` leaves for it).  Only an order-2
+    sweep leaves what the reverse sweep reads: order 1 saves no f'', p2 or G''.
     """
     alpha, beta = params.alpha, params.beta
     t0 = (x - beta) / alpha
     up = 1.0 / (1.0 - t0 * t0)
-    z = np.empty((3, x.size), t0.dtype)
+    z = np.empty((order + 1, x.size), t0.dtype)
     np.arctanh(t0, out=z[0])
     z1 = np.multiply(up, 1.0 / alpha, out=z[1])
-    np.multiply((t0 + t0) * z1, z1, out=z[2])  # 2 t0 up^2 / alpha^2
+    if order == 2:
+        np.multiply((t0 + t0) * z1, z1, out=z[2])  # 2 t0 up^2 / alpha^2
     stages = []
     for block, buf in zip(params.blocks, buffers, strict=True):
         a = block.w_in.ravel()
         cuv = np.multiply.accumulate(np.array((block.w_out.ravel() / 1.1, a, a, a)))  # c, u, v, v a
         _preactivation(a, block.b_in, z[0], buf)
         _swish(buf)
-        _swish_derivatives(buf)
-        p1, p2 = cuv[1].dot(buf[5]), cuv[2].dot(buf[6])
-        stages.append((a, cuv, z, buf, p1, p2))
-        dz = z * p1  # rows 1 and 2: z1 p1 and z2 p1
+        _swish_first_derivative(buf)
+        p1, p2 = cuv[1].dot(buf[5]), None
+        dz = z * p1  # rows past 0: z1 p1 and, at order 2, z2 p1
         np.subtract(block.b_out, cuv[0].dot(buf[4]), out=dz[0])  # c.f0 + b_out
-        dz[2] += z[1] * z[1] * p2
+        if order == 2:
+            _swish_second_derivative(buf)
+            p2 = cuv[2].dot(buf[6])
+            dz[2] += z[1] * z[1] * p2
+        stages.append((a, cuv, z, buf, p1, p2))
         z = z + dz
-    r = np.empty((3, x.size), z.dtype)  # g, G'/alpha and G''/alpha
+    r = np.empty((order + 1, x.size), z.dtype)  # g, G'/alpha and G''/alpha
     g = np.tanh(z[0], out=r[0])
     gp = 1.0 - g * g
-    gpp = -2.0 * g * gp
     np.multiply(gp, z[1], out=r[1])
-    np.add(gpp * z[1] * z[1], gp * z[2], out=r[2])
+    gpp = None
+    if order == 2:
+        gpp = -2.0 * g * gp
+        np.add(gpp * z[1] * z[1], gp * z[2], out=r[2])
     jets = r * alpha
     jets[0] += beta
     return jets, (t0, up, z1, stages, gp, gpp, z, r)
@@ -526,14 +547,15 @@ def _invert_stage(block: ResidualBlock, w, buf) -> tuple[np.ndarray, int]:
     A point takes z <- z - (z + k(z) - w)/(1 + k'(z)) from z = w, with k = c.f(pre) + b_out
     and k' = (c a).f'(pre), until a step it has taken is at most 1e-8 max(1, |z|); convergence is
     quadratic, so its error after that step is at rounding.  It is then left as it is, so
-    its result does not depend on the other points.
+    its result does not depend on the other points.  A step forms f and f' by the forward
+    sweep's stage code, `_swish` and `_swish_first_derivative`, and no second derivative.
     """
     a, c = block.w_in.ravel(), block.w_out.ravel() / 1.1
     z, moving = w.copy(), np.ones(w.size, bool)
     for steps in range(1, _NEWTON_STEPS + 1):
         _preactivation(a, block.b_in, z, buf)
         _swish(buf)
-        _swish_derivatives(buf)
+        _swish_first_derivative(buf)
         # z + c.f0 + b_out - w, with c.f0 = -c.nf0
         dz = (z - c.dot(buf[4]) + block.b_out - w) / (1.0 + (c * a).dot(buf[5]))  # over 1 + k'(z)
         np.subtract(z, dz, out=z, where=moving)
@@ -575,12 +597,17 @@ def evaluate_augmented_basis(params: FlowParams, n_max: int, x) -> np.ndarray:
     The warped functions span L2(beta - alpha, beta + alpha) extended by zero: they
     are 0 at a finite point outside the warp's open interval.  `flow_inverse`'s
     ValueError refuses a point that is not finite, and one whose preimage rounds onto
-    an end of the interval.
+    an end of the interval.  G' at the preimages comes from an order-1 sweep
+    (`_map_jets(params, y, 1)`), which forms no G''; a non-finite G' raises
+    FlowNumericsError, as `flow_jet` does.
     """
     points = np.atleast_1d(np.asarray(x, dtype=float))
     outside = ~_unit_interval(params, points)[1] & np.isfinite(points)
     y = flow_inverse(params, np.where(outside, params.beta, points))  # beta stands in for them
-    vals = eval_hermite_functions(n_max, y) / np.sqrt(flow_jet(params, y).d1)
+    d1 = _map_jets(params, y, 1)[1]  # flow_inverse has checked that every y is inside
+    if not np.all(np.isfinite(d1)):
+        raise FlowNumericsError(f"flow jet produced a non-finite G' at G^-1(x)={y[~np.isfinite(d1)][0]}")
+    vals = eval_hermite_functions(n_max, y) / np.sqrt(d1)
     vals[:, outside] = 0.0
     return vals[:, 0] if (np.isscalar(x) or np.ndim(x) == 0) else vals
 

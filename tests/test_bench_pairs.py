@@ -87,3 +87,19 @@ def test_summary_gives_the_median_pace_ratio():
     assert setup["change"]["median"] == pytest.approx(0.245) and setup["parent"]["q3"] == 0.25
     del runs[0]["change"]["pace"]  # a run without the value: no summary of it
     assert list(bench_pairs.summarize(runs, BETTER)["unpaced"]) == ["raw_wall_s", "raw_setup_s"]
+
+
+@pytest.mark.parametrize("direction,parent,change,within", [
+    ("lower", 1.0, 1.24, True),  # 24% slower against a 25% bound
+    ("lower", 1.0, 1.26, False),
+    ("lower", 1.0, 0.5, True),  # better by any amount
+    ("higher", 100.0, 76.0, True),  # 24% fewer steps a second
+    ("higher", 100.0, 74.0, False),
+    ("higher", 100.0, 200.0, True),
+])
+def test_within_bound_is_the_no_regression_half(direction, parent, change, within):
+    # the change's median is worse than the parent's by at most bound x the parent's median
+    runs = [{"parent": result(parent + 0.001 * k), "change": result(change + 0.001 * k)} for k in range(5)]
+    wall = bench_pairs.summarize(runs, {"wall_s": direction}, {"wall_s": 0.25})["metrics"]["wall_s"]
+    assert wall["within_bound"] is within
+    assert "within_bound" not in bench_pairs.summarize(runs, {"wall_s": direction})["metrics"]["wall_s"]

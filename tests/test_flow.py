@@ -78,14 +78,15 @@ class TestLipswish:
 
     def test_jet_matches_finite_differences(self):
         # the stage code's f, f' and f'' at pre-activations, where lipswish = f / 1.1
-        from hermflow.flow import _stage_buffers, _swish, _swish_derivatives
+        from hermflow.flow import _stage_buffers, _swish, _swish_first_derivative, _swish_second_derivative
 
         h1, h2 = 1e-5, 1e-4  # wider step for the second difference (roundoff)
         xs = [-2.3, -0.4, 0.0, 0.9, 3.1]
         buf = _stage_buffers((1, len(xs)))
         buf[0][0] = np.negative(xs)  # the stage code holds the negated pre-activation
         _swish(buf)
-        _swish_derivatives(buf)
+        _swish_first_derivative(buf)
+        _swish_second_derivative(buf)
         for x, nf0, f1, f2 in zip(xs, buf[4][0], buf[5][0], buf[6][0]):
             assert -nf0 / 1.1 == pytest.approx(lipswish(x), rel=1e-14)
             d1 = (lipswish(x + h1) - lipswish(x - h1)) / (2 * h1)
@@ -268,7 +269,7 @@ class TestManyPointJets:
     @pytest.mark.parametrize("hidden", [8, 128, 300])
     def test_blocks_match_one_sweep(self, rng, hidden):
         # 2,001 points are 1, 16 and 63 blocks at these widths, the last one short
-        from hermflow.flow import _jets_forward, _stage_buffers
+        from hermflow.flow import _jets_forward, _map_jets, _stage_buffers
 
         params = make_feasible_params(hidden, 9.0, 0.1, rng, n_blocks=2)
         xs = np.linspace(-8.5, 8.5, 2001)
@@ -279,6 +280,12 @@ class TestManyPointJets:
             # matrix-vector products sum a short block in another order
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         np.testing.assert_array_equal(flow_forward(params, xs), j.value)
+        # order 1: G and G' alone, the first two rows of order 2 bit for bit, in blocks or whole
+        first = _map_jets(params, xs, 1)
+        assert first.shape == (2, xs.size)
+        np.testing.assert_array_equal(first, np.stack((j.value, j.d1)))
+        whole = _jets_forward(params, xs, [_stage_buffers((hidden, xs.size)) for _ in params.blocks], 1)[0]
+        np.testing.assert_array_equal(whole, _jets_forward(params, xs, buffers)[0][:2])
 
     def test_memory_stays_below_one_whole_stage_array(self, rng):
         params = make_feasible_params(128, 9.0, 0.1, rng, n_blocks=2)
@@ -403,6 +410,21 @@ class TestFlowInverse:
         back = flow_inverse(params, flow_forward(params, xs))
         assert np.abs(back - xs).max() < 1e-10
 
+    def test_no_second_derivative_is_computed(self, rng, monkeypatch):
+        # Newton's step reads k and k', and the basis G' at the preimages: neither forms f''
+        params = make_feasible_params(16, 9.0, 0.1, rng, n_blocks=2)
+        ys = np.linspace(-8.5, 8.5, 201)
+        want_x, want_basis = flow_inverse(params, ys), evaluate_augmented_basis(params, 5, ys)
+
+        def refuse(buf):
+            raise AssertionError("a second derivative was computed")
+
+        monkeypatch.setattr(flow, "_swish_second_derivative", refuse)
+        np.testing.assert_array_equal(flow_inverse(params, ys), want_x)
+        np.testing.assert_array_equal(evaluate_augmented_basis(params, 5, ys), want_basis)
+        with pytest.raises(AssertionError, match="second derivative"):
+            flow_jet(params, ys)
+
     def test_jets_with_stacked_blocks(self, rng):
         params = make_feasible_params(10, 8.0, -0.1, rng, n_blocks=2)
         h = 1e-5
@@ -439,6 +461,21 @@ class TestAugmentedBasis:
         vals = evaluate_augmented_basis(params, 0, grid)[0]
         assert np.trapezoid(vals**2, grid) == pytest.approx(1.0, abs=1e-4)
 
+
+    def test_equals_the_order_two_formula(self, rng):
+        # G' from the order-1 sweep is flow_jet's, bit for bit, on a hidden-128 warp
+        params = make_feasible_params(128, 9.0, 0.1, rng, n_blocks=2)
+        xs = np.linspace(-8.5, 8.7, 2001)
+        y = flow_inverse(params, xs)
+        want = eval_hermite_functions(12, y) / np.sqrt(flow_jet(params, y).d1)
+        np.testing.assert_array_equal(evaluate_augmented_basis(params, 12, xs), want)
+
+    def test_non_finite_derivative_raises(self, rng, monkeypatch):
+        # the guard on the G' that the basis divides by, at preimages inside the interval
+        params = make_feasible_params(8, 5.0, 0.3, rng)
+        monkeypatch.setattr(flow, "_map_jets", lambda params, x, order=2: np.full((order + 1, x.size), np.nan))
+        with pytest.raises(FlowNumericsError, match=r"non-finite G' at G\^-1\(x\)="):
+            evaluate_augmented_basis(params, 3, np.array([0.0, 1.0]))
 
     def test_zero_outside_the_interval(self, rng):
         # the warped functions span L2(beta - alpha, beta + alpha) extended by zero

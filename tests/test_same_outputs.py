@@ -152,3 +152,61 @@ def test_a_failed_run_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: change: hermflow sweep" in captured.err and "broken" in captured.err
     assert captured.out == ""
+
+
+def test_repeats_alternate_the_side_started_first(tmp_path, monkeypatch, capsys):
+    # repeat r runs into repeat<r>/ with the change side submitted first on odd r; the verdict
+    # compares the first repeat's files, and the ratios' median and range cover every repeat
+    names = [same_outputs.step_name(step) for step in same_outputs.RUNS]
+    calls = []
+
+    def run_side_by_side(checkouts, work):
+        r = len(calls)
+        calls.append((list(checkouts), work))
+        files = {"ladder/manifest.json": "{}\n" if r == 0 else f"{{\"repeat\": {r}}}\n"}
+        write(work / "parent", {**files, "sweep/trace_augmented_N5.csv": trace([100.0])})
+        write(work / "change", {**files, "sweep/trace_augmented_N5.csv": trace([100.0 * (0.9, 1.2, 1.0)[r]])})
+        return {"parent": dict.fromkeys(names, 2.0), "change": dict.fromkeys(names, (1.0, 3.0, 2.5)[r])}
+
+    monkeypatch.setattr(same_outputs, "run_side_by_side", run_side_by_side)
+    roots = [checkout(tmp_path / side) for side in ("parent", "change")]
+    work = tmp_path / "work"
+    assert same_outputs.main([*map(str, roots), "--work", str(work), "--repeat", "3"]) == 0
+    assert [order for order, _ in calls] == [["parent", "change"], ["change", "parent"], ["parent", "change"]]
+    assert [where for _, where in calls] == [work, work / "repeat1", work / "repeat2"]
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert list(report["files"]) == ["ladder/manifest.json", "sweep/trace_augmented_N5.csv"]
+    assert report["trace_wall_ms"]["ratio"] == pytest.approx(0.9)  # the first repeat's, as with one run
+    assert report["step_wall_s"]["ladder"] == {"parent": 2.0, "change": 1.0, "ratio": 0.5}
+    repeats = report["repeats"]
+    assert repeats["k"] == 3 and repeats["first"] == ["parent", "change", "parent"]
+    trace_ratio = repeats["trace_wall_ms_ratio"]
+    assert trace_ratio["ratios"] == pytest.approx([0.9, 1.2, 1.0])
+    assert (trace_ratio["median"], trace_ratio["min"], trace_ratio["max"]) == pytest.approx((1.0, 0.9, 1.2))
+    assert list(repeats["step_wall_s_ratio"]) == names
+    assert repeats["step_wall_s_ratio"]["sweep"] == {"median": 1.25, "min": 0.5, "max": 1.5, "ratios": [0.5, 1.5, 1.25]}
+    assert "wall s of step sweep over 3 repeats: change/parent median 1.25, range [0.5, 1.5]" in captured.err
+
+
+def test_one_repeat_is_the_single_run(tmp_path, monkeypatch, capsys):
+    # the default: one run into the work directory itself, the parent side submitted first
+    calls = []
+
+    def run_side_by_side(checkouts, work):
+        calls.append((list(checkouts), work))
+        return fake_runs({"parent": {"a.txt": "x\n"}, "change": {"a.txt": "x\n"}})(checkouts, work)
+
+    monkeypatch.setattr(same_outputs, "run_side_by_side", run_side_by_side)
+    roots = [checkout(tmp_path / side) for side in ("parent", "change")]
+    assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
+    assert calls == [(["parent", "change"], tmp_path / "work")]
+    repeats = json.loads(capsys.readouterr().out)["repeats"]
+    assert repeats["k"] == 1 and repeats["step_wall_s_ratio"]["ladder"]["ratios"] == [1.0]
+    assert repeats["trace_wall_ms_ratio"] == {"median": None, "min": None, "max": None, "ratios": [None]}
+
+
+def test_a_repeat_must_run(tmp_path):
+    roots = [checkout(tmp_path / side) for side in ("parent", "change")]
+    with pytest.raises(SystemExit):
+        same_outputs.main([*map(str, roots), "--repeat", "0"])

@@ -13,7 +13,10 @@ summary gives each side's median and quartiles, the pairs the change won
 (ties count for neither side), the ratio of the medians, and whether a gain
 may be claimed: the change wins at least nine tenths of the pairs and its
 median beats the parent's by more than the distance between the parent's
-quartiles.  It also gives each side's share of failed operations.
+quartiles.  It also says whether the change stays within the metric's
+`bound`: its median is worse than the parent's by no more than that share of
+the parent's median ("worse" in the metric's `better` direction).  And it
+gives each side's share of failed operations.
 
 Every paced metric is a raw time divided by the run's pace, so a change that
 moves the pace moves them too.  Each run's raw `wall_s` and pace medians and its
@@ -54,9 +57,10 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """The summary of paired runs: `runs` holds one {"parent": result, "change": result} per
-    pair, a result being run.py's JSON line; `better` maps each metric to "lower" or "higher"."""
+    pair, a result being run.py's JSON line; `better` maps each metric to "lower" or "higher",
+    and `bounds` each metric to its bound, a share of the parent's median (`within_bound`)."""
     summary = {}
     for side in SIDES:
         attempted = sum(r[side]["attempted"] for r in runs)
@@ -81,6 +85,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "change_vs_parent": change["median"] / parent["median"] if parent["median"] else math.nan,
             "gain_claimable": wins >= 0.9 * len(runs) and gap > parent["q3"] - parent["q1"],
         }
+        if bounds and name in bounds:  # the change's median is worse by at most bound x the parent's
+            metrics[name]["within_bound"] = -gap <= bounds[name] * abs(parent["median"])
     summary["metrics"] = metrics
     summary["unpaced"] = {  # from every run's standard error, when all runs gave it
         key: {**{side: quartiles([r[side][key] for r in runs]) for side in SIDES},
@@ -114,6 +120,7 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"] if "bound" in m}
     runs = []
     for i in range(args.pairs):
         pair = {"seed": args.seed + i}
@@ -122,11 +129,12 @@ def main(argv=None) -> int:
             values = {k: v["value"] for k, v in pair[side]["metrics"].items()}
             print(f"pair {i} seed {args.seed + i} {side}: {values}", file=sys.stderr, flush=True)
         runs.append(pair)
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     for name, m in summary["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], "
               f"change {m['change']['median']:.6g} [{m['change']['q1']:.6g}, {m['change']['q3']:.6g}], "
-              f"change wins {m['change_wins']}, gain claimable: {m['gain_claimable']}", file=sys.stderr)
+              f"change wins {m['change_wins']}, gain claimable: {m['gain_claimable']}, "
+              f"within bound {bounds.get(name)}: {m.get('within_bound')}", file=sys.stderr)
     for key, m in summary["unpaced"].items():
         print(f"{key}: parent {m['parent']['median']:.6g}, change {m['change']['median']:.6g}, "
               f"median change/parent ratio {m['change_vs_parent_median_ratio']:.4f}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """What a change moved in the program's outputs: the same runs in two checkouts, file by file.
 
-    python tools/same_outputs.py PARENT CHANGE [--work DIR]
+    python tools/same_outputs.py PARENT CHANGE [--work DIR] [--repeat K]
 
 PARENT and CHANGE are checkout roots, each with its own `src/`.  Each side runs,
 in its own checkout as the working directory, with one BLAS thread and no
@@ -26,6 +26,13 @@ to its exit, named by its output directory (`ladder` is the plain ladder's sweep
 run at the same time and share the machine, so these timings are evidence, not a
 measurement of a gain or a loss; the verdict does not read them.
 
+With `--repeat K` (default 1) RUNS run K times, the first repeat as above and
+repeat r under `repeat<r>/` in the work directory; the change side is submitted
+first on every odd repeat (the second, the fourth, ...), the parent side on
+the others, so that neither side always takes the second slot.  The
+report's `repeats` gives the median, least and largest of the K summed-trace
+ratios and of each step's ratio.  The verdict compares the first repeat's files.
+
 The exit status is the verdict, as `diff` gives it: 0 when every file is
 byte-identical or identical except `wall_ms`, 1 when a file moved or exists on
 one side only, 2 when a run fails.
@@ -38,6 +45,7 @@ import collections
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -51,6 +59,7 @@ RUNS = (
     ("sweep", "--scheme", "hermite", "--Q", "200", "--N-range", "5..180", "--output-dir", "{out}/ladder"),
     ("analyze", "{out}/ladder/spectra.csv", "--n-ref", "180", "--output-dir", "{out}/ladder/analysis"),
 )
+SIDES = ("parent", "change")
 IGNORED_COLUMNS = {"wall_ms"}
 SAME = {"byte-identical", "identical except wall_ms"}
 
@@ -180,8 +189,8 @@ def run_step(checkout: Path, out: Path, step: tuple) -> tuple[int, str, float]:
 
 
 def run_side_by_side(checkouts: dict[str, Path], work: Path) -> dict[str, dict[str, float]]:
-    """RUNS in both checkouts, each command on both sides at once; any non-zero exit stops.
-    Returns each side's wall time (s) per step, by `step_name`."""
+    """RUNS in both checkouts, each command on both sides at once, submitted in the order of
+    `checkouts`; any non-zero exit stops.  Returns each side's wall time (s) per step, by `step_name`."""
     walls = {side: {} for side in checkouts}
     with ThreadPoolExecutor(len(checkouts)) as pool:
         for k, step in enumerate(RUNS, start=1):
@@ -202,12 +211,44 @@ def step_walls(walls: dict[str, dict[str, float]]) -> dict[str, dict]:
             for name, seconds in walls["parent"].items()}
 
 
+def run_repeat(checkouts: dict[str, Path], work: Path, first: str) -> dict:
+    """RUNS once into `work`, the `first` side submitted first: which side that was, the summed
+    trace `wall_ms` per side with change/parent, and each step's wall times (`step_walls`)."""
+    order = SIDES if first == "parent" else SIDES[::-1]
+    steps = step_walls(run_side_by_side({side: checkouts[side] for side in order}, work))
+    walls = {side: trace_wall_ms(work / side) for side in SIDES}
+    walls["ratio"] = walls["change"] / walls["parent"] if walls["parent"] else None
+    return {"first": first, "trace_wall_ms": walls, "step_wall_s": steps}
+
+
+def ratio_spread(ratios: list) -> dict:
+    """The median, least and largest of ratios, and the ratios; None throughout if one is None."""
+    if None in ratios:
+        return {"median": None, "min": None, "max": None, "ratios": ratios}
+    return {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios), "ratios": ratios}
+
+
+def repeat_spread(repeats: list[dict]) -> dict:
+    """Over the repeats: the side submitted first in each, and the spread of the summed trace
+    ratio and of each step's ratio (`ratio_spread`)."""
+    return {
+        "k": len(repeats),
+        "first": [r["first"] for r in repeats],
+        "trace_wall_ms_ratio": ratio_spread([r["trace_wall_ms"]["ratio"] for r in repeats]),
+        "step_wall_s_ratio": {name: ratio_spread([r["step_wall_s"][name]["ratio"] for r in repeats])
+                              for name in repeats[0]["step_wall_s"]},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--work", type=Path, help="where both sides write (kept); a temporary directory by default")
+    parser.add_argument("--repeat", type=int, default=1, help="times to run RUNS, alternating the side started first")
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be positive")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in checkouts.values():
         if not (root / "src" / "hermflow" / "__init__.py").is_file():
@@ -215,13 +256,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         work = (args.work or Path(tmp)).resolve()
         try:
-            steps = step_walls(run_side_by_side(checkouts, work))
+            repeats = [run_repeat(checkouts, work / f"repeat{r}" if r else work, SIDES[r % 2])
+                       for r in range(args.repeat)]
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         report = compare(work / "parent", work / "change")
-        walls = {side: trace_wall_ms(work / side) for side in checkouts}
-    walls["ratio"] = walls["change"] / walls["parent"] if walls["parent"] else None
+    walls, steps, spread = repeats[0]["trace_wall_ms"], repeats[0]["step_wall_s"], repeat_spread(repeats)
     for name, entry in report.items():
         detail = {k: v for k, v in entry.items() if k not in ("verdict", "per_case")}
         print(f"{name}: {entry['verdict']}{' ' + json.dumps(detail) if detail else ''}", file=sys.stderr)
@@ -232,8 +273,12 @@ def main(argv=None) -> int:
     for name, step in steps.items():
         print(f"wall s of step {name}: parent {step['parent']:.3f}, change {step['change']:.3f}, "
               f"change/parent {step['ratio']}", file=sys.stderr)
+    for name, ratio in [("summed trace wall_ms", spread["trace_wall_ms_ratio"]),
+                        *((f"wall s of step {n}", r) for n, r in spread["step_wall_s_ratio"].items())]:
+        print(f"{name} over {spread['k']} repeats: change/parent median {ratio['median']}, "
+              f"range [{ratio['min']}, {ratio['max']}]", file=sys.stderr)
     print(json.dumps({"parent": str(checkouts["parent"]), "change": str(checkouts["change"]),
-                      "trace_wall_ms": walls, "step_wall_s": steps, "files": report}, indent=1))
+                      "trace_wall_ms": walls, "step_wall_s": steps, "repeats": spread, "files": report}, indent=1))
     return 0 if set(verdicts) <= SAME else 1
 
 
