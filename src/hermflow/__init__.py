@@ -18,7 +18,6 @@ from . import autodiff  # noqa: F401 - benchmarks/tracing.py binds autodiff.Var.
 from .eigensolver import Spectrum, eigh
 from .flow import (
     FlowParams,
-    Jet2,
     ResidualBlock,
     evaluate_augmented_basis,
     flow_forward,

@@ -173,7 +173,7 @@ def parse_config_file(path) -> dict:
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     values = parse_config_file(args.config) if args.config else {}
     values.update((key, flag) for key in _KEY_TYPES if (flag := getattr(args, key)) is not None)
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)  # `cmd_solve` and `cmd_sweep` validate it
 
 
 # ---------------------------------------------------------------------------

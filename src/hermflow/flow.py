@@ -19,10 +19,11 @@ need G, G' and G'' at every quadrature node.  The jets are computed on plain
 arrays by one forward sweep, whose reverse sweep (`_jets_reverse`) gives the
 gradient of any function of the jets with respect to every parameter.  The
 weights are rank-one, so each stage's hidden layer is an outer product and
-every sum over hidden units is a matrix-vector product.  The inverse evaluates
-each stage's k(z) and k'(z) with the forward sweep's stage code, its first-order
-half, and `evaluate_augmented_basis` takes G' at the preimages from an order-1
-sweep: neither reads a second derivative, so neither computes one.
+every sum over hidden units is a matrix-vector product.  At points, `flow_jet` is
+the one checked entry to the jets, at the order asked: `flow_forward` reads G from
+its order-1 jets, and `evaluate_augmented_basis` G' at the preimages.  The inverse
+evaluates each stage's k(z) and k'(z) with the forward sweep's stage code, its
+first-order half: none of them reads a second derivative, so none computes one.
 
 The stage code holds the pre-activation negated (see `_swish`), and the jets and
 their adjoints as (order + 1, points) arrays, order 2 wherever G'' or a gradient
@@ -64,7 +65,6 @@ from .hermite import eval_hermite_functions
 __all__ = [
     "ResidualBlock",
     "FlowParams",
-    "Jet2",
     "FlowNumericsError",
     "ConvergenceError",
     "lipswish",
@@ -208,15 +208,6 @@ def _from_vector(
         lipschitz_margin=margin,
     )
     return params
-
-
-@dataclass
-class Jet2:
-    """Value and first two input-derivatives of a map at one point."""
-
-    value: float
-    d1: float
-    d2: float
 
 
 # ---------------------------------------------------------------------------
@@ -515,24 +506,22 @@ def _jets_reverse(params: FlowParams, saved, bars) -> np.ndarray:
 
 
 def flow_forward(params: FlowParams, x):
-    """G(x) for a scalar or array of points inside the sandwich interval (see `flow_jet`)."""
-    return flow_jet(params, x).value
+    """G(x) at a scalar or array of points inside the warp's interval: `flow_jet`'s order-1 row 0."""
+    return flow_jet(params, x, 1)[0]
 
 
-def flow_jet(params: FlowParams, x) -> Jet2:
-    """G, G' and G'' at x (scalar in, scalar jet out; arrays pass through); a ValueError names
-    a point outside the warp's interval, a FlowNumericsError a non-finite jet inside it."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
+def flow_jet(params: FlowParams, x, order: int = 2) -> np.ndarray:
+    """The jets G, G' and, at order 2, G'' at x, stacked as `_map_jets`'s (order + 1, points)
+    array, or (order + 1,) for a scalar x; the one checked entry to a warp's jets at points.
+    A ValueError names a point outside the warp's interval, a FlowNumericsError a point
+    inside it whose jets are not finite."""
     points = np.atleast_1d(np.asarray(x, dtype=float))
     _check_inside(params, points, "x", ValueError)
-    jets = _map_jets(params, points)
+    jets = _map_jets(params, points, order)
     if not np.all(np.isfinite(jets)):
         bad = points[~np.isfinite(jets).all(axis=0)][0]
         raise FlowNumericsError(f"flow jet produced a non-finite value at x={bad}")
-    g, d1, d2 = jets
-    if scalar:
-        return Jet2(float(g[0]), float(d1[0]), float(d2[0]))
-    return Jet2(g, d1, d2)
+    return jets[:, 0] if np.ndim(x) == 0 else jets
 
 
 # Newton steps a point may take in one residual stage.  A point took at most 10 over 6,000
@@ -577,7 +566,7 @@ def flow_inverse(params: FlowParams, y, return_iterations: bool = False):
     `return_iterations` the Newton step count comes back alongside the result: per stage, the
     most steps a point took, summed over the stages.
     """
-    scalar = np.isscalar(y) or np.ndim(y) == 0
+    scalar = np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = np.arctanh(_check_inside(params, y, "y", ValueError))
     steps = [0] * len(params.blocks)
@@ -597,19 +586,15 @@ def evaluate_augmented_basis(params: FlowParams, n_max: int, x) -> np.ndarray:
     The warped functions span L2(beta - alpha, beta + alpha) extended by zero: they
     are 0 at a finite point outside the warp's open interval.  `flow_inverse`'s
     ValueError refuses a point that is not finite, and one whose preimage rounds onto
-    an end of the interval.  G' at the preimages comes from an order-1 sweep
-    (`_map_jets(params, y, 1)`), which forms no G''; a non-finite G' raises
-    FlowNumericsError, as `flow_jet` does.
+    an end of the interval.  G' at the preimages is row 1 of `flow_jet`'s order-1
+    jets, which form no G'' and whose FlowNumericsError refuses a non-finite one.
     """
     points = np.atleast_1d(np.asarray(x, dtype=float))
     outside = ~_unit_interval(params, points)[1] & np.isfinite(points)
     y = flow_inverse(params, np.where(outside, params.beta, points))  # beta stands in for them
-    d1 = _map_jets(params, y, 1)[1]  # flow_inverse has checked that every y is inside
-    if not np.all(np.isfinite(d1)):
-        raise FlowNumericsError(f"flow jet produced a non-finite G' at G^-1(x)={y[~np.isfinite(d1)][0]}")
-    vals = eval_hermite_functions(n_max, y) / np.sqrt(d1)
+    vals = eval_hermite_functions(n_max, y) / np.sqrt(flow_jet(params, y, 1)[1])
     vals[:, outside] = 0.0
-    return vals[:, 0] if (np.isscalar(x) or np.ndim(x) == 0) else vals
+    return vals[:, 0] if np.ndim(x) == 0 else vals
 
 
 # ---------------------------------------------------------------------------

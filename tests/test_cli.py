@@ -24,6 +24,7 @@ from hermflow.cli import (
     solve_case,
 )
 from hermflow.trainer import TrainingConfig
+from conftest import make_feasible_params
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -572,6 +573,38 @@ def test_benchmark_tracer_installs_and_uninstalls(monkeypatch, table):
     finally:
         tracer.uninstall()
     assert all(getattr(owner, name) is original for owner, name, original in owners)
+
+
+def test_benchmark_tracer_sees_every_jet_at_points(monkeypatch, rng):
+    """`flow_jet` is the one entry to a warp's jets at points and the tracer binds it: the warped
+    basis, `flow_forward` and `flow_jet` each leave a `flow.jet` span, and every sweep that `flow`
+    runs by its own name `_map_jets` runs inside one."""
+    tracing, flow = load_tracing(monkeypatch), hermflow.flow
+    tracer, sweeps, map_jets = tracing.Tracer(), [], flow._map_jets
+
+    def watched(*args, **kwargs):
+        sweeps.append(list(tracer._stack))  # the spans open around this sweep
+        return map_jets(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_map_jets", watched)
+    params, xs = make_feasible_params(8, 9.0, 0.1, rng, n_blocks=2), np.linspace(-8.5, 8.5, 201)
+    calls = {
+        "evaluate_augmented_basis": lambda: flow.evaluate_augmented_basis(params, 4, xs),
+        "flow_forward": lambda: flow.flow_forward(params, xs),
+        "flow_jet": lambda: flow.flow_jet(params, xs),
+    }
+    tracer.install(hermflow, tracing.TRACED_BINDINGS)
+    try:
+        tracer.active = True
+        for name, call in calls.items():
+            first = len(tracer.spans)
+            call()
+            assert "flow.jet" in {span[0] for span in tracer.spans[first:]}, name
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert len(sweeps) == len(calls)
+    assert all(stack and tracer.spans[stack[-1]][0] == "flow.jet" for stack in sweeps)
 
 
 def test_only_the_package_imports_autodiff():

@@ -219,7 +219,7 @@ class TestFlowForward:
 
     def test_non_finite_jet_raises(self, monkeypatch):
         # the guard on computed jets, at a point inside the interval
-        monkeypatch.setattr(flow, "_map_jets", lambda params, x: np.full((3, x.size), np.nan))
+        monkeypatch.setattr(flow, "_map_jets", lambda params, x, order=2: np.full((order + 1, x.size), np.nan))
         with pytest.raises(FlowNumericsError, match=r"non-finite value at x=0.25"):
             flow_jet(zero_block_params(), [0.25])
 
@@ -227,31 +227,31 @@ class TestFlowForward:
 class TestFlowJet:
     def test_identity_jet(self):
         params = zero_block_params(alpha=9.0)
-        j = flow_jet(params, 1.7)
-        assert j.value == pytest.approx(1.7, abs=1e-14)
-        assert j.d1 == pytest.approx(1.0, abs=1e-13)
-        assert j.d2 == pytest.approx(0.0, abs=1e-13)
+        g, d1, d2 = flow_jet(params, 1.7)
+        assert g == pytest.approx(1.7, abs=1e-14)
+        assert d1 == pytest.approx(1.0, abs=1e-13)
+        assert d2 == pytest.approx(0.0, abs=1e-13)
 
     def test_first_derivative_vs_finite_differences(self, rng):
         params = make_feasible_params(12, 7.0, -0.1, rng)
         h = 1e-5
         for x in rng.uniform(-6.0, 6.0, size=25):
-            j = flow_jet(params, x)
+            d1 = flow_jet(params, x)[1]
             fd = (flow_forward(params, x + h) - flow_forward(params, x - h)) / (2 * h)
-            assert j.d1 == pytest.approx(fd, rel=1e-6)
+            assert d1 == pytest.approx(fd, rel=1e-6)
 
     def test_second_derivative_vs_finite_differences(self, rng):
         params = make_feasible_params(12, 7.0, 0.15, rng)
         h = 1e-4
         for x in rng.uniform(-5.5, 5.5, size=25):
-            j = flow_jet(params, x)
+            d2 = flow_jet(params, x)[2]
             fd = (
                 flow_forward(params, x + h)
                 - 2 * flow_forward(params, x)
                 + flow_forward(params, x - h)
             ) / h**2
             if abs(fd) > 1e-6:
-                assert j.d2 == pytest.approx(fd, rel=1e-4)
+                assert d2 == pytest.approx(fd, rel=1e-4)
 
     def test_derivative_positive_at_nodes_for_any_draw(self, rng):
         rule = gauss_hermite_rule(60)
@@ -260,7 +260,7 @@ class TestFlowJet:
             params = make_feasible_params(
                 16, alpha, float(rng.uniform(-0.3, 0.3)), rng, weight_scale=0.999, bias_scale=2.0
             )
-            assert np.all(flow_jet(params, rule.nodes).d1 > 0)
+            assert np.all(flow_jet(params, rule.nodes)[1] > 0)
 
 
 class TestManyPointJets:
@@ -275,17 +275,26 @@ class TestManyPointJets:
         xs = np.linspace(-8.5, 8.5, 2001)
         j = flow_jet(params, xs)
         buffers = [_stage_buffers((hidden, xs.size)) for _ in params.blocks]
-        for got, want in zip((j.value, j.d1, j.d2), _jets_forward(params, xs, buffers)[0]):
+        for got, want in zip(j, _jets_forward(params, xs, buffers)[0]):
             # equal bit for bit with OpenBLAS; the bound allows a BLAS whose
             # matrix-vector products sum a short block in another order
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        np.testing.assert_array_equal(flow_forward(params, xs), j.value)
         # order 1: G and G' alone, the first two rows of order 2 bit for bit, in blocks or whole
+        np.testing.assert_array_equal(flow_forward(params, xs), j[0])
         first = _map_jets(params, xs, 1)
         assert first.shape == (2, xs.size)
-        np.testing.assert_array_equal(first, np.stack((j.value, j.d1)))
+        np.testing.assert_array_equal(first, j[:2])
+        np.testing.assert_array_equal(flow_jet(params, xs, 1), first)
         whole = _jets_forward(params, xs, [_stage_buffers((hidden, xs.size)) for _ in params.blocks], 1)[0]
         np.testing.assert_array_equal(whole, _jets_forward(params, xs, buffers)[0][:2])
+
+    def test_jets_are_stacked_at_the_order_asked(self, rng):
+        # (order + 1, points), or (order + 1,) for a scalar, as `evaluate_augmented_basis` returns
+        params = make_feasible_params(8, 9.0, 0.1, rng)
+        xs = np.linspace(-8.5, 8.5, 7)
+        assert flow_jet(params, 0.25).shape == (3,) and flow_jet(params, 0.25, 1).shape == (2,)
+        assert flow_jet(params, xs).shape == (3, 7) and flow_jet(params, xs, 1).shape == (2, 7)
+        np.testing.assert_array_equal(flow_jet(params, 0.25), flow_jet(params, [0.25])[:, 0])
 
     def test_memory_stays_below_one_whole_stage_array(self, rng):
         params = make_feasible_params(128, 9.0, 0.1, rng, n_blocks=2)
@@ -346,7 +355,7 @@ class TestFlowInverse:
         np.testing.assert_array_equal(flow_inverse(identity, last), last)
         np.testing.assert_array_equal(flow_forward(identity, last), last)
         params = make_feasible_params(8, 5.0, 0.3, rng)  # the same interval; tanh saturates at the upper end
-        assert np.all(flow_jet(params, last).d1 >= 0.0)
+        assert np.all(flow_jet(params, last)[1] >= 0.0)
         xs = flow_inverse(params, params.beta + np.array([-1.0, 1.0]) * params.alpha * (1.0 - 2e-7))
         assert np.all(np.abs(xs - params.beta) < params.alpha) and xs[0] < xs[1]
 
@@ -384,13 +393,13 @@ class TestFlowInverse:
             x = invert_or_refuse(params, y)
             ok = np.isfinite(x)
             refused, accepted = refused + np.count_nonzero(~ok), accepted + np.count_nonzero(ok)
-            g = flow_jet(params, x[ok])
-            assert np.all(g.d1 > 0.0)
-            assert np.all(np.abs(g.value - y[ok]) <= 8 * eps * (alpha + g.d1 * (np.abs(x[ok]) + alpha)))
+            g, g1, _ = flow_jet(params, x[ok])
+            assert np.all(g1 > 0.0)
+            assert np.all(np.abs(g - y[ok]) <= 8 * eps * (alpha + g1 * (np.abs(x[ok]) + alpha)))
             x = params.beta + alpha * np.tanh(np.linspace(-8, 8, 101))
-            g = flow_jet(params, x)
-            inside = np.abs((g.value - params.beta) / alpha) < 1
-            x, g1, back = x[inside], g.d1[inside], flow_inverse(params, g.value[inside])
+            g, g1, _ = flow_jet(params, x)
+            inside = np.abs((g - params.beta) / alpha) < 1
+            x, g1, back = x[inside], g1[inside], flow_inverse(params, g[inside])
             assert np.all(np.abs(back - x) <= 8 * eps * (alpha / g1 + np.abs(x) + alpha))
             assert np.all(np.abs(back - x)[g1 >= 0.01] <= 1e-12 * alpha)
         assert refused > 0 and accepted > 20 * refused
@@ -429,9 +438,9 @@ class TestFlowInverse:
         params = make_feasible_params(10, 8.0, -0.1, rng, n_blocks=2)
         h = 1e-5
         for x in rng.uniform(-6.5, 6.5, size=10):
-            j = flow_jet(params, x)
+            d1 = flow_jet(params, x)[1]
             fd = (flow_forward(params, x + h) - flow_forward(params, x - h)) / (2 * h)
-            assert j.d1 == pytest.approx(fd, rel=1e-6)
+            assert d1 == pytest.approx(fd, rel=1e-6)
 
 
 class TestAugmentedBasis:
@@ -449,9 +458,9 @@ class TestAugmentedBasis:
         alpha = 1.05 * np.abs(rule.nodes).max()
         params = make_feasible_params(16, alpha, 0.1, rng, weight_scale=0.9, bias_scale=0.4)
         mapped = flow_forward(params, rule.nodes)
-        jets = flow_jet(params, rule.nodes)
+        d1 = flow_jet(params, rule.nodes)[1]
         phiA = evaluate_augmented_basis(params, 7, mapped)
-        S = np.einsum("iq,q,jq->ij", phiA, rule.lifted_weights * jets.d1, phiA)
+        S = np.einsum("iq,q,jq->ij", phiA, rule.lifted_weights * d1, phiA)
         assert np.abs(S - np.eye(8)).max() < 1e-8
 
     def test_ground_state_normalization_trapezoid(self, rng):
@@ -467,14 +476,14 @@ class TestAugmentedBasis:
         params = make_feasible_params(128, 9.0, 0.1, rng, n_blocks=2)
         xs = np.linspace(-8.5, 8.7, 2001)
         y = flow_inverse(params, xs)
-        want = eval_hermite_functions(12, y) / np.sqrt(flow_jet(params, y).d1)
+        want = eval_hermite_functions(12, y) / np.sqrt(flow_jet(params, y)[1])
         np.testing.assert_array_equal(evaluate_augmented_basis(params, 12, xs), want)
 
     def test_non_finite_derivative_raises(self, rng, monkeypatch):
-        # the guard on the G' that the basis divides by, at preimages inside the interval
+        # the guard on the G' that the basis divides by, at preimages inside the interval: flow_jet's
         params = make_feasible_params(8, 5.0, 0.3, rng)
         monkeypatch.setattr(flow, "_map_jets", lambda params, x, order=2: np.full((order + 1, x.size), np.nan))
-        with pytest.raises(FlowNumericsError, match=r"non-finite G' at G\^-1\(x\)="):
+        with pytest.raises(FlowNumericsError, match=r"non-finite value at x="):
             evaluate_augmented_basis(params, 3, np.array([0.0, 1.0]))
 
     def test_zero_outside_the_interval(self, rng):
@@ -493,7 +502,7 @@ class TestAugmentedBasis:
         params = make_feasible_params(8, 5.0, 0.3, np.random.default_rng(0))
         y = params.beta + np.array([1.0, -1.0]) * params.alpha * (1.0 - 2e-7)
         x = flow_inverse(params, y)
-        assert np.all(flow_jet(params, x).d1 > 0.0)
+        assert np.all(flow_jet(params, x)[1] > 0.0)
         assert np.abs(flow_forward(params, x) - y).max() <= 1e-14
         vals = evaluate_augmented_basis(params, 3, np.concatenate([y, [0.0]]))
         assert vals[:, 0].any() and np.all(np.isfinite(vals))
