@@ -17,8 +17,8 @@ Subcommands:
   linear-fit CSVs against each scheme's own reference spectrum.
 
 Runs are configured by a flat ``key = value`` text file whose keys are the
-fields of `ExperimentConfig`: the run's own settings plus every field of
-`TrainingConfig` but N, with its type and default.  Each key is also a flag,
+fields of `ExperimentConfig`: those of `trainer.TrainingSettings`, with their
+types and defaults, plus the run's own.  Each key is also a flag,
 ``--`` plus the key with ``_`` turned into ``-``, and flags override file
 values.  Unknown keys are rejected so typos fail loudly.  Relative output
 directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
@@ -38,7 +38,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import field, fields, make_dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
 
@@ -58,7 +58,7 @@ from .flow import FlowParams, save_checkpoint
 from .galerkin import assemble_hamiltonian, check_plain_size, potential_from_descriptor
 from .hermite import BasisSpec
 from .quadrature import gauss_hermite_rule
-from .trainer import TrainingConfig, TrainingTrace, train
+from .trainer import TrainingConfig, TrainingSettings, TrainingTrace, train
 
 __all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case",
            "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
@@ -91,8 +91,16 @@ def resolve_output_dir(path) -> Path:
     return Path(root) / path if root and not path.is_absolute() else path
 
 
-class _ExperimentMethods:
-    """The methods of `ExperimentConfig`, whose fields are declared below."""
+@dataclass(frozen=True)
+class ExperimentConfig(TrainingSettings):
+    """A run: the training settings but N, then the potential, the schemes, the basis sizes and
+    where to write.  Each field is a config-file key and a command-line flag; "help" is its help text."""
+
+    potential: str = field(default="anharmonic", metadata={"help": "potential descriptor (harmonic | anharmonic)"})
+    scheme: str = field(default="both", metadata={"help": "hermite | augmented | both"})
+    N: int | None = None
+    N_range: str | None = field(default=None, metadata={"help": "inclusive range, e.g. 5..9"})
+    output_dir: str = "runs"
 
     def schemes(self) -> tuple[str, ...]:
         return ("hermite", "augmented") if self.scheme == "both" else (self.scheme,)
@@ -111,32 +119,8 @@ class _ExperimentMethods:
         return self
 
     def training_config(self, N: int, seed: int) -> TrainingConfig:
-        settings = {f.name: getattr(self, f.name) for f in _TRAINING_FIELDS}
+        settings = {f.name: getattr(self, f.name) for f in fields(TrainingSettings)}
         return TrainingConfig(**{**settings, "N": N, "seed": seed})
-
-
-_TRAINING_TYPES = get_type_hints(TrainingConfig)
-_TRAINING_FIELDS = [f for f in fields(TrainingConfig) if f.name != "N"]
-
-# A run: the potential, the schemes, the basis sizes, every training setting but
-# N with TrainingConfig's type and default, and where to write.  Each field is a
-# config-file key and a command-line flag; "help" is the flag's help text.
-ExperimentConfig = make_dataclass(
-    "ExperimentConfig",
-    [
-        ("potential", str, field(
-            default="anharmonic", metadata={"help": "potential descriptor (harmonic | anharmonic)"}
-        )),
-        ("scheme", str, field(default="both", metadata={"help": "hermite | augmented | both"})),
-        ("N", int | None, field(default=None)),
-        ("N_range", str | None, field(default=None, metadata={"help": "inclusive range, e.g. 5..9"})),
-        *((f.name, _TRAINING_TYPES[f.name], field(default=f.default)) for f in _TRAINING_FIELDS),
-        ("output_dir", str, field(default="runs")),
-    ],
-    bases=(_ExperimentMethods,),
-    namespace={"__module__": __name__},
-    frozen=True,
-)
 
 
 def _key_type(hint):
@@ -144,7 +128,7 @@ def _key_type(hint):
     return next((t for t in get_args(hint) if t is not type(None)), hint)
 
 
-_KEY_TYPES = {f.name: _key_type(f.type) for f in fields(ExperimentConfig)}
+_KEY_TYPES = {name: _key_type(hint) for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_file(path) -> dict:

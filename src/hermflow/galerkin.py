@@ -28,9 +28,9 @@ exp(-x^2) up to degree 2Q - 1, and of the plain products phi_i' phi_j' has degre
 for N <= Q - max(d, 2)//2 and `check_plain_size` refuses a larger N (harmonic at
 N = Q: one level 1.0 below n + 1/2).  A warped integrand is not polynomial; a
 warped assembly warns below Q = 2N + 10, a rule of thumb.  The assembly and the
-trace loss (`trainer`) read the same inputs: phi_0 .. phi_{N-1} and their
-derivatives from the first N rows of the rule's tables
-(`_basis_at_nodes`), and V and V' from one `Potential`'s coefficients.
+trace loss (`trainer`) read the same inputs, phi_0 .. phi_{N-1} and phi' from the first
+N rows of the rule's tables (`_basis_at_nodes`) and V and V' from one `Potential`, and
+refuse a warp by the same checks (`flow._check_inside`, `_check_monotone`) and error.
 `assemble_hamiltonian` is the one assembly path: it computes the jets once
 for both terms, and T and V are not formed apart.
 
@@ -76,7 +76,7 @@ class AssemblyError(RuntimeError):
 
 
 class MonotonicityError(RuntimeError):
-    """A quadrature node lies outside the warp's interval, or G' <= 0 at a node (tanh saturates)."""
+    """A quadrature node lies outside the warp's interval, or G' is not positive at a node (tanh saturates)."""
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,19 @@ def _potential_part(rule: QuadratureRule, phi, V: Potential, y) -> np.ndarray:
     return (phi * (rule.lifted_weights * vvals)) @ phi.T
 
 
+def _check_monotone(nodes: np.ndarray, g1: np.ndarray) -> None:
+    """The G' guard of assembly and the trace loss: names the first node where G' is not positive or is NaN."""
+    if not g1.min() > 0.0:  # a NaN fails too
+        q = int(np.flatnonzero(~(g1 > 0.0))[0])
+        raise MonotonicityError(f"warp derivative G' = {g1[q]} is not positive at node {q} (x={nodes[q]})")
+
+
 def _kinetic_part(rule: QuadratureRule, phi, dphi, g1, g2) -> np.ndarray:
-    """1/2 B B^T; with G' and G'' None, the identity warp's, which cannot fail the G' > 0 check."""
+    """1/2 B B^T, once `_check_monotone` passes G'; with G' and G'' None, the identity warp's."""
     if g1 is None:
         B = dphi * rule.sqrt_lifted_weights
     else:
-        if np.any(g1 <= 0.0):
-            q = int(np.flatnonzero(g1 <= 0.0)[0])
-            raise MonotonicityError(f"warp derivative G' = {g1[q]} <= 0 at node {q} (x={rule.nodes[q]})")
+        _check_monotone(rule.nodes, g1)
         B = (dphi - 0.5 * phi * (g2 / g1)) * (rule.sqrt_lifted_weights / g1)
     return 0.5 * (B @ B.T)  # a product with its own transpose: exactly symmetric
 
@@ -197,8 +202,8 @@ def assemble_hamiltonian(
     anywhere fails it) or on a fault in the assembly.  A warp's jets are computed once
     and shared by both terms, as are the spec's rows of the rule's tables.  ValueError:
     a plain basis past `check_plain_size`'s bound, a warped N > Q, or a parity block
-    with a warp, which breaks parity.  A warped assembly warns below Q = 2N + 10.  MonotonicityError:
-    a node outside the warp's interval (named before the jets), or G' <= 0 at a node.
+    with a warp, which breaks parity.  A warped assembly warns below Q = 2N + 10.  MonotonicityError
+    (as in the trace loss): a node outside the warp's interval (named before the jets), or G' <= 0 or NaN.
     """
     if params is None:
         check_plain_size(spec.size, rule.order, V)

@@ -17,7 +17,8 @@ their (hidden, Q) arrays and the small operands of their matrix products into
 stage buffers that the `TraceLoss` keeps from one call to the next, so an
 Adam step allocates none: freed, they went back to the system at every step
 (glibc trims the top of the heap beyond 128 KB), and the next step faulted
-the same pages in again.
+the same pages in again.  The loss's value and its gradient share one checked
+sweep (`TraceLoss.sweep`), which refuses a warp as assembly does.
 
 Adam works on the flat parameter vector theta (`FlowParams.theta`): one
 update of theta, which the warp's builder, `flow._from_vector`, re-projects
@@ -45,12 +46,13 @@ from .flow import (
     init_flow_params,
 )
 from .analysis import write_csv
-from .galerkin import Potential, _basis_at_nodes
+from .galerkin import MonotonicityError, Potential, _basis_at_nodes, _check_monotone
 from .hermite import eval_hermite_derivatives  # noqa: F401 - benchmarks/tracing.py binds it here
 from .hermite import eval_hermite_functions  # noqa: F401 - benchmarks/tracing.py binds it here
 from .quadrature import MAX_ORDER, QuadratureRule, gauss_hermite_rule
 
 __all__ = [
+    "TrainingSettings",
     "TrainingConfig",
     "AdamState",
     "TrainingTrace",
@@ -77,10 +79,9 @@ class TrainingAborted(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainingConfig:
-    """Hyperparameters of one training run, and the one check of their ranges."""
+class TrainingSettings:
+    """The settings of a training run but its basis size, each declared once with its default."""
 
-    N: int
     Q: int = 90
     hidden: int = 128
     blocks: int = 1
@@ -88,6 +89,13 @@ class TrainingConfig:
     iterations: int | None = None  # None -> 500 for N <= 9, else 2000
     seed: int = 0
     lipschitz_margin: float = 0.97
+
+
+@dataclass(frozen=True)
+class TrainingConfig(TrainingSettings):
+    """The settings and basis size N (keyword only) of one training run, and the one check of their ranges."""
+
+    N: int = field(kw_only=True)
 
     def __post_init__(self):
         for name in ("N", "hidden", "blocks"):
@@ -147,8 +155,8 @@ class TrainingTrace:
 class TraceLoss:
     """The trace loss at one basis size, rule and potential.
 
-    Calling it on a `FlowParams` gives the loss by the forward sweep that
-    `gradient` runs and differentiates.
+    Calling it on a `FlowParams` gives the loss by the checked sweep (`sweep`) that
+    `gradient` runs and differentiates, so it refuses what the gradient and assembly refuse.
     """
 
     nodes: np.ndarray
@@ -197,8 +205,16 @@ class TraceLoss:
         np.multiply(w_inv3, brackets[:2], out=bars[1:])
         return value, bars
 
+    def sweep(self, params: FlowParams):
+        """(jets, saved) of `flow._jets_forward` on the kept buffers, refusing a warp as assembly does:
+        MonotonicityError for a node outside its interval (before the sweep) or G' <= 0 or NaN at one."""
+        _check_inside(params, self.nodes, "node", MonotonicityError)
+        jets, saved = _jets_forward(params, self.nodes, self.stage_buffers(params))
+        _check_monotone(self.nodes, jets[1])
+        return jets, saved
+
     def __call__(self, params: FlowParams):
-        return self.head(*_jets_forward(params, self.nodes, self.stage_buffers(params))[0])[0]
+        return self.head(*self.sweep(params)[0])[0]
 
 
 def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
@@ -213,18 +229,12 @@ def make_trace_loss(N: int, rule: QuadratureRule, V: Potential) -> TraceLoss:
 def gradient(loss: TraceLoss, params: FlowParams) -> tuple[float, np.ndarray]:
     """The loss and its gradient with respect to every parameter.
 
-    Returns (loss value, flat gradient) with entries in `params.theta` order;
-    raises FloatingPointError if either is non-finite, before the sweep if a node
-    lies outside the warp's interval (`flow._check_inside` names it), and after it
-    if G' is not positive at a node (tanh saturates inside the interval), naming
-    the node as `galerkin._kinetic_part` does.
+    Returns (loss value, flat gradient) with entries in `params.theta` order.
+    Raises MonotonicityError, from `TraceLoss.sweep`, for a node outside the warp's
+    interval or G' not positive at a node, and FloatingPointError if the value or
+    the gradient is non-finite.
     """
-    _check_inside(params, loss.nodes, "node", FloatingPointError)
-    jets, saved = _jets_forward(params, loss.nodes, loss.stage_buffers(params))
-    g1 = jets[1]
-    if not g1.min() > 0.0:  # the head divides by G'; a NaN fails too
-        q = int(np.flatnonzero(~(g1 > 0.0))[0])
-        raise FloatingPointError(f"warp derivative G' = {g1[q]} is not positive at node {q} (x={loss.nodes[q]})")
+    jets, saved = loss.sweep(params)
     value, bars = loss.head(*jets)
     value = float(value)
     if not math.isfinite(value):
@@ -270,8 +280,8 @@ def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTra
     """Optimize the warp for `config.resolved_iterations` Adam steps.
 
     The loss is recorded at the start of every iteration, so the first entry
-    equals the plain Hermite trace (identity initialization).  Raises
-    `TrainingAborted` with the partial trace if `gradient` fails.
+    equals the plain Hermite trace (identity initialization).  Raises `TrainingAborted`
+    with the partial trace if `gradient` raises MonotonicityError or FloatingPointError.
     """
     rule = gauss_hermite_rule(config.Q)
     params = init_flow_params(
@@ -289,7 +299,7 @@ def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTra
         tick = time.perf_counter()
         try:
             value, grad = gradient(loss_fn, params)
-        except FloatingPointError as exc:
+        except (FloatingPointError, MonotonicityError) as exc:
             trace = TrainingTrace(np.array(losses), np.array(grad_norms), np.array(wall_ms))
             raise TrainingAborted(f"training aborted: {exc}", trace, params) from exc
         state, params = adam_step(state, grad, params, config.learning_rate)

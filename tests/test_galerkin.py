@@ -139,7 +139,23 @@ class TestKineticMatrix:
         rule = gauss_hermite_rule(30)
         block = ResidualBlock(np.zeros((4, 1)), np.zeros(4), np.zeros((1, 4)), 40.0)
         params = FlowParams([block], 1.05 * float(np.abs(rule.nodes).max()), 0.0, 0.97)
-        with pytest.raises(MonotonicityError, match=r"^warp derivative G' = 0.0 <= 0 at node 0 "):
+        with pytest.raises(MonotonicityError, match=r"^warp derivative G' = 0.0 is not positive at node 0 "):
+            assemble_hamiltonian(BasisSpec(4), rule, harmonic_potential(), params)
+
+    def test_nan_warp_derivative_raises_monotonicity_error(self, monkeypatch, rng):
+        # a NaN G' at a node is refused by the G' guard, naming the node, not left to
+        # surface as a NaN asymmetry
+        rule = gauss_hermite_rule(30)
+        params = make_feasible_params(4, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
+        map_jets = galerkin._map_jets
+
+        def nan_at_node_2(*args):
+            jets = map_jets(*args)
+            jets[1, 2] = np.nan
+            return jets
+
+        monkeypatch.setattr(galerkin, "_map_jets", nan_at_node_2)
+        with pytest.raises(MonotonicityError, match=r"^warp derivative G' = nan is not positive at node 2 "):
             assemble_hamiltonian(BasisSpec(4), rule, harmonic_potential(), params)
 
 

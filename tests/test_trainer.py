@@ -28,6 +28,7 @@ from hermflow import (
 )
 from hermflow import trainer
 from hermflow.cli import ExperimentConfig, solve_case
+from hermflow.galerkin import MonotonicityError
 from hermflow.trainer import TrainingAborted
 from hermflow.flow import _jets_forward, _stage_buffers
 from conftest import complex_params, complex_step_gradient, finite_diff_gradient, make_feasible_params
@@ -107,6 +108,32 @@ class TestTraceLoss:
         loss = make_trace_loss(6, rule, anharmonic_potential())
         assert loss(params) == pytest.approx(hermite_trace(6, 40, anharmonic_potential()), abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "warp, first_words",
+        [
+            (lambda edge: init_flow_params(hidden=4, alpha=0.9 * edge), r"node\[0\] = "),
+            (lambda edge: saturated_warp(4, 1.05 * edge), r"warp derivative G' = 0\.0 is not positive at node 0 "),
+        ],
+        ids=["interval_misses_node_0", "saturated"],
+    )
+    def test_value_gradient_and_assembly_refuse_a_warp_alike(self, warp, first_words):
+        # the loss's value, its gradient and assembly refuse the same warps by the same checks,
+        # with one error type and one message
+        rule = gauss_hermite_rule(30)
+        V = anharmonic_potential()
+        params = warp(float(np.abs(rule.nodes).max()))
+        loss = make_trace_loss(4, rule, V)
+        messages = []
+        for refused in (
+            lambda: assemble_hamiltonian(BasisSpec(4), rule, V, params),
+            lambda: trainer.gradient(loss, params),
+            lambda: loss(params),
+        ):
+            with pytest.raises(MonotonicityError, match=f"^{first_words}") as raised:
+                refused()
+            messages.append(str(raised.value))
+        assert messages[1:] == messages[:1] * 2
+
 
 class TestAdjointGradient:
     @pytest.mark.parametrize("N,Q", [(5, 30), (5, 90), (29, 90)])
@@ -157,7 +184,7 @@ class TestAdjointGradient:
         edge = np.abs(rule.nodes).max()
         for alpha, beta, node in ((0.9 * edge, 0.0, 0), (edge, -0.5, 29)):
             params = make_feasible_params(8, alpha, beta, rng)
-            with pytest.raises(FloatingPointError, match=rf"^node\[{node}\] = {rule.nodes[node]} lies outside the warp's"):
+            with pytest.raises(MonotonicityError, match=rf"^node\[{node}\] = {rule.nodes[node]} lies outside the warp's"):
                 trainer.gradient(loss, params)
 
     def test_saturated_warp_names_the_node(self):
@@ -168,7 +195,7 @@ class TestAdjointGradient:
         params = saturated_warp(4, 1.05 * float(np.abs(rule.nodes).max()))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=rf"^warp derivative G' = 0.0 is not positive at node 0 \(x={rule.nodes[0]}\)$"):
+            with pytest.raises(MonotonicityError, match=rf"^warp derivative G' = 0.0 is not positive at node 0 \(x={rule.nodes[0]}\)$"):
                 trainer.gradient(loss, params)
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf, 1e200])
