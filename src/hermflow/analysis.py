@@ -1,4 +1,4 @@
-"""Convergence diagnostics: banded errors, error ratios, rate fits, CSV writers.
+"""Convergence diagnostics: banded errors, error ratios, rate fits, CSV writers and the spectra reader.
 
 Convergence in the basis size N is summarized two ways:
 
@@ -38,6 +38,7 @@ __all__ = [
     "build_convergence_report",
     "write_csv",
     "write_spectra_csv",
+    "read_spectra_csv",
     "write_rates_csv",
     "write_fits_csv",
     "write_bands_csv",
@@ -151,7 +152,7 @@ def build_convergence_report(scheme: str, spectra: Mapping[int, np.ndarray], n_r
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (fixed, versioned column layouts)
+# CSV emission and the spectra reader (fixed, versioned column layouts)
 # ---------------------------------------------------------------------------
 
 
@@ -167,6 +168,37 @@ def write_csv(path, kind: str, columns: str, lines) -> None:
 def write_spectra_csv(path, rows) -> None:
     """rows: iterable of (scheme, N, n, E)."""
     write_csv(path, "spectra", "scheme,N,n,E", (f"{s},{N},{n},{float(E)!r}\n" for s, N, n, E in rows))
+
+
+def read_spectra_csv(*paths) -> dict[str, dict[int, np.ndarray]]:
+    """Every path's spectra rows, read in one pass, as {scheme: {N: eigenvalues}}.  ValueError, naming the
+    file: a malformed row; a level (scheme, N, n) given a value unlike an earlier row's, in any file; or a
+    file with some but not all levels 0 .. N-1 of a case, which no other input fills in."""
+    cases: dict[str, dict[int, dict[int, float]]] = {}  # scheme -> N -> {n: E}, over every input
+    for path in paths:
+        given: dict[tuple[str, int], set[int]] = {}  # the levels this file gives
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#") or line.startswith("scheme,"):
+                    continue
+                try:
+                    scheme, N, n, E = line.split(",")
+                    N, n, E = int(N), int(n), float(E)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'scheme,N,n,E' with integer N, n, got {line!r}"
+                    ) from exc
+                levels = cases.setdefault(scheme, {}).setdefault(N, {})
+                if n in levels and levels[n] != E:  # a NaN differs from every value, itself too
+                    raise ValueError(f"{path}:{lineno}: conflicting value for {scheme} N={N} n={n}")
+                levels[n] = E
+                given.setdefault((scheme, N), set()).add(n)
+        for (scheme, N), indices in given.items():
+            if indices != set(range(N)):
+                raise ValueError(f"{path}: incomplete spectrum for {scheme} N={N}")
+    return {scheme: {N: np.array([levels[n] for n in range(N)]) for N, levels in by_N.items()}
+            for scheme, by_N in cases.items()}
 
 
 def write_rates_csv(path, rows) -> None:

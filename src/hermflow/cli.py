@@ -13,8 +13,9 @@ Subcommands:
   bit.  So a sweep keeps a memo of the plain blocks it has solved, their
   eigenvalues and traces, and solves each block once.  The memo lives for one
   sweep call: nothing is cached across calls, and a warped case never uses it.
-* ``analyze`` - turn sweep spectra into band-error, convergence-rate and
-  linear-fit CSVs against each scheme's own reference spectrum.
+* ``analyze`` - read spectra CSVs in one pass (`analysis.read_spectra_csv`) and
+  turn them into band-error, convergence-rate and linear-fit CSVs against each
+  scheme's own reference spectrum.
 
 Runs are configured by a flat ``key = value`` text file whose keys are the
 fields of `ExperimentConfig`: those of `trainer.TrainingSettings`, with their
@@ -48,6 +49,7 @@ from .analysis import (
     BAND_SIZE,
     band_average_errors,
     build_convergence_report,
+    read_spectra_csv,
     write_bands_csv,
     write_fits_csv,
     write_rates_csv,
@@ -258,48 +260,15 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     return 1 if failed else 0
 
 
-def read_spectra_csv(path) -> dict[str, dict[int, np.ndarray]]:
-    """Read spectra rows back as {scheme: {N: eigenvalues}}."""
-    per_case: dict[tuple[str, int], dict[int, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("scheme,"):
-                continue
-            try:
-                scheme, N, n, E = line.split(",")
-                N, idx, value = int(N), int(n), float(E)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 'scheme,N,n,E' with integer N, n, got {line!r}"
-                ) from exc
-            case = per_case.setdefault((scheme, N), {})
-            if idx in case and case[idx] != value:
-                raise ConfigError(f"{path}: conflicting duplicate row for {scheme} N={N} n={n}")
-            case[idx] = value
-    out: dict[str, dict[int, np.ndarray]] = {}
-    for (scheme, N), levels in per_case.items():
-        if sorted(levels) != list(range(N)):
-            raise ConfigError(f"{path}: incomplete spectrum for {scheme} N={N}")
-        out.setdefault(scheme, {})[N] = np.array([levels[i] for i in range(N)])
-    return out
-
-
 def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:
-    data: dict[str, dict[int, np.ndarray]] = {}
     for path in spectra_paths:
         if not Path(path).exists():
             raise ConfigError(f"missing spectra file: {path}")
-        for scheme, by_n in read_spectra_csv(path).items():
-            merged = data.setdefault(scheme, {})
-            for N, vals in by_n.items():
-                if N in merged and not np.array_equal(merged[N], vals):
-                    raise ConfigError(f"conflicting spectra for {scheme} N={N} across inputs")
-                merged[N] = vals
-    if not data:
-        raise ConfigError("no spectra rows found in the inputs")
     band_rows, rate_rows, fit_rows = [], [], []
-    try:  # every report is built, and checked, before the output directory is made
+    try:  # the inputs are read, and every report built and checked, before the output directory is made
+        data = read_spectra_csv(*spectra_paths)
+        if not data:
+            raise ValueError("no spectra rows found in the inputs")
         for scheme in sorted(data):
             report = build_convergence_report(scheme, data[scheme], n_ref)
             for N in sorted(report.band_errors):
@@ -355,9 +324,7 @@ def main(argv=None) -> int:
             return cmd_solve(load_config(args))
         if args.command == "sweep":
             return cmd_sweep(load_config(args))
-        if args.command == "analyze":
-            return cmd_analyze(args.spectra, args.n_ref, resolve_output_dir(args.output_dir))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_analyze(args.spectra, args.n_ref, resolve_output_dir(args.output_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from hermflow.analysis import (
     build_convergence_report,
     linear_fit,
     q_sequence,
+    read_spectra_csv,
     window_sum,
     write_bands_csv,
     write_fits_csv,
@@ -180,8 +181,6 @@ class TestCsvWriters:
         rows = [("hermite", 2, 0, 0.5), ("hermite", 2, 1, 1.5)]
         path = tmp_path / "spectra.csv"
         write_spectra_csv(path, rows)
-        from hermflow.cli import read_spectra_csv
-
         data = read_spectra_csv(path)
         np.testing.assert_allclose(data["hermite"][2], [0.5, 1.5])
 
@@ -219,8 +218,6 @@ class TestCsvWriters:
             assert (tmp_path / name).read_bytes() == text.encode(), name
 
     def test_spectra_round_trip_bitwise(self, tmp_path):
-        from hermflow.cli import read_spectra_csv
-
         rng = np.random.default_rng(7)
         values = np.concatenate([rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6),
                                  [-0.0, 0.0, 5e-324, -1.7976931348623157e308]])
@@ -230,12 +227,10 @@ class TestCsvWriters:
         assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
     def test_reader_errors_name_the_line(self, tmp_path):
-        from hermflow.cli import ConfigError, read_spectra_csv
-
         path = tmp_path / "s.csv"
         write_spectra_csv(path, [("hermite", 2, 0, 0.5), ("hermite", 2, 1, 1.5)])
         path.write_text(path.read_text() + "hermite,2,x,0.5\n")
-        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:5: expected 'scheme,N,n,E'"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: expected 'scheme,N,n,E'"):
             read_spectra_csv(path)
 
     def test_rates_and_fits_have_versioned_headers(self, tmp_path):

@@ -78,11 +78,12 @@ class TestConfigParsing:
 
     def test_n_range_parsing(self, tmp_path):
         assert parse_range("3..5", "N_range") == (3, 5)
-        for text in ("5..3", "5-7", "0..4"):
+        for text in ("5..3", "5-7", "0..4", "a..b", "5..x"):
             with pytest.raises(ConfigError, match="1 <= lo <= hi"):
                 parse_range(text, "N_range")
-        assert run(["sweep", "--N-range", "5..3", "--output-dir", tmp_path / "x"]) == 2
-        assert not (tmp_path / "x").exists()
+        for text in ("5..3", "a..b"):
+            assert run(["sweep", "--N-range", text, "--output-dir", tmp_path / "x"]) == 2
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "command,config,message",
@@ -430,9 +431,13 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "files,message",
         [
-            (["hermite,1,0,0.5\nhermite,1,0,0.6"], "0.csv: conflicting duplicate row for hermite N=1 n=0"),
+            (["hermite,1,0,0.5\nhermite,1,0,0.6"], "0.csv:4: conflicting value for hermite N=1 n=0"),
             (["hermite,2,0,0.5"], "0.csv: incomplete spectrum for hermite N=2"),
-            (["hermite,1,0,0.5", "hermite,1,0,0.6"], "conflicting spectra for hermite N=1 across inputs"),
+            (["hermite,1,0,0.5", "hermite,1,0,0.6"], "1.csv:3: conflicting value for hermite N=1 n=0"),
+            # a case held whole by one input does not complete another input's part of it
+            (["hermite,2,0,0.5\nhermite,2,1,1.5", "hermite,2,0,0.5"], "1.csv: incomplete spectrum for hermite N=2"),
+            # inputs that agree on every level of a case are accepted
+            (["hermite,2,0,0.5\nhermite,2,1,1.5", "hermite,2,1,1.5\nhermite,2,0,0.5"], None),
         ],
     )
     def test_inconsistent_spectra_exit_2_before_any_output(self, tmp_path, capsys, files, message):
@@ -440,8 +445,17 @@ class TestAnalyze:
         for path, rows in zip(paths, files):
             path.write_text(f"# hermflow spectra csv v1\nscheme,N,n,E\n{rows}\n")
         out = tmp_path / "an"
+        assert run(["analyze", *paths, "--n-ref", 2, "--output-dir", out]) == (0 if message is None else 2)
+        assert message is None or message in capsys.readouterr().err
+        assert out.exists() == (message is None)
+
+    def test_inputs_without_rows_exit_2_before_any_output(self, tmp_path, capsys):
+        paths = [tmp_path / f"{i}.csv" for i in range(2)]
+        for path in paths:
+            path.write_text("# hermflow spectra csv v1\nscheme,N,n,E\n")
+        out = tmp_path / "an"
         assert run(["analyze", *paths, "--n-ref", 1, "--output-dir", out]) == 2
-        assert message in capsys.readouterr().err
+        assert "config error: no spectra rows found in the inputs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reference_below_analyzed_sizes_exits_2(self, sweep_dir, tmp_path, capsys):

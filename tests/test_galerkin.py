@@ -272,6 +272,14 @@ class TestAssembleHamiltonian:
             with pytest.warns(UserWarning, match="variational"):
                 assert assemble_hamiltonian(BasisSpec(20), rule, anharmonic_potential(), params).size == 20
 
+    def test_warped_basis_larger_than_the_rule_is_refused(self, rng):
+        # the 2N + 10 warning comes first, then the rule's tables have too few rows
+        rule = gauss_hermite_rule(20)
+        params = make_feasible_params(8, 1.05 * np.abs(rule.nodes).max(), 0.0, rng)
+        with pytest.warns(UserWarning, match="variational"):
+            with pytest.raises(ValueError, match="^quadrature order 20 is below basis size 21$"):
+                assemble_hamiltonian(BasisSpec(21), rule, anharmonic_potential(), params)
+
 
 class TestPlainExactnessBound:
     """A plain matrix is exact for N <= Q - max(d, 2)//2, and a larger N is refused."""

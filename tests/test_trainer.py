@@ -221,6 +221,18 @@ class TestAdjointGradient:
             with pytest.raises(FloatingPointError, match=r"^non-finite adjoint at parameter index 3$"):
                 trainer.gradient(loss, params)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_loss_value_is_refused(self, monkeypatch, value):
+        # a stand-in loss head returns a non-finite value with finite bars: refused before the adjoint
+        rule = gauss_hermite_rule(30)
+        loss = make_trace_loss(4, rule, anharmonic_potential())
+        params = init_flow_params(hidden=4, alpha=1.05 * float(np.abs(rule.nodes).max()))
+        head = trainer.TraceLoss.head
+        monkeypatch.setattr(trainer.TraceLoss, "head", lambda self, *jets: (value, head(self, *jets)[1]))
+        monkeypatch.setattr(trainer, "_jets_reverse", None)
+        with pytest.raises(FloatingPointError, match=rf"^loss evaluated to a non-finite value: {value}$"):
+            trainer.gradient(loss, params)
+
 
 class TestGradient:
     """The adjoint `hermflow.gradient` (`trainer.gradient`) against central differences."""
