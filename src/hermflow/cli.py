@@ -7,22 +7,34 @@ Subcommands:
   warp's checkpoint and loss trace, print a one-line summary.  An unwarped case
   with an even potential (both named ones are) is solved as its two parity blocks.
 * ``sweep``   - the same over a range of basis sizes with per-N seeds derived
-  from the master seed, aggregating one spectra CSV (an N's rows only once
-  every scheme has solved) and a manifest.  Growing the basis from N to N + 1
-  adds index N, which grows one parity block only: the other is N's, bit for
-  bit.  So a sweep keeps a memo of the plain blocks it has solved, their
-  eigenvalues and traces, and solves each block once.  The memo lives for one
-  sweep call: nothing is cached across calls, and a warped case never uses it.
+  from the master seed, solved by `solve_cases` and written by `write_sweep`:
+  one spectra CSV (an N's rows only once every scheme has solved) and a
+  manifest.  Growing the basis from N to N + 1 adds index N, which grows one
+  parity block only: the other is N's, bit for bit.  So a sweep keeps a memo of
+  the plain blocks it has solved, their eigenvalues and traces, and solves each
+  block once.  The memo lives for one sweep call: nothing is cached across
+  calls, and a warped case never uses it.
 * ``analyze`` - read spectra CSVs in one pass (`analysis.read_spectra_csv`) and
   turn them into band-error, convergence-rate and linear-fit CSVs against each
   scheme's own reference spectrum.
+
+A sweep with two or more warped (augmented) cases, in a process that may run
+on more than one CPU, trains them on two: one child process, a fresh
+interpreter with one BLAS thread, trains part of the warped cases while this
+process solves the rest and every plain case (the memo stays here).  The
+shares are split by Adam steps, and this process keeps the larger.  Each case
+is solved as it would be here, so every output file is byte-identical to a
+one-process run (the loss traces' ``wall_ms`` aside); this process writes them
+all, and re-issues the child's warnings.  ``taskset -c 0 hermflow sweep ...``
+runs in one process.  `solve` and a plain sweep start no child.
 
 Runs are configured by a flat ``key = value`` text file whose keys are the
 fields of `ExperimentConfig`: those of `trainer.TrainingSettings`, with their
 types and defaults, plus the run's own.  Each key is also a flag,
 ``--`` plus the key with ``_`` turned into ``-``, and flags override file
-values.  Unknown keys are rejected so typos fail loudly.  Relative output
-directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
+values.  Unknown keys are rejected so typos fail loudly, and so is a size key
+that the subcommand does not read: ``N_range`` for `solve`, ``N`` for `sweep`.
+Relative output directories resolve under $HERMFLOW_OUTPUT_ROOT when that is set.
 
 Exit codes: 0 success, 1 computation error, 2 configuration error.  A
 configuration error is found before any file is written; the training
@@ -38,7 +50,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, get_args, get_type_hints
@@ -56,14 +70,14 @@ from .analysis import (
     write_spectra_csv,
 )
 from .eigensolver import eigh
-from .flow import FlowParams, save_checkpoint
+from .flow import FlowParams, _from_vector, save_checkpoint
 from .galerkin import assemble_hamiltonian, check_plain_size, potential_from_descriptor
 from .hermite import BasisSpec
 from .quadrature import gauss_hermite_rule
 from .trainer import TrainingConfig, TrainingSettings, TrainingTrace, train
 
-__all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case",
-           "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case", "solve_cases", "usable_cpus",
+           "write_sweep", "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
 
 OUTPUT_ROOT_ENV = "HERMFLOW_OUTPUT_ROOT"
 
@@ -206,6 +220,129 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: d
     return CaseResult(levels, sum(trace for _, trace in blocks), params, training)
 
 
+def _failure(exc: BaseException) -> str:
+    """How a sweep records a case's error: 'Type: message'."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _solved(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: dict | None = None):
+    """`solve_case`'s result, or the error it raised as 'Type: message'."""
+    try:
+        return solve_case(config, scheme, N, seed, memo)
+    except Exception as exc:  # noqa: BLE001 - a sweep records a case's failure and goes on
+        return _failure(exc)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; `taskset -c 0` makes it one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def solve_cases(config: ExperimentConfig, cases: list, memo: dict | None = None, workers: int = 1) -> list:
+    """Solve each (scheme, N, seed) case as `solve_case` does; writes no file.
+
+    Returns, in the order of `cases`, each case's `CaseResult` or its error as
+    'Type: message'.  `memo` serves the plain cases, as in `solve_case`.  With two
+    or more workers and two or more warped cases, one child process (see
+    `_start_child`) trains part of the warped cases while this process solves the
+    rest and every plain case: the warped cases are split in two by Adam steps,
+    longest first (Graham's rule), and the child takes the smaller share.  Results,
+    warps and loss traces come back bit for bit, and the child's warnings are
+    re-issued here; a child that dies fails its cases.
+    """
+    warped = [i for i, (scheme, _, _) in enumerate(cases) if scheme == "augmented"]
+    share = _child_share(config, cases, warped) if workers > 1 and len(warped) > 1 else []
+    child = _start_child(config, [cases[i] for i in share]) if share else None
+    results = {}
+    try:
+        for i, (scheme, N, seed) in enumerate(cases):
+            if i not in share:
+                results[i] = _solved(config, scheme, N, seed, memo)
+        if child is not None:
+            results.update(zip(share, _child_results(child, len(share))))
+    finally:
+        if child is not None:  # this process's own work may have raised: no child outlives the call
+            child.kill()  # a no-op once it has been waited for
+            child.wait()
+            child.stdout.close()
+    return [results[i] for i in range(len(cases))]
+
+
+def _child_share(config: ExperimentConfig, cases: list, warped: list) -> list:
+    """The indices of the warped cases a child trains: their Adam steps dealt longest
+    first to the lighter of two shares (ties to the first), and the lighter share taken."""
+    steps = {i: config.steps_at(cases[i][1]) for i in warped}
+    shares, loads = ([], []), [0, 0]
+    for i in sorted(warped, key=steps.get, reverse=True):  # a stable sort: equal cases keep their order
+        k = int(loads[1] < loads[0])
+        shares[k].append(i)
+        loads[k] += steps[i]
+    return sorted(shares[int(loads[1] <= loads[0])])
+
+
+# A child's program: `_child_main` on the pickled config and cases it reads from stdin.
+_CHILD_SCRIPT = "from hermflow.cli import _child_main; _child_main()"
+
+
+def _start_child(config: ExperimentConfig, cases: list):
+    """A fresh interpreter that imports this `hermflow`, with one BLAS thread, solving `cases`
+    (`_child_main`); its stdout is a pipe to this process, its stderr this process's."""
+    import subprocess  # here: a run that starts no child does not load it
+
+    source = str(Path(__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    child = subprocess.Popen([sys.executable, "-c", _CHILD_SCRIPT], stdin=subprocess.PIPE,
+                             stdout=subprocess.PIPE, env=env)
+    try:
+        with child.stdin:
+            child.stdin.write(pickle.dumps((vars(config), cases)))
+    except BrokenPipeError:  # it died before reading them: `_child_results` fails its cases
+        pass
+    return child
+
+
+def _child_main():
+    """A child's program: solve the cases pickled on stdin (with the config's fields) and pickle
+    to stdout, per case, its error or its eigenvalues, trace, warp (as theta and its shape) and
+    loss trace, and the warnings it raised.  Classes of this module do not cross the pipe: a
+    parent run as ``python -m hermflow.cli`` knows them by another module name."""
+    values, cases = pickle.load(sys.stdin.buffer)
+    config = ExperimentConfig(**values)
+    pipe, sys.stdout = sys.stdout.buffer, sys.stderr  # only the results go down the pipe
+    outcomes = []
+    for scheme, N, seed in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each one goes back; the parent's filters decide
+            case = _solved(config, scheme, N, seed)
+        if isinstance(case, CaseResult):
+            p = case.params
+            warp = (p.theta, p.hidden, len(p.blocks), p.lipschitz_margin)
+            case = (case.eigenvalues, case.trace, warp, case.training)
+        outcomes.append((case, [(w.category, str(w.message)) for w in caught]))
+    pickle.dump(outcomes, pipe)
+
+
+def _child_results(child, n: int) -> list:
+    """The child's n cases as `solve_cases` returns them, each warp rebuilt by `flow._from_vector`
+    and each warning re-issued; all n fail if the child exits non-zero."""
+    data = child.stdout.read()
+    if status := child.wait():
+        return [f"ChildProcessError: the sweep's child process exited with status {status}"] * n
+    results = []
+    for case, caught in pickle.loads(data):
+        if not isinstance(case, str):
+            eigenvalues, trace, warp, training = case
+            case = CaseResult(eigenvalues, trace, _from_vector(*warp), training)
+        try:
+            for category, message in caught:
+                warnings.warn(message, category)
+        except Warning as exc:  # a filter made it an error: the case fails, as it would have here
+            case = _failure(exc)
+        results.append(case)
+    return results
+
+
 def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) -> list[tuple]:
     """Write an augmented case's trace CSV and checkpoint; return the case's spectra rows."""
     if case.params is not None:
@@ -214,7 +351,44 @@ def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) 
     return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues.tolist())]
 
 
+def write_sweep(outdir: Path, cases: list, results: list) -> int:
+    """Write a sweep from its (scheme, N, seed) cases and `solve_cases`'s results, N by N in
+    the order of `cases` (`cmd_sweep` gives them in N order).
+
+    An N whose every case solved gets its cases' files and rows and a 'done' line; one
+    whose case failed gets its first error (in the cases' order) under "failed" in
+    ``manifest.json``, no file and no row.  Then ``spectra.csv`` and the manifest are
+    written.  Returns the exit status: 1 if an N failed, else 0.
+    """
+    by_n = {}
+    for (scheme, N, seed), case in zip(cases, results):
+        by_n.setdefault(N, []).append((scheme, seed, case))
+    all_rows, completed, failed = [], [], {}
+    for N, solved in by_n.items():
+        error = next((case for _, _, case in solved if isinstance(case, str)), None)
+        try:
+            rows = [] if error else [
+                row for scheme, seed, case in solved for row in _write_case(outdir, scheme, N, seed, case)]
+        except Exception as exc:  # noqa: BLE001 - record and continue the sweep
+            error = _failure(exc)
+        if error:
+            failed[str(N)] = error
+            print(f"sweep N={N} FAILED: {error.partition(': ')[2]}", file=sys.stderr)
+        else:
+            all_rows.extend(rows)
+            completed.append(N)
+            print(f"sweep N={N} done")
+    write_spectra_csv(outdir / "spectra.csv", all_rows)
+    manifest = {"completed": completed, "failed": failed}
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 1 if failed else 0
+
+
 def cmd_solve(config: ExperimentConfig) -> int:
+    if config.N_range is not None:
+        raise ConfigError("solve does not take N_range (sweep's range); give N")
     config = config.validate()
     if config.N is None:
         raise ConfigError("solve needs N")
@@ -230,34 +404,18 @@ def cmd_solve(config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
+    if config.N is not None:
+        raise ConfigError("sweep does not take N (solve's basis size); give N_range")
     config = config.validate()
     if config.N_range is None:
         raise ConfigError("sweep needs N_range")
     lo, hi = parse_range(config.N_range, "N_range")
+    # per-N seeds: a fixed offset from the master seed
+    cases = [(scheme, N, config.seed + N) for N in range(lo, hi + 1) for scheme in config.schemes()]
     outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    completed, failed = [], {}
     memo = {}  # the plain blocks solved so far, for this sweep only
-    for N in range(lo, hi + 1):
-        seed_n = config.seed + N  # per-N seeds: fixed offset from the master seed
-        try:
-            rows = []  # an N's rows are kept only once every scheme has succeeded
-            for scheme in config.schemes():
-                case = solve_case(config, scheme, N, seed_n, memo)
-                rows += _write_case(outdir, scheme, N, seed_n, case)
-            all_rows.extend(rows)
-            completed.append(N)
-            print(f"sweep N={N} done")
-        except Exception as exc:  # noqa: BLE001 - record and continue the sweep
-            failed[str(N)] = f"{type(exc).__name__}: {exc}"
-            print(f"sweep N={N} FAILED: {exc}", file=sys.stderr)
-    write_spectra_csv(outdir / "spectra.csv", all_rows)
-    manifest = {"completed": completed, "failed": failed}
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return 1 if failed else 0
+    return write_sweep(outdir, cases, solve_cases(config, cases, memo, usable_cpus()))
 
 
 def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:

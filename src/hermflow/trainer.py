@@ -86,9 +86,15 @@ class TrainingSettings:
     hidden: int = 128
     blocks: int = 1
     learning_rate: float = 1e-3
-    iterations: int | None = None  # None -> 500 for N <= 9, else 2000
+    iterations: int | None = None  # None -> `steps_at`'s default
     seed: int = 0
     lipschitz_margin: float = 0.97
+
+    def steps_at(self, N: int) -> int:
+        """The Adam steps of a training at basis size N: `iterations`, or by default 500 for N <= 9, else 2000."""
+        if self.iterations is not None:
+            return self.iterations
+        return 500 if N <= 9 else 2000
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,7 @@ class TrainingConfig(TrainingSettings):
 
     @property
     def resolved_iterations(self) -> int:
-        if self.iterations is not None:
-            return self.iterations
-        return 500 if self.N <= 9 else 2000
+        return self.steps_at(self.N)
 
 
 @dataclass

@@ -2,11 +2,11 @@
 
 The expensive part is a full training sweep of the augmented scheme over
 N = 5..29 (anharmonic potential, Q = 90, hidden 128, 1 block, lr 1e-3,
-500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N), each
-case solved by `hermflow.cli.solve_case`, as `hermflow sweep` solves it; it is
-computed once per session and shared by criteria 4-8.  The criteria read the
+500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N), its
+cases solved by `hermflow.cli.solve_cases`, as `hermflow sweep` solves them; it
+is computed once per session and shared by criteria 4-8.  The criteria read the
 program's own results, not copies of its arithmetic: criterion 4 compares the
-traces that `solve_case` returns, and criteria 5 and 6 read each scheme's
+traces that `solve_cases` returns, and criteria 5 and 6 read each scheme's
 `build_convergence_report` against its own N = 29 spectrum, as
 ``hermflow analyze --n-ref 29`` builds it.
 
@@ -50,7 +50,7 @@ from hermflow import (
     make_trace_loss,
 )
 from hermflow.analysis import band_average_errors, build_convergence_report
-from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case
+from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case, solve_cases, usable_cpus
 from hermflow.trainer import gradient
 from conftest import finite_diff_gradient, make_feasible_params
 
@@ -76,19 +76,21 @@ def rule90():
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Both schemes over N = 5..29, each case solved as `hermflow sweep` solves it:
-    spectra, traces of the projected Hamiltonians, loss traces, and the augmented
-    cases' solve times.  Like `cmd_sweep`, it passes one memo to every case, so each
-    plain parity block is solved once."""
+    """Both schemes over N = 5..29, solved by `solve_cases` as `hermflow sweep` solves them
+    (one memo for the plain blocks, and the warped cases on two processes where this one may
+    use two CPUs): spectra, traces of the projected Hamiltonians, loss traces, and each
+    augmented case's training time, its loss trace's summed `wall_ms`."""
     config = ExperimentConfig(potential="anharmonic", Q=90)
-    out, memo = {}, {}
+    cases = [(scheme, N, MASTER_SEED + N) for N in SWEEP_RANGE for scheme in ("hermite", "augmented")]
+    results = solve_cases(config, cases, {}, usable_cpus())
+    failed = [case for case in results if isinstance(case, str)]
+    assert not failed, failed
+    solved = {(scheme, N): case for (scheme, N, _), case in zip(cases, results)}
+    out = {}
     for N in SWEEP_RANGE:
-        tick = time.perf_counter()
-        aug = solve_case(config, "augmented", N, MASTER_SEED + N, memo)
-        seconds = time.perf_counter() - tick
-        herm = solve_case(config, "hermite", N, MASTER_SEED + N, memo)
+        aug, herm = solved["augmented", N], solved["hermite", N]
         out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, trace=dict(aug=aug.trace, herm=herm.trace),
-                      losses=aug.training.losses, seconds=seconds)
+                      losses=aug.training.losses, seconds=float(aug.training.wall_ms.sum()) / 1e3)
     return out
 
 

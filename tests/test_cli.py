@@ -2,10 +2,14 @@ import ast
 import collections
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from hermflow.cli import (
     parse_range,
     read_spectra_csv,
     solve_case,
+    solve_cases,
+    write_sweep,
 )
 from hermflow.trainer import TrainingConfig
 from conftest import make_feasible_params
@@ -98,6 +104,14 @@ class TestConfigParsing:
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--output-dir", out]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,size,key", [("sweep", ["--N", 300], "N"), ("solve", ["--N", 5], "N_range")])
+    def test_a_size_key_the_command_does_not_read_exits_2(self, tmp_path, capsys, command, size, key):
+        # sweep reads N_range and solve reads N; each refuses the other's key, whatever its value
+        out = tmp_path / "out"
+        assert run([command, *size, "--N-range", "5..6", "--output-dir", out]) == 2
+        assert f"config error: {command} does not take {key} (" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -256,6 +270,11 @@ class TestSolveCaseParity:
             assert case.trace == float(np.trace(H.entries))
 
 
+def one_cpu(monkeypatch):
+    """Keep a sweep's cases in this process, as `taskset -c 0` does: a child never sees a monkeypatch."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+
+
 def count_cli_calls(monkeypatch, names):
     """A counter of the calls made through `cli`'s names, which the benchmark's tracer binds."""
     calls = collections.Counter()
@@ -293,6 +312,7 @@ class TestSweepMemo:
             assert calls == {"assemble_hamiltonian": (hi - lo) + 2, "eigh": (hi - lo) + 2}
 
     def test_augmented_cases_train_and_assemble_once(self, tmp_path, monkeypatch):
+        one_cpu(monkeypatch)
         warped = collections.Counter()
         assemble, fit = cli.assemble_hamiltonian, cli.train
         monkeypatch.setattr(cli, "assemble_hamiltonian",
@@ -350,6 +370,7 @@ class TestSweep:
                 raise RuntimeError("training failed")
             return train(config, V)
 
+        one_cpu(monkeypatch)
         monkeypatch.setattr(cli, "train", train_failing_at_4)
         assert run(["sweep", "--N-range", "3..5", "--Q", 30, "--hidden", 4, "--iterations", 3,
                     "--output-dir", tmp_path]) == 1
@@ -357,6 +378,113 @@ class TestSweep:
         assert manifest["completed"] == [3, 5] and list(manifest["failed"]) == ["4"]
         data = read_spectra_csv(tmp_path / "spectra.csv")
         assert sorted(data["hermite"]) == sorted(data["augmented"]) == [3, 5]
+
+
+class TestTwoProcesses:
+    """`solve_cases` with two workers: a child trains part of the warped cases, and the
+    sweep it gives is the one-process sweep, byte for byte."""
+
+    SMALL = dict(potential="anharmonic", Q=30, hidden=4, iterations=20)
+
+    def sweep(self, out, config, cases, workers):
+        """`cmd_sweep`'s solve and write on `cases`: (exit status, files by name)."""
+        out.mkdir()
+        code = write_sweep(out, cases, solve_cases(config, cases, {}, workers))
+        return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def same_sweep(self, alone, split):
+        """The same files, byte for byte, but the loss traces' step times."""
+        assert list(alone) == list(split)
+        for name in alone:
+            if name.startswith("trace_"):
+                no_wall = [[line.rpartition(b",")[0] for line in files[name].splitlines()] for files in (alone, split)]
+                assert no_wall[0] == no_wall[1], name
+            else:
+                assert alone[name] == split[name], name
+
+    def test_outputs_are_those_of_one_process(self, tmp_path):
+        config = ExperimentConfig(**self.SMALL, seed=11)
+        cases = [(scheme, N, 11 + N) for N in range(3, 7) for scheme in ("hermite", "augmented")]
+        (one, alone), (two, split) = (self.sweep(tmp_path / f"w{w}", config, cases, w) for w in (1, 2))
+        assert one == two == 0
+        self.same_sweep(alone, split)
+        assert [name for name in split if name.startswith("checkpoint")] == [
+            f"checkpoint_augmented_N{N}.txt" for N in range(3, 7)]
+        assert len(split["trace_augmented_N6.csv"].splitlines()) == 2 + 20
+
+    def test_a_case_failing_in_the_child_fails_as_here(self, tmp_path):
+        # N = 17 > Q = 16 goes to the child (the parent keeps the first of two equal shares)
+        config = ExperimentConfig(**{**self.SMALL, "Q": 16}, scheme="augmented")
+        cases = [("augmented", N, N) for N in (3, 17)]
+        (one, alone), (two, split) = (self.sweep(tmp_path / f"w{w}", config, cases, w) for w in (1, 2))
+        assert one == two == 1
+        self.same_sweep(alone, split)
+        manifest = json.loads(split["manifest.json"])
+        assert manifest == {"completed": [3], "failed": {
+            "17": "ValueError: basis size N = 17 exceeds the quadrature order Q = 16"}}
+        assert "checkpoint_augmented_N17.txt" not in split
+        assert sorted(read_spectra_csv(tmp_path / "w2" / "spectra.csv")["augmented"]) == [3]
+
+    def test_a_warning_in_the_child_is_issued_here(self):
+        # at Q = 16, N = 3 assembles without the 2N + 10 warning and N = 4, the child's, with it
+        config = ExperimentConfig(**{**self.SMALL, "Q": 16}, scheme="augmented")
+        with pytest.warns(UserWarning, match=r"quadrature order 16 < 2N \+ 10 = 18") as caught:
+            results = solve_cases(config, [("augmented", N, N) for N in (3, 4)], None, workers=2)
+        assert len(caught) == 1 and all(isinstance(r, cli.CaseResult) for r in results)
+
+    def test_a_child_that_dies_fails_its_cases(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_CHILD_SCRIPT", "import os; os._exit(3)")
+        config = ExperimentConfig(**self.SMALL)
+        cases = [(scheme, N, N) for N in range(3, 6) for scheme in ("hermite", "augmented")]
+        code, files = self.sweep(tmp_path / "out", config, cases, 2)
+        assert code == 1 and {"spectra.csv", "manifest.json", "checkpoint_augmented_N3.txt"} <= set(files)
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["completed"] == [3, 5] and list(manifest["failed"]) == ["4"]
+        assert manifest["failed"]["4"] == "ChildProcessError: the sweep's child process exited with status 3"
+        assert "sweep N=4 FAILED: the sweep's child process exited with status 3" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):  # no child left, not even one to reap
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_sweep_run_as_a_module_starts_a_child_that_reads_its_cases(self, tmp_path):
+        # `python -m hermflow.cli` names this module `__main__`, whose classes a child cannot load
+        script = ("import os, runpy, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                  "sys.argv[1:] = ['sweep', '--scheme', 'augmented', '--N-range', '3..4', '--Q', '20', "
+                  "'--hidden', '4', '--iterations', '3', '--output-dir', sys.argv[1]]; "
+                  "runpy.run_module('hermflow.cli', run_name='__main__')")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        done = subprocess.run([sys.executable, "-c", script, tmp_path], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "sweep N=3 done\nsweep N=4 done\n"
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {"completed": [3, 4], "failed": {}}
+
+    def test_an_interrupted_parent_stops_its_child(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_solved", interrupted)
+        cases = [("augmented", N, N) for N in (3, 4)]
+        with pytest.raises(KeyboardInterrupt):
+            solve_cases(ExperimentConfig(**self.SMALL), cases, None, workers=2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers,warped,child", [(1, 5, False), (2, 1, False), (2, 0, False), (2, 2, True)])
+    def test_a_child_starts_only_for_two_warped_cases_on_two_cpus(self, monkeypatch, workers, warped, child):
+        started, start = [], cli._start_child
+        monkeypatch.setattr(cli, "_start_child", lambda config, cases: started.append(cases) or start(config, cases))
+        cases = [("hermite", 3, 3)] + [("augmented", N, N) for N in range(3, 3 + warped)]
+        results = solve_cases(ExperimentConfig(**{**self.SMALL, "iterations": 1}), cases, {}, workers)
+        assert bool(started) is child and all(isinstance(r, cli.CaseResult) for r in results)
+
+    @pytest.mark.parametrize("config,Ns,child", [
+        (ExperimentConfig(iterations=500), range(5, 10), [6, 8]),  # sweep_small: the parent keeps three
+        (ExperimentConfig(), range(5, 30), [6, 8, *range(11, 30, 2)]),  # the study: 21,500 | 21,000 steps
+        (SimpleNamespace(steps_at={1: 3, 2: 2, 3: 2}.get), (1, 2, 3), [1]),  # dealt 3 | 2 + 2
+    ])
+    def test_the_child_takes_the_smaller_share_of_steps(self, config, Ns, child):
+        cases = [("hermite", 1, 1)] + [("augmented", N, N) for N in Ns]
+        share = cli._child_share(config, cases, list(range(1, len(cases))))
+        assert [cases[i][1] for i in share] == child
 
 
 class TestAnalyze:

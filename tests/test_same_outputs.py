@@ -76,12 +76,12 @@ def test_spectra_with_different_rows_differ(tmp_path):
 
 
 def fake_runs(sides: dict[str, dict], seconds: dict | None = None):
-    """A stand-in for `run_side_by_side`: writes each side's files and returns its wall time per step."""
-    def run_side_by_side(checkouts, work):
+    """A stand-in for `run_sides`: writes each side's files and returns its wall time per step."""
+    def run_sides(checkouts, work):
         for side, files in sides.items():
             write(work / side, files)
         return seconds or {side: {same_outputs.step_name(step): 1.0 for step in same_outputs.RUNS} for side in sides}
-    return run_side_by_side
+    return run_sides
 
 
 def checkout(root: Path, main: str = "return 0") -> Path:
@@ -94,7 +94,7 @@ def test_exit_status_is_the_verdict(tmp_path, monkeypatch, capsys, moved, status
     # 0 when every file is the same (a trace but for wall_ms), 1 when one moved or is on one side only
     same = {"sweep/manifest.json": '{"completed": [5]}\n', "sweep/trace_augmented_N5.csv": trace([0.1])}
     sides = {"parent": same, "change": {**same, "sweep/trace_augmented_N5.csv": trace([0.2]), **moved}}
-    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides))
+    monkeypatch.setattr(same_outputs, "run_sides", fake_runs(sides))
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == status
     assert '"files"' in capsys.readouterr().out
@@ -108,7 +108,7 @@ def test_summed_trace_wall_time_per_side(tmp_path, monkeypatch, capsys):
 
     sides = {"parent": side([1.0, 2.0], [1.0]), "change": side([0.5, 1.0], [0.5])}
     assert same_outputs.trace_wall_ms(write(tmp_path / "p", sides["parent"])) == 4.0
-    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides))
+    monkeypatch.setattr(same_outputs, "run_sides", fake_runs(sides))
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
     captured = capsys.readouterr()
@@ -120,10 +120,11 @@ def test_wall_time_of_each_step_per_side(tmp_path, monkeypatch, capsys):
     # each step's wall time on both sides and change/parent, by its output directory; the verdict
     # does not read them
     names = [same_outputs.step_name(step) for step in same_outputs.RUNS]
-    assert names == ["sweep", "sweep/analysis", "ladder", "ladder/analysis"]
-    seconds = {"parent": dict(zip(names, [30.0, 1.0, 4.0, 0.5])), "change": dict(zip(names, [30.0, 1.0, 2.0, 0.25]))}
+    assert names == ["sweep", "sweep/analysis", "sweep/analysis-twice", "ladder", "ladder/analysis"]
+    seconds = {"parent": dict(zip(names, [30.0, 1.0, 1.0, 4.0, 0.5])),
+               "change": dict(zip(names, [30.0, 1.0, 1.0, 2.0, 0.25]))}
     sides = {"parent": {"ladder/manifest.json": "{}\n"}, "change": {"ladder/manifest.json": "{}\n"}}
-    monkeypatch.setattr(same_outputs, "run_side_by_side", fake_runs(sides, seconds))
+    monkeypatch.setattr(same_outputs, "run_sides", fake_runs(sides, seconds))
     roots = [checkout(tmp_path / side) for side in sides]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
     captured = capsys.readouterr()
@@ -138,10 +139,23 @@ def test_wall_time_of_each_step_per_side(tmp_path, monkeypatch, capsys):
 def test_each_step_is_timed_on_both_sides(tmp_path):
     # the checkouts' `hermflow.cli.main` sleeps 0.2 s on one side only
     checkouts = {"parent": checkout(tmp_path / "p"), "change": checkout(tmp_path / "c", "__import__('time').sleep(0.2)")}
-    walls = same_outputs.run_side_by_side(checkouts, tmp_path / "work")
+    walls = same_outputs.run_sides(checkouts, tmp_path / "work")
     for side, lowest in (("parent", 0.0), ("change", 0.2)):
         assert list(walls[side]) == [same_outputs.step_name(step) for step in same_outputs.RUNS]
         assert all(seconds > lowest for seconds in walls[side].values())
+
+
+def test_the_sides_run_one_after_the_other(tmp_path):
+    # each command logs when it ran: no two overlap, and each step runs on the first side, then the other
+    log = tmp_path / "log.txt"
+    main = ("import sys, time; t = time.time(); time.sleep(0.02); "
+            f"open({str(log)!r}, 'a').write(f'{{sys.argv[1]}} {{t}} {{time.time()}}\\n')")
+    checkouts = {side: checkout(tmp_path / side, main) for side in ("change", "parent")}
+    same_outputs.run_sides(checkouts, tmp_path / "work")
+    runs = [line.split() for line in log.read_text().splitlines()]
+    assert [command for command, *_ in runs] == [step[0] for step in same_outputs.RUNS for _ in checkouts]
+    spans = [(float(start), float(end)) for _, start, end in runs]
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
 
 def test_a_failed_run_exits_2(tmp_path, capsys):
@@ -155,12 +169,12 @@ def test_a_failed_run_exits_2(tmp_path, capsys):
 
 
 def test_repeats_alternate_the_side_started_first(tmp_path, monkeypatch, capsys):
-    # repeat r runs into repeat<r>/ with the change side submitted first on odd r; the verdict
+    # repeat r runs into repeat<r>/ with the change side first on odd r; the verdict
     # compares the first repeat's files, and the ratios' median and range cover every repeat
     names = [same_outputs.step_name(step) for step in same_outputs.RUNS]
     calls = []
 
-    def run_side_by_side(checkouts, work):
+    def run_sides(checkouts, work):
         r = len(calls)
         calls.append((list(checkouts), work))
         files = {"ladder/manifest.json": "{}\n" if r == 0 else f"{{\"repeat\": {r}}}\n"}
@@ -168,7 +182,7 @@ def test_repeats_alternate_the_side_started_first(tmp_path, monkeypatch, capsys)
         write(work / "change", {**files, "sweep/trace_augmented_N5.csv": trace([100.0 * (0.9, 1.2, 1.0)[r]])})
         return {"parent": dict.fromkeys(names, 2.0), "change": dict.fromkeys(names, (1.0, 3.0, 2.5)[r])}
 
-    monkeypatch.setattr(same_outputs, "run_side_by_side", run_side_by_side)
+    monkeypatch.setattr(same_outputs, "run_sides", run_sides)
     roots = [checkout(tmp_path / side) for side in ("parent", "change")]
     work = tmp_path / "work"
     assert same_outputs.main([*map(str, roots), "--work", str(work), "--repeat", "3"]) == 0
@@ -190,14 +204,14 @@ def test_repeats_alternate_the_side_started_first(tmp_path, monkeypatch, capsys)
 
 
 def test_one_repeat_is_the_single_run(tmp_path, monkeypatch, capsys):
-    # the default: one run into the work directory itself, the parent side submitted first
+    # the default: one run into the work directory itself, the parent side first
     calls = []
 
-    def run_side_by_side(checkouts, work):
+    def run_sides(checkouts, work):
         calls.append((list(checkouts), work))
         return fake_runs({"parent": {"a.txt": "x\n"}, "change": {"a.txt": "x\n"}})(checkouts, work)
 
-    monkeypatch.setattr(same_outputs, "run_side_by_side", run_side_by_side)
+    monkeypatch.setattr(same_outputs, "run_sides", run_sides)
     roots = [checkout(tmp_path / side) for side in ("parent", "change")]
     assert same_outputs.main([*map(str, roots), "--work", str(tmp_path / "work")]) == 0
     assert calls == [(["parent", "change"], tmp_path / "work")]

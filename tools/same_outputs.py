@@ -8,30 +8,33 @@ bytecode written:
 
     hermflow sweep --scheme both --N-range 5..29             (Q = 90, the study)
     hermflow analyze sweep/spectra.csv --n-ref 29
+    hermflow analyze sweep/spectra.csv sweep/spectra.csv --n-ref 29   (one input given twice)
     hermflow sweep --scheme hermite --Q 200 --N-range 5..180  (the plain ladder)
     hermflow analyze ladder/spectra.csv --n-ref 180
 
 The outputs go under `--work` (a new temporary directory by default, removed
-afterwards), never into either checkout; the two sides run at the same time.
-Then every file is compared: byte-identical or not.  A loss-trace CSV
-(`trace_*.csv`) is compared on every column but `wall_ms`.  For a spectra CSV
-that differs, the report gives max |dE| and the largest relative change
-|dE|/|E| per (scheme, N); any other CSV that differs gets the largest absolute
-and relative change over its numeric cells.  Standard output is one JSON
-object, the report; standard error has one line per file.  The report also
-gives each side's summed trace `wall_ms` (the study's Adam steps; the ladder
-trains nothing) and each step's wall time on each side, from the command's start
-to its exit, named by its output directory (`ladder` is the plain ladder's sweep,
-`ladder/analysis` its analyze), each with its change/parent ratio.  The two sides
-run at the same time and share the machine, so these timings are evidence, not a
-measurement of a gain or a loss; the verdict does not read them.
+afterwards), never into either checkout.  The sides run one after the other,
+never at once, since a sweep may use both cores of a 2-core host: each command
+runs on the first side and then on the other.  Then every file is compared:
+byte-identical or not.  A loss-trace CSV (`trace_*.csv`) is compared on every
+column but `wall_ms`.  For a spectra CSV that differs, the report gives max |dE|
+and the largest relative change |dE|/|E| per (scheme, N); any other CSV that
+differs gets the largest absolute and relative change over its numeric cells.
+Standard output is one JSON object, the report; standard error has one line per
+file.  The report also gives each side's summed trace `wall_ms` (the study's
+Adam steps; the ladder trains nothing) and each step's wall time on each side,
+from the command's start to its exit, named by its output directory (`ladder`
+is the plain ladder's sweep, `ladder/analysis` its analyze), each with its
+change/parent ratio.  The host's speed drifts between the two sides' runs, so
+these timings are evidence, not a measurement of a gain or a loss; the verdict
+does not read them.
 
 With `--repeat K` (default 1) RUNS run K times, the first repeat as above and
-repeat r under `repeat<r>/` in the work directory; the change side is submitted
-first on every odd repeat (the second, the fourth, ...), the parent side on
-the others, so that neither side always takes the second slot.  The
-report's `repeats` gives the median, least and largest of the K summed-trace
-ratios and of each step's ratio.  The verdict compares the first repeat's files.
+repeat r under `repeat<r>/` in the work directory; the change side goes first
+on every odd repeat (the second, the fourth, ...), the parent side on the
+others, so an even K starts each side first equally often.  The report's
+`repeats` gives the median, least and largest of the K summed-trace ratios and
+of each step's ratio.  The verdict compares the first repeat's files.
 
 The exit status is the verdict, as `diff` gives it: 0 when every file is
 byte-identical or identical except `wall_ms`, 1 when a file moved or exists on
@@ -50,12 +53,13 @@ import subprocess
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RUNS = (
     ("sweep", "--scheme", "both", "--N-range", "5..29", "--output-dir", "{out}/sweep"),
     ("analyze", "{out}/sweep/spectra.csv", "--n-ref", "29", "--output-dir", "{out}/sweep/analysis"),
+    ("analyze", "{out}/sweep/spectra.csv", "{out}/sweep/spectra.csv", "--n-ref", "29",
+     "--output-dir", "{out}/sweep/analysis-twice"),
     ("sweep", "--scheme", "hermite", "--Q", "200", "--N-range", "5..180", "--output-dir", "{out}/ladder"),
     ("analyze", "{out}/ladder/spectra.csv", "--n-ref", "180", "--output-dir", "{out}/ladder/analysis"),
 )
@@ -188,19 +192,17 @@ def run_step(checkout: Path, out: Path, step: tuple) -> tuple[int, str, float]:
     return done.returncode, done.stderr, time.perf_counter() - tick
 
 
-def run_side_by_side(checkouts: dict[str, Path], work: Path) -> dict[str, dict[str, float]]:
-    """RUNS in both checkouts, each command on both sides at once, submitted in the order of
+def run_sides(checkouts: dict[str, Path], work: Path) -> dict[str, dict[str, float]]:
+    """RUNS in both checkouts, one command at a time: each on every side, in the order of
     `checkouts`; any non-zero exit stops.  Returns each side's wall time (s) per step, by `step_name`."""
     walls = {side: {} for side in checkouts}
-    with ThreadPoolExecutor(len(checkouts)) as pool:
-        for k, step in enumerate(RUNS, start=1):
-            runs = {side: pool.submit(run_step, root, work / side, step) for side, root in checkouts.items()}
-            results = {side: run.result() for side, run in runs.items()}  # both finish first
-            for side, (code, errors, seconds) in results.items():
-                if code != 0:
-                    raise RunFailed(f"{side}: hermflow {' '.join(step)} exited {code}:\n{errors}")
-                walls[side][step_name(step)] = seconds
-            print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
+    for k, step in enumerate(RUNS, start=1):
+        for side, root in checkouts.items():
+            code, errors, seconds = run_step(root, work / side, step)
+            if code != 0:
+                raise RunFailed(f"{side}: hermflow {' '.join(step)} exited {code}:\n{errors}")
+            walls[side][step_name(step)] = seconds
+        print(f"ran step {k} of {len(RUNS)} (hermflow {step[0]}) on both sides", file=sys.stderr, flush=True)
     return walls
 
 
@@ -212,10 +214,10 @@ def step_walls(walls: dict[str, dict[str, float]]) -> dict[str, dict]:
 
 
 def run_repeat(checkouts: dict[str, Path], work: Path, first: str) -> dict:
-    """RUNS once into `work`, the `first` side submitted first: which side that was, the summed
-    trace `wall_ms` per side with change/parent, and each step's wall times (`step_walls`)."""
+    """RUNS once into `work`, the `first` side first: which side that was, the summed trace
+    `wall_ms` per side with change/parent, and each step's wall times (`step_walls`)."""
     order = SIDES if first == "parent" else SIDES[::-1]
-    steps = step_walls(run_side_by_side({side: checkouts[side] for side in order}, work))
+    steps = step_walls(run_sides({side: checkouts[side] for side in order}, work))
     walls = {side: trace_wall_ms(work / side) for side in SIDES}
     walls["ratio"] = walls["change"] / walls["parent"] if walls["parent"] else None
     return {"first": first, "trace_wall_ms": walls, "step_wall_s": steps}
@@ -229,7 +231,7 @@ def ratio_spread(ratios: list) -> dict:
 
 
 def repeat_spread(repeats: list[dict]) -> dict:
-    """Over the repeats: the side submitted first in each, and the spread of the summed trace
+    """Over the repeats: the side run first in each, and the spread of the summed trace
     ratio and of each step's ratio (`ratio_spread`)."""
     return {
         "k": len(repeats),
@@ -245,7 +247,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--work", type=Path, help="where both sides write (kept); a temporary directory by default")
-    parser.add_argument("--repeat", type=int, default=1, help="times to run RUNS, alternating the side started first")
+    parser.add_argument("--repeat", type=int, default=1, help="times to run RUNS, alternating the side run first")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be positive")
