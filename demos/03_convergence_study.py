@@ -5,18 +5,19 @@ eigenvalue errors against each scheme's own largest-N reference, and the
 error-ratio sequence e_N = |x_N - x*| / |x_{N-1} - x*| for a window of
 mid-spectrum states, summarized by a least-squares line.  Ratios tending
 to zero as N grows indicate faster-than-linear convergence; the warped
-basis reaches a given accuracy at visibly smaller N.  Each case is solved by
-`solve_case`, as `hermflow sweep` solves it, and each scheme's numbers are read
-from `build_convergence_report`, as `hermflow analyze` writes them.
+basis reaches a given accuracy at visibly smaller N.  The sweep is solved by
+`solve_sweep`, as `hermflow sweep` solves it (per-N seeds N, and part of the Ns
+in a child process where two CPUs are usable), and each scheme's numbers are
+read from `build_convergence_report`, as `hermflow analyze` writes them.
 
-Runtime is a couple of minutes (every N trains its own warp).
+Runtime is a few seconds (every N trains its own warp).
 """
 
 import math
 
 from hermflow import build_convergence_report
 from hermflow.analysis import WINDOW
-from hermflow.cli import ExperimentConfig, solve_case
+from hermflow.cli import ExperimentConfig, solve_sweep
 
 N_VALUES = range(5, 22)
 N_REF = max(N_VALUES)
@@ -25,10 +26,11 @@ N_REF = max(N_VALUES)
 def main():
     config = ExperimentConfig(potential="anharmonic", Q=90, iterations=800)
     spectra = {"hermite": {}, "augmented": {}}
-    memo = {}  # one per sweep, as `hermflow sweep` keeps it: each plain parity block is solved once
-    for N in N_VALUES:
-        for scheme, by_n in spectra.items():
-            by_n[N] = solve_case(config, scheme, N, seed=N, memo=memo).eigenvalues
+    for N, solved in zip(N_VALUES, solve_sweep(config, N_VALUES)):
+        if isinstance(solved, str):
+            raise RuntimeError(f"N={N} failed: {solved}")
+        for by_n, case in zip(spectra.values(), solved):
+            by_n[N] = case.eigenvalues
         print(f"  solved N={N} (both schemes)")
     reports = {s: build_convergence_report(s, by_n, N_REF) for s, by_n in spectra.items()}
 

@@ -7,26 +7,27 @@ Subcommands:
   warp's checkpoint and loss trace, print a one-line summary.  An unwarped case
   with an even potential (both named ones are) is solved as its two parity blocks.
 * ``sweep``   - the same over a range of basis sizes with per-N seeds derived
-  from the master seed, solved by `solve_cases` and written by `write_sweep`:
-  one spectra CSV (an N's rows only once every scheme has solved) and a
-  manifest.  Growing the basis from N to N + 1 adds index N, which grows one
-  parity block only: the other is N's, bit for bit.  So a sweep keeps a memo of
-  the plain blocks it has solved, their eigenvalues and traces, and solves each
-  block once.  The memo lives for one sweep call: nothing is cached across
-  calls, and a warped case never uses it.
+  from the master seed, solved N by N by `solve_sweep` (an N stops at its first
+  failed scheme) and written by `write_sweep`: one spectra CSV (an N's rows only
+  once every scheme has solved) and a manifest.  Growing the basis from N to
+  N + 1 adds index N, which grows one parity block only: the other is N's, bit
+  for bit.  So each process of a sweep keeps a memo of the plain blocks it has
+  solved, their eigenvalues and traces, and solves each block once.  The memo
+  lives for one sweep call: nothing is cached across calls, and a warped case
+  never uses it.
 * ``analyze`` - read spectra CSVs in one pass (`analysis.read_spectra_csv`) and
   turn them into band-error, convergence-rate and linear-fit CSVs against each
   scheme's own reference spectrum.
 
-A sweep with two or more warped (augmented) cases, in a process that may run
-on more than one CPU, trains them on two: one child process, a fresh
-interpreter with one BLAS thread, trains part of the warped cases while this
-process solves the rest and every plain case (the memo stays here).  The
-shares are split by Adam steps, and this process keeps the larger.  Each case
-is solved as it would be here, so every output file is byte-identical to a
-one-process run (the loss traces' ``wall_ms`` aside); this process writes them
-all, and re-issues the child's warnings.  ``taskset -c 0 hermflow sweep ...``
-runs in one process.  `solve` and a plain sweep start no child.
+A sweep of two or more Ns with a warped (augmented) scheme, in a process that
+may run on more than one CPU, solves them on two: one child process, a fresh
+interpreter with one BLAS thread and its own memo, solves whole Ns while this
+process solves the rest.  The Ns are split by Adam steps, and this process
+keeps the larger share.  Each N is solved as it would be here, so every output
+file is byte-identical to a one-process run (the loss traces' ``wall_ms``
+aside); this process writes them all, and re-issues the child's warnings.
+``taskset -c 0 hermflow sweep ...`` runs in one process.  `solve` and a plain
+sweep start no child.
 
 Runs are configured by a flat ``key = value`` text file whose keys are the
 fields of `ExperimentConfig`: those of `trainer.TrainingSettings`, with their
@@ -70,13 +71,13 @@ from .analysis import (
     write_spectra_csv,
 )
 from .eigensolver import eigh
-from .flow import FlowParams, _from_vector, save_checkpoint
+from .flow import FlowParams, save_checkpoint
 from .galerkin import assemble_hamiltonian, check_plain_size, potential_from_descriptor
 from .hermite import BasisSpec
 from .quadrature import gauss_hermite_rule
 from .trainer import TrainingConfig, TrainingSettings, TrainingTrace, train
 
-__all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case", "solve_cases", "usable_cpus",
+__all__ = ["ExperimentConfig", "ConfigError", "CaseResult", "solve_case", "solve_sweep", "usable_cpus",
            "write_sweep", "cmd_solve", "cmd_sweep", "cmd_analyze", "main"]
 
 OUTPUT_ROOT_ENV = "HERMFLOW_OUTPUT_ROOT"
@@ -120,6 +121,10 @@ class ExperimentConfig(TrainingSettings):
 
     def schemes(self) -> tuple[str, ...]:
         return ("hermite", "augmented") if self.scheme == "both" else (self.scheme,)
+
+    def seed_at(self, N: int) -> int:
+        """A sweep's seed at basis size N: a fixed offset from the master seed."""
+        return self.seed + N
 
     def validate(self) -> "ExperimentConfig":
         if self.scheme not in _SCHEMES:
@@ -196,8 +201,8 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: d
     `memo` holds each unwarped block's eigenvalues and trace, keyed by Q, the potential
     and the block's indices: a block met again (N + 1 adds index N, so the other parity
     block is N's, bit for bit) is read, not assembled and diagonalized again.  Pass
-    one memo to the cases of one sweep (`cmd_sweep` owns one per call); without one
-    the case solves every block.  A warped case neither reads nor writes it.
+    one memo to the cases of one sweep (`solve_sweep` makes one per process); without
+    one the case solves every block.  A warped case neither reads nor writes it.
     """
     if scheme not in ("hermite", "augmented"):
         raise ValueError(f"solve_case takes scheme 'hermite' or 'augmented', got {scheme!r}")
@@ -221,16 +226,8 @@ def solve_case(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: d
 
 
 def _failure(exc: BaseException) -> str:
-    """How a sweep records a case's error: 'Type: message'."""
+    """How a sweep records an N's error: 'Type: message'."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def _solved(config: ExperimentConfig, scheme: str, N: int, seed: int, memo: dict | None = None):
-    """`solve_case`'s result, or the error it raised as 'Type: message'."""
-    try:
-        return solve_case(config, scheme, N, seed, memo)
-    except Exception as exc:  # noqa: BLE001 - a sweep records a case's failure and goes on
-        return _failure(exc)
 
 
 def usable_cpus() -> int:
@@ -238,26 +235,35 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def solve_cases(config: ExperimentConfig, cases: list, memo: dict | None = None, workers: int = 1) -> list:
-    """Solve each (scheme, N, seed) case as `solve_case` does; writes no file.
-
-    Returns, in the order of `cases`, each case's `CaseResult` or its error as
-    'Type: message'.  `memo` serves the plain cases, as in `solve_case`.  With two
-    or more workers and two or more warped cases, one child process (see
-    `_start_child`) trains part of the warped cases while this process solves the
-    rest and every plain case: the warped cases are split in two by Adam steps,
-    longest first (Graham's rule), and the child takes the smaller share.  Results,
-    warps and loss traces come back bit for bit, and the child's warnings are
-    re-issued here; a child that dies fails its cases.
-    """
-    warped = [i for i, (scheme, _, _) in enumerate(cases) if scheme == "augmented"]
-    share = _child_share(config, cases, warped) if workers > 1 and len(warped) > 1 else []
-    child = _start_child(config, [cases[i] for i in share]) if share else None
-    results = {}
+def _solve_n(config: ExperimentConfig, N: int, memo: dict):
+    """Each scheme's `solve_case` at N with N's seed, in `config.schemes()` order, or the
+    first error as 'Type: message': the schemes after a failed one are not solved."""
     try:
-        for i, (scheme, N, seed) in enumerate(cases):
-            if i not in share:
-                results[i] = _solved(config, scheme, N, seed, memo)
+        return [solve_case(config, scheme, N, config.seed_at(N), memo) for scheme in config.schemes()]
+    except Exception as exc:  # noqa: BLE001 - a sweep records an N's failure and goes on
+        return _failure(exc)
+
+
+def solve_sweep(config: ExperimentConfig, Ns) -> list:
+    """Solve a sweep N by N by `_solve_n`, with one memo of plain blocks per process; writes no file.
+
+    Returns, in the order of `Ns`, either each scheme's `CaseResult` in `config.schemes()`
+    order or the N's first error as 'Type: message'.  With two or more Ns, a warped scheme
+    and two or more usable CPUs, one child process (see `_start_child`) solves part of the
+    Ns while this process solves the rest: the Ns are split in two by Adam steps, longest
+    first (Graham's rule), and the child takes the smaller share.  Results, warps and loss
+    traces come back bit for bit, and the child's warnings are re-issued here; a child that
+    dies fails its Ns.
+    """
+    Ns = list(Ns)
+    two = len(Ns) > 1 and "augmented" in config.schemes() and usable_cpus() > 1
+    share = _child_share(config, Ns) if two else []
+    child = _start_child(config, share) if share else None
+    memo, results = {}, {}
+    try:
+        for N in Ns:
+            if N not in share:
+                results[N] = _solve_n(config, N, memo)
         if child is not None:
             results.update(zip(share, _child_results(child, len(share))))
     finally:
@@ -265,27 +271,26 @@ def solve_cases(config: ExperimentConfig, cases: list, memo: dict | None = None,
             child.kill()  # a no-op once it has been waited for
             child.wait()
             child.stdout.close()
-    return [results[i] for i in range(len(cases))]
+    return [results[N] for N in Ns]
 
 
-def _child_share(config: ExperimentConfig, cases: list, warped: list) -> list:
-    """The indices of the warped cases a child trains: their Adam steps dealt longest
-    first to the lighter of two shares (ties to the first), and the lighter share taken."""
-    steps = {i: config.steps_at(cases[i][1]) for i in warped}
+def _child_share(config: ExperimentConfig, Ns: list) -> list:
+    """The Ns a child solves, in the order of Ns: their Adam steps dealt longest first to
+    the lighter of two shares (ties to the first), and the lighter share taken."""
     shares, loads = ([], []), [0, 0]
-    for i in sorted(warped, key=steps.get, reverse=True):  # a stable sort: equal cases keep their order
+    for N in sorted(Ns, key=config.steps_at, reverse=True):  # a stable sort: equal Ns keep their order
         k = int(loads[1] < loads[0])
-        shares[k].append(i)
-        loads[k] += steps[i]
-    return sorted(shares[int(loads[1] <= loads[0])])
+        shares[k].append(N)
+        loads[k] += config.steps_at(N)
+    return [N for N in Ns if N in shares[int(loads[1] <= loads[0])]]
 
 
-# A child's program: `_child_main` on the pickled config and cases it reads from stdin.
+# A child's program: `_child_main` on the pickled config and Ns it reads from stdin.
 _CHILD_SCRIPT = "from hermflow.cli import _child_main; _child_main()"
 
 
-def _start_child(config: ExperimentConfig, cases: list):
-    """A fresh interpreter that imports this `hermflow`, with one BLAS thread, solving `cases`
+def _start_child(config: ExperimentConfig, Ns: list):
+    """A fresh interpreter that imports this `hermflow`, with one BLAS thread, solving `Ns`
     (`_child_main`); its stdout is a pipe to this process, its stderr this process's."""
     import subprocess  # here: a run that starts no child does not load it
 
@@ -296,50 +301,45 @@ def _start_child(config: ExperimentConfig, cases: list):
                              stdout=subprocess.PIPE, env=env)
     try:
         with child.stdin:
-            child.stdin.write(pickle.dumps((vars(config), cases)))
-    except BrokenPipeError:  # it died before reading them: `_child_results` fails its cases
+            child.stdin.write(pickle.dumps((vars(config), Ns)))
+    except BrokenPipeError:  # it died before reading them: `_child_results` fails its Ns
         pass
     return child
 
 
 def _child_main():
-    """A child's program: solve the cases pickled on stdin (with the config's fields) and pickle
-    to stdout, per case, its error or its eigenvalues, trace, warp (as theta and its shape) and
-    loss trace, and the warnings it raised.  Classes of this module do not cross the pipe: a
-    parent run as ``python -m hermflow.cli`` knows them by another module name."""
-    values, cases = pickle.load(sys.stdin.buffer)
+    """A child's program: solve the Ns pickled on stdin (with the config's fields) by
+    `_solve_n`, with one memo, and pickle to stdout, per N, its error or its cases as tuples,
+    and the warnings it raised.  Classes of this module do not cross the pipe: a parent run
+    as ``python -m hermflow.cli`` knows them by another module name."""
+    values, Ns = pickle.load(sys.stdin.buffer)
     config = ExperimentConfig(**values)
     pipe, sys.stdout = sys.stdout.buffer, sys.stderr  # only the results go down the pipe
-    outcomes = []
-    for scheme, N, seed in cases:
+    memo, outcomes = {}, []
+    for N in Ns:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # each one goes back; the parent's filters decide
-            case = _solved(config, scheme, N, seed)
-        if isinstance(case, CaseResult):
-            p = case.params
-            warp = (p.theta, p.hidden, len(p.blocks), p.lipschitz_margin)
-            case = (case.eigenvalues, case.trace, warp, case.training)
-        outcomes.append((case, [(w.category, str(w.message)) for w in caught]))
+            solved = _solve_n(config, N, memo)
+        solved = solved if isinstance(solved, str) else [tuple(case) for case in solved]
+        outcomes.append((solved, [(w.category, str(w.message)) for w in caught]))
     pickle.dump(outcomes, pipe)
 
 
 def _child_results(child, n: int) -> list:
-    """The child's n cases as `solve_cases` returns them, each warp rebuilt by `flow._from_vector`
-    and each warning re-issued; all n fail if the child exits non-zero."""
+    """The child's n Ns as `solve_sweep` returns them, each warning re-issued; all n fail
+    if the child exits non-zero."""
     data = child.stdout.read()
     if status := child.wait():
         return [f"ChildProcessError: the sweep's child process exited with status {status}"] * n
     results = []
-    for case, caught in pickle.loads(data):
-        if not isinstance(case, str):
-            eigenvalues, trace, warp, training = case
-            case = CaseResult(eigenvalues, trace, _from_vector(*warp), training)
+    for solved, caught in pickle.loads(data):
+        solved = solved if isinstance(solved, str) else [CaseResult(*case) for case in solved]
         try:
             for category, message in caught:
                 warnings.warn(message, category)
-        except Warning as exc:  # a filter made it an error: the case fails, as it would have here
-            case = _failure(exc)
-        results.append(case)
+        except Warning as exc:  # a filter made it an error: the N fails, as it would have here
+            solved = _failure(exc)
+        results.append(solved)
     return results
 
 
@@ -351,24 +351,20 @@ def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) 
     return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues.tolist())]
 
 
-def write_sweep(outdir: Path, cases: list, results: list) -> int:
-    """Write a sweep from its (scheme, N, seed) cases and `solve_cases`'s results, N by N in
-    the order of `cases` (`cmd_sweep` gives them in N order).
+def write_sweep(outdir: Path, config: ExperimentConfig, Ns, results: list) -> int:
+    """Write a sweep from its Ns and `solve_sweep`'s results, N by N in the order of Ns.
 
-    An N whose every case solved gets its cases' files and rows and a 'done' line; one
-    whose case failed gets its first error (in the cases' order) under "failed" in
-    ``manifest.json``, no file and no row.  Then ``spectra.csv`` and the manifest are
-    written.  Returns the exit status: 1 if an N failed, else 0.
+    An N whose every scheme solved gets its cases' files and rows and a 'done' line; a
+    failed N gets its error under "failed" in ``manifest.json``, no file and no row.  Then
+    ``spectra.csv`` and the manifest are written.  Returns the exit status: 1 if an N
+    failed, else 0.
     """
-    by_n = {}
-    for (scheme, N, seed), case in zip(cases, results):
-        by_n.setdefault(N, []).append((scheme, seed, case))
     all_rows, completed, failed = [], [], {}
-    for N, solved in by_n.items():
-        error = next((case for _, _, case in solved if isinstance(case, str)), None)
+    for N, solved in zip(Ns, results):
+        error = solved if isinstance(solved, str) else None
         try:
-            rows = [] if error else [
-                row for scheme, seed, case in solved for row in _write_case(outdir, scheme, N, seed, case)]
+            rows = [] if error else [row for scheme, case in zip(config.schemes(), solved)
+                                     for row in _write_case(outdir, scheme, N, config.seed_at(N), case)]
         except Exception as exc:  # noqa: BLE001 - record and continue the sweep
             error = _failure(exc)
         if error:
@@ -410,12 +406,10 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     if config.N_range is None:
         raise ConfigError("sweep needs N_range")
     lo, hi = parse_range(config.N_range, "N_range")
-    # per-N seeds: a fixed offset from the master seed
-    cases = [(scheme, N, config.seed + N) for N in range(lo, hi + 1) for scheme in config.schemes()]
     outdir = resolve_output_dir(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    memo = {}  # the plain blocks solved so far, for this sweep only
-    return write_sweep(outdir, cases, solve_cases(config, cases, memo, usable_cpus()))
+    Ns = range(lo, hi + 1)
+    return write_sweep(outdir, config, Ns, solve_sweep(config, Ns))
 
 
 def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:

@@ -130,6 +130,10 @@ class FlowParams:
     def __setattr__(self, name, value):
         raise AttributeError(f"a warp is read-only: build another with `with_vector` to change {name!r}")
 
+    def __reduce__(self):
+        """Pickle and copy a warp as its theta and shape, which `_from_vector` rebuilds and checks."""
+        return _from_vector, (self.theta, self.hidden, len(self.blocks), self.lipschitz_margin)
+
     @property
     def n_parameters(self) -> int:
         return self.theta.size
@@ -628,16 +632,10 @@ def init_flow_params(
 
 def save_checkpoint(params: FlowParams, path, seed: int = 0) -> None:
     """Write a versioned text checkpoint (architecture, alpha/beta, flat weights)."""
-    lines = [
-        f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}",
-        f"hidden = {params.hidden}",
-        f"blocks = {len(params.blocks)}",
-        f"lipschitz_margin = {float(params.lipschitz_margin)!r}",
-        f"alpha = {float(params.alpha)!r}",
-        f"beta = {float(params.beta)!r}",
-        f"seed = {seed}",
-        "params:",
-    ]
+    values = (params.hidden, len(params.blocks), params.lipschitz_margin, params.alpha, params.beta, seed)
+    lines = [f"{_CHECKPOINT_MAGIC} v{_CHECKPOINT_VERSION}"]
+    lines += [f"{key} = {kind(value)!r}" for (key, kind), value in zip(_CHECKPOINT_HEADER.items(), values)]
+    lines.append("params:")
     lines.extend(repr(float(v)) for v in params.theta[:-2])  # alpha and beta are header fields
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

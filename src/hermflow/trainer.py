@@ -120,10 +120,6 @@ class TrainingConfig(TrainingSettings):
         if not 0.0 < self.lipschitz_margin < 1.0:
             raise ValueError(f"lipschitz_margin must lie in (0, 1), got {self.lipschitz_margin}")
 
-    @property
-    def resolved_iterations(self) -> int:
-        return self.steps_at(self.N)
-
 
 @dataclass
 class AdamState:
@@ -281,7 +277,7 @@ def adam_step(
 
 
 def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTrace]:
-    """Optimize the warp for `config.resolved_iterations` Adam steps.
+    """Optimize the warp for `config.steps_at(config.N)` Adam steps.
 
     The loss is recorded at the start of every iteration, so the first entry
     equals the plain Hermite trace (identity initialization).  Raises `TrainingAborted`
@@ -299,7 +295,7 @@ def train(config: TrainingConfig, V: Potential) -> tuple[FlowParams, TrainingTra
     loss_fn = make_trace_loss(config.N, rule, V)
     state = AdamState.init(params.n_parameters)
     losses, grad_norms, wall_ms = [], [], []
-    for _ in range(config.resolved_iterations):
+    for _ in range(config.steps_at(config.N)):
         tick = time.perf_counter()
         try:
             value, grad = gradient(loss_fn, params)

@@ -3,10 +3,10 @@
 The expensive part is a full training sweep of the augmented scheme over
 N = 5..29 (anharmonic potential, Q = 90, hidden 128, 1 block, lr 1e-3,
 500 iterations for N <= 9 and 2000 beyond, per-N seeds = master + N), its
-cases solved by `hermflow.cli.solve_cases`, as `hermflow sweep` solves them; it
+Ns solved by `hermflow.cli.solve_sweep`, as `hermflow sweep` solves them; it
 is computed once per session and shared by criteria 4-8.  The criteria read the
 program's own results, not copies of its arithmetic: criterion 4 compares the
-traces that `solve_cases` returns, and criteria 5 and 6 read each scheme's
+traces that `solve_sweep` returns, and criteria 5 and 6 read each scheme's
 `build_convergence_report` against its own N = 29 spectrum, as
 ``hermflow analyze --n-ref 29`` builds it.
 
@@ -32,6 +32,7 @@ Notes on what three of the checks can and cannot claim:
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from hermflow import (
     make_trace_loss,
 )
 from hermflow.analysis import band_average_errors, build_convergence_report
-from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_case, solve_cases, usable_cpus
+from hermflow.cli import ExperimentConfig, main, read_spectra_csv, solve_sweep
 from hermflow.trainer import gradient
 from conftest import finite_diff_gradient, make_feasible_params
 
@@ -76,19 +77,15 @@ def rule90():
 
 @pytest.fixture(scope="module")
 def sweep():
-    """Both schemes over N = 5..29, solved by `solve_cases` as `hermflow sweep` solves them
-    (one memo for the plain blocks, and the warped cases on two processes where this one may
-    use two CPUs): spectra, traces of the projected Hamiltonians, loss traces, and each
-    augmented case's training time, its loss trace's summed `wall_ms`."""
-    config = ExperimentConfig(potential="anharmonic", Q=90)
-    cases = [(scheme, N, MASTER_SEED + N) for N in SWEEP_RANGE for scheme in ("hermite", "augmented")]
-    results = solve_cases(config, cases, {}, usable_cpus())
-    failed = [case for case in results if isinstance(case, str)]
+    """Both schemes over N = 5..29, solved by `solve_sweep` as `hermflow sweep` solves them
+    (one memo of plain blocks per process, and part of the Ns in a child process where this
+    one may use two CPUs): spectra, traces of the projected Hamiltonians, loss traces, and
+    each augmented case's training time, its loss trace's summed `wall_ms`."""
+    results = solve_sweep(ExperimentConfig(potential="anharmonic", Q=90, seed=MASTER_SEED), SWEEP_RANGE)
+    failed = [solved for solved in results if isinstance(solved, str)]
     assert not failed, failed
-    solved = {(scheme, N): case for (scheme, N, _), case in zip(cases, results)}
     out = {}
-    for N in SWEEP_RANGE:
-        aug, herm = solved["augmented", N], solved["hermite", N]
+    for N, (herm, aug) in zip(SWEEP_RANGE, results):
         out[N] = dict(aug=aug.eigenvalues, herm=herm.eigenvalues, trace=dict(aug=aug.trace, herm=herm.trace),
                       losses=aug.training.losses, seconds=float(aug.training.wall_ms.sum()) / 1e3)
     return out
@@ -241,15 +238,17 @@ def test_invariant_band_ordering_at_small_n(reports):
 def test_invariant_band_ordering_at_three_seeds(sweep, converged_reference):
     # the same ordering at master seeds 0 (the sweep's), 1 and 2, per-N seeds master + N, with
     # both band-1 errors measured against the converged N = 160 reference; 5,000 Adam steps
-    config = ExperimentConfig(potential="anharmonic", Q=90)
+    config, Ns = ExperimentConfig(potential="anharmonic", Q=90), range(5, 10)
+    spectra = {(0, N): sweep[N]["aug"] for N in Ns}
+    for master in (1, 2):
+        results = solve_sweep(replace(config, seed=master, scheme="augmented"), Ns)
+        assert not [solved for solved in results if isinstance(solved, str)], results
+        spectra.update(((master, N), aug.eigenvalues) for N, (aug,) in zip(Ns, results))
     errors = {}
-    for N in range(5, 10):
-        spectra = {0: sweep[N]["aug"]}
-        for master in (1, 2):
-            spectra[master] = solve_case(config, "augmented", N, master + N).eigenvalues
+    for N in Ns:
         plain = band_average_errors(sweep[N]["herm"], converged_reference, 5)[0]
-        for master, warped in spectra.items():
-            errors[master, N] = (band_average_errors(warped, converged_reference, 5)[0], plain)
+        for master in (0, 1, 2):
+            errors[master, N] = (band_average_errors(spectra[master, N], converged_reference, 5)[0], plain)
     print("band-1 error, augmented / plain, at (master seed, N):",
           {key: f"{aug:.1e} / {plain:.1e}" for key, (aug, plain) in errors.items()})
     above = [key for key, (aug, plain) in errors.items() if not aug <= plain]

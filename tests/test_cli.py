@@ -26,7 +26,7 @@ from hermflow.cli import (
     parse_range,
     read_spectra_csv,
     solve_case,
-    solve_cases,
+    solve_sweep,
     write_sweep,
 )
 from hermflow.trainer import TrainingConfig
@@ -271,8 +271,13 @@ class TestSolveCaseParity:
 
 
 def one_cpu(monkeypatch):
-    """Keep a sweep's cases in this process, as `taskset -c 0` does: a child never sees a monkeypatch."""
+    """Keep a sweep's Ns in this process, as `taskset -c 0` does: a child never sees a monkeypatch."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+
+
+def two_cpus(monkeypatch):
+    """Let a sweep start its child whatever CPUs this host has."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
 
 
 def count_cli_calls(monkeypatch, names):
@@ -381,15 +386,16 @@ class TestSweep:
 
 
 class TestTwoProcesses:
-    """`solve_cases` with two workers: a child trains part of the warped cases, and the
-    sweep it gives is the one-process sweep, byte for byte."""
+    """`solve_sweep` on two CPUs: a child solves part of the Ns, and the sweep it gives is
+    the one-process sweep, byte for byte."""
 
     SMALL = dict(potential="anharmonic", Q=30, hidden=4, iterations=20)
 
-    def sweep(self, out, config, cases, workers):
-        """`cmd_sweep`'s solve and write on `cases`: (exit status, files by name)."""
+    def sweep(self, monkeypatch, out, config, Ns, cpus):
+        """`cmd_sweep`'s solve and write on `cpus` CPUs: (exit status, files by name)."""
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
         out.mkdir()
-        code = write_sweep(out, cases, solve_cases(config, cases, {}, workers))
+        code = write_sweep(out, config, Ns, solve_sweep(config, Ns))
         return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
     def same_sweep(self, alone, split):
@@ -402,21 +408,21 @@ class TestTwoProcesses:
             else:
                 assert alone[name] == split[name], name
 
-    def test_outputs_are_those_of_one_process(self, tmp_path):
+    def test_outputs_are_those_of_one_process(self, tmp_path, monkeypatch):
         config = ExperimentConfig(**self.SMALL, seed=11)
-        cases = [(scheme, N, 11 + N) for N in range(3, 7) for scheme in ("hermite", "augmented")]
-        (one, alone), (two, split) = (self.sweep(tmp_path / f"w{w}", config, cases, w) for w in (1, 2))
+        (one, alone), (two, split) = (
+            self.sweep(monkeypatch, tmp_path / f"w{cpus}", config, range(3, 7), cpus) for cpus in (1, 2))
         assert one == two == 0
         self.same_sweep(alone, split)
         assert [name for name in split if name.startswith("checkpoint")] == [
             f"checkpoint_augmented_N{N}.txt" for N in range(3, 7)]
         assert len(split["trace_augmented_N6.csv"].splitlines()) == 2 + 20
 
-    def test_a_case_failing_in_the_child_fails_as_here(self, tmp_path):
+    def test_a_case_failing_in_the_child_fails_as_here(self, tmp_path, monkeypatch):
         # N = 17 > Q = 16 goes to the child (the parent keeps the first of two equal shares)
         config = ExperimentConfig(**{**self.SMALL, "Q": 16}, scheme="augmented")
-        cases = [("augmented", N, N) for N in (3, 17)]
-        (one, alone), (two, split) = (self.sweep(tmp_path / f"w{w}", config, cases, w) for w in (1, 2))
+        (one, alone), (two, split) = (
+            self.sweep(monkeypatch, tmp_path / f"w{cpus}", config, (3, 17), cpus) for cpus in (1, 2))
         assert one == two == 1
         self.same_sweep(alone, split)
         manifest = json.loads(split["manifest.json"])
@@ -425,18 +431,34 @@ class TestTwoProcesses:
         assert "checkpoint_augmented_N17.txt" not in split
         assert sorted(read_spectra_csv(tmp_path / "w2" / "spectra.csv")["augmented"]) == [3]
 
-    def test_a_warning_in_the_child_is_issued_here(self):
+    def test_a_warning_in_the_child_is_issued_here(self, monkeypatch):
         # at Q = 16, N = 3 assembles without the 2N + 10 warning and N = 4, the child's, with it
+        two_cpus(monkeypatch)
         config = ExperimentConfig(**{**self.SMALL, "Q": 16}, scheme="augmented")
         with pytest.warns(UserWarning, match=r"quadrature order 16 < 2N \+ 10 = 18") as caught:
-            results = solve_cases(config, [("augmented", N, N) for N in (3, 4)], None, workers=2)
-        assert len(caught) == 1 and all(isinstance(r, cli.CaseResult) for r in results)
+            results = solve_sweep(config, (3, 4))
+        assert len(caught) == 1 and all(isinstance(case, cli.CaseResult) for cases in results for case in cases)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_an_n_stops_at_its_first_failure(self, tmp_path, monkeypatch, cpus):
+        # at Q = 20 the plain basis is exact up to N = 18: N = 19 and 20 fail at their plain case,
+        # so no warp of theirs trains or warns (2N + 10 = 48, 50); with two CPUs the child solves N = 19
+        trained, fit = [], cli.train
+        monkeypatch.setattr(cli, "train", lambda config, V: trained.append(config.N) or fit(config, V))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sweep", "--scheme", "both", "--Q", 20, "--N-range", "18..20", "--hidden", 4,
+                        "--iterations", 50, "--output-dir", tmp_path]) == 1
+        assert [str(w.message).partition(";")[0] for w in caught] == ["quadrature order 20 < 2N + 10 = 46"]
+        assert trained == [18]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["completed"] == [18] and list(manifest["failed"]) == ["19", "20"]
+        assert "N = 19 exceeds 18" in manifest["failed"]["19"] and "N = 20 exceeds 18" in manifest["failed"]["20"]
 
     def test_a_child_that_dies_fails_its_cases(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_CHILD_SCRIPT", "import os; os._exit(3)")
-        config = ExperimentConfig(**self.SMALL)
-        cases = [(scheme, N, N) for N in range(3, 6) for scheme in ("hermite", "augmented")]
-        code, files = self.sweep(tmp_path / "out", config, cases, 2)
+        code, files = self.sweep(monkeypatch, tmp_path / "out", ExperimentConfig(**self.SMALL), range(3, 6), 2)
         assert code == 1 and {"spectra.csv", "manifest.json", "checkpoint_augmented_N3.txt"} <= set(files)
         manifest = json.loads(files["manifest.json"])
         assert manifest["completed"] == [3, 5] and list(manifest["failed"]) == ["4"]
@@ -461,20 +483,23 @@ class TestTwoProcesses:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_solved", interrupted)
-        cases = [("augmented", N, N) for N in (3, 4)]
+        two_cpus(monkeypatch)
+        monkeypatch.setattr(cli, "_solve_n", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            solve_cases(ExperimentConfig(**self.SMALL), cases, None, workers=2)
+            solve_sweep(ExperimentConfig(**self.SMALL), (3, 4))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("workers,warped,child", [(1, 5, False), (2, 1, False), (2, 0, False), (2, 2, True)])
-    def test_a_child_starts_only_for_two_warped_cases_on_two_cpus(self, monkeypatch, workers, warped, child):
+    @pytest.mark.parametrize("cpus,warped,child", [(1, 5, False), (2, 1, False), (2, 0, False), (2, 2, True)])
+    def test_a_child_starts_only_for_two_warped_cases_on_two_cpus(self, monkeypatch, cpus, warped, child):
+        # `warped` Ns of both schemes, or with none two plain Ns
         started, start = [], cli._start_child
-        monkeypatch.setattr(cli, "_start_child", lambda config, cases: started.append(cases) or start(config, cases))
-        cases = [("hermite", 3, 3)] + [("augmented", N, N) for N in range(3, 3 + warped)]
-        results = solve_cases(ExperimentConfig(**{**self.SMALL, "iterations": 1}), cases, {}, workers)
-        assert bool(started) is child and all(isinstance(r, cli.CaseResult) for r in results)
+        monkeypatch.setattr(cli, "_start_child", lambda config, Ns: started.append(Ns) or start(config, Ns))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        config = ExperimentConfig(**{**self.SMALL, "iterations": 1}, scheme="both" if warped else "hermite")
+        results = solve_sweep(config, range(3, 3 + (warped or 2)))
+        assert bool(started) is child
+        assert all(isinstance(case, cli.CaseResult) for cases in results for case in cases)
 
     @pytest.mark.parametrize("config,Ns,child", [
         (ExperimentConfig(iterations=500), range(5, 10), [6, 8]),  # sweep_small: the parent keeps three
@@ -482,9 +507,7 @@ class TestTwoProcesses:
         (SimpleNamespace(steps_at={1: 3, 2: 2, 3: 2}.get), (1, 2, 3), [1]),  # dealt 3 | 2 + 2
     ])
     def test_the_child_takes_the_smaller_share_of_steps(self, config, Ns, child):
-        cases = [("hermite", 1, 1)] + [("augmented", N, N) for N in Ns]
-        share = cli._child_share(config, cases, list(range(1, len(cases))))
-        assert [cases[i][1] for i in share] == child
+        assert cli._child_share(config, list(Ns)) == child
 
 
 class TestAnalyze:

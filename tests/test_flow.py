@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -667,6 +669,16 @@ class TestLipschitzCheck:
         for array in (params.blocks[0].w_in, params.blocks[0].b_in, params.theta):
             with pytest.raises(ValueError, match="read-only"):
                 array *= 3.0
+
+    def test_a_pickled_or_copied_warp_is_built_by_the_one_builder(self, rng):
+        # a sweep's child sends its warps down a pipe: each copy is the warp `_from_vector` builds
+        params = make_feasible_params(8, 5.0, 0.0, rng, n_blocks=2)
+        kept = params.theta.tobytes()
+        for copied in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params)):
+            assert not copied.theta.flags.writeable
+            views = [array for b in copied.blocks for array in (b.w_in, b.b_in, b.w_out)]
+            assert len(views) == 6 and all(np.shares_memory(array, copied.theta) for array in views)
+            assert copied.theta.tobytes() == kept and copied.lipschitz_margin == params.lipschitz_margin
 
 
 class TestCheckpoint:

@@ -528,9 +528,9 @@ class TestTrain:
         assert trace.grad_norms.size == 7 and trace.wall_ms.size == 7
 
     def test_default_iteration_counts(self):
-        assert TrainingConfig(N=9).resolved_iterations == 500
-        assert TrainingConfig(N=10).resolved_iterations == 2000
-        assert TrainingConfig(N=10, iterations=123).resolved_iterations == 123
+        assert TrainingConfig(N=9).steps_at(9) == 500
+        assert TrainingConfig(N=10).steps_at(10) == 2000
+        assert TrainingConfig(N=10, iterations=123).steps_at(10) == 123
 
     def test_divergent_run_aborts_with_partial_trace(self):
         # a huge step drags alpha below the node range; training must stop with the
