@@ -173,10 +173,12 @@ def write_spectra_csv(path, rows) -> None:
 def read_spectra_csv(*paths) -> dict[str, dict[int, np.ndarray]]:
     """Every path's spectra rows, read in one pass, as {scheme: {N: eigenvalues}}.  ValueError, naming the
     file: a malformed row; a level (scheme, N, n) given a value unlike an earlier row's, in any file; or a
-    file with some but not all levels 0 .. N-1 of a case, which no other input fills in."""
+    file with some but not all levels 0 .. N-1 of a case, which no other input fills in.  Rows stream: each
+    is held only while it is read, and a file's completeness is decided from its own indices in O(rows),
+    whatever N a row names."""
     cases: dict[str, dict[int, dict[int, float]]] = {}  # scheme -> N -> {n: E}, over every input
     for path in paths:
-        given: dict[tuple[str, int], set[int]] = {}  # the levels this file gives
+        given: dict[tuple[str, int], list[int]] = {}  # the indices this file gives, repeats kept
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -193,9 +195,9 @@ def read_spectra_csv(*paths) -> dict[str, dict[int, np.ndarray]]:
                 if n in levels and levels[n] != E:  # a NaN differs from every value, itself too
                     raise ValueError(f"{path}:{lineno}: conflicting value for {scheme} N={N} n={n}")
                 levels[n] = E
-                given.setdefault((scheme, N), set()).add(n)
-        for (scheme, N), indices in given.items():
-            if indices != set(range(N)):
+                given.setdefault((scheme, N), []).append(n)
+        for (scheme, N), indices in given.items():  # N distinct indices in 0 .. N-1 are all of them
+            if min(indices) != 0 or max(indices) != N - 1 or len(set(indices)) != N:
                 raise ValueError(f"{path}: incomplete spectrum for {scheme} N={N}")
     return {scheme: {N: np.array([levels[n] for n in range(N)]) for N, levels in by_N.items()}
             for scheme, by_N in cases.items()}

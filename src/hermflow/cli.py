@@ -15,9 +15,11 @@ Subcommands:
   solved, their eigenvalues and traces, and solves each block once.  The memo
   lives for one sweep call: nothing is cached across calls, and a warped case
   never uses it.
-* ``analyze`` - read spectra CSVs in one pass (`analysis.read_spectra_csv`) and
-  turn them into band-error, convergence-rate and linear-fit CSVs against each
-  scheme's own reference spectrum.
+* ``analyze`` - read spectra CSVs in one pass (`analysis.read_spectra_csv`, whose
+  completeness check is O(rows)) and turn them into band-error, convergence-rate
+  and linear-fit CSVs against each scheme's own reference spectrum.
+
+Spectra and band rows stream: each is made only while it is written or read.
 
 A sweep of two or more Ns with a warped (augmented) scheme, in a process that
 may run on more than one CPU, solves them on two: one child process, a fresh
@@ -343,12 +345,16 @@ def _child_results(child, n: int) -> list:
     return results
 
 
-def _write_case(outdir: Path, scheme: str, N: int, seed: int, case: CaseResult) -> list[tuple]:
-    """Write an augmented case's trace CSV and checkpoint; return the case's spectra rows."""
+def _write_case(outdir: Path, N: int, seed: int, case: CaseResult) -> None:
+    """Write an augmented case's trace CSV and checkpoint."""
     if case.params is not None:
         case.training.write_csv(outdir / f"trace_augmented_N{N}.csv")
         save_checkpoint(case.params, outdir / f"checkpoint_augmented_N{N}.txt", seed=seed)
-    return [(scheme, N, n, E) for n, E in enumerate(case.eigenvalues.tolist())]
+
+
+def _spectra_rows(cases):
+    """The spectra rows (scheme, N, n, E) of (scheme, N, levels) triples, made one case at a time."""
+    return ((scheme, N, n, E) for scheme, N, levels in cases for n, E in enumerate(levels.tolist()))
 
 
 def write_sweep(outdir: Path, config: ExperimentConfig, Ns, results: list) -> int:
@@ -356,25 +362,26 @@ def write_sweep(outdir: Path, config: ExperimentConfig, Ns, results: list) -> in
 
     An N whose every scheme solved gets its cases' files and rows and a 'done' line; a
     failed N gets its error under "failed" in ``manifest.json``, no file and no row.  Then
-    ``spectra.csv`` and the manifest are written.  Returns the exit status: 1 if an N
-    failed, else 0.
+    ``spectra.csv`` and the manifest are written.  The rows stream: only each written case's
+    level array is kept, and a row exists only while it is written.  Returns the exit
+    status: 1 if an N failed, else 0.
     """
-    all_rows, completed, failed = [], [], {}
+    written, completed, failed = [], [], {}  # written: (scheme, N, levels) per case
     for N, solved in zip(Ns, results):
         error = solved if isinstance(solved, str) else None
         try:
-            rows = [] if error else [row for scheme, case in zip(config.schemes(), solved)
-                                     for row in _write_case(outdir, scheme, N, config.seed_at(N), case)]
+            for case in solved if not error else []:
+                _write_case(outdir, N, config.seed_at(N), case)
         except Exception as exc:  # noqa: BLE001 - record and continue the sweep
             error = _failure(exc)
         if error:
             failed[str(N)] = error
             print(f"sweep N={N} FAILED: {error.partition(': ')[2]}", file=sys.stderr)
         else:
-            all_rows.extend(rows)
+            written.extend((scheme, N, case.eigenvalues) for scheme, case in zip(config.schemes(), solved))
             completed.append(N)
             print(f"sweep N={N} done")
-    write_spectra_csv(outdir / "spectra.csv", all_rows)
+    write_spectra_csv(outdir / "spectra.csv", _spectra_rows(written))
     manifest = {"completed": completed, "failed": failed}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -392,8 +399,9 @@ def cmd_solve(config: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for scheme in config.schemes():
         case = solve_case(config, scheme, config.N, config.seed)
-        rows = _write_case(outdir, scheme, config.N, config.seed, case)
-        write_spectra_csv(outdir / f"spectrum_{scheme}_N{config.N}.csv", rows)
+        _write_case(outdir, config.N, config.seed, case)
+        write_spectra_csv(outdir / f"spectrum_{scheme}_N{config.N}.csv",
+                          _spectra_rows([(scheme, config.N, case.eigenvalues)]))
         first = ", ".join(f"{E:.10g}" for E in case.eigenvalues[:5])
         print(f"solve scheme={scheme} N={config.N} Q={config.Q} trace={case.trace:.12g} E[0:5]=[{first}]")
     return 0
@@ -413,10 +421,13 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 
 
 def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:
+    """Read the spectra, build and check every scheme's report, then make `output_dir` and write the
+    bands, rates and fits CSVs.  Each case's band errors are kept as two arrays, and the rows of
+    ``bands.csv`` stream from them as they are written."""
     for path in spectra_paths:
         if not Path(path).exists():
             raise ConfigError(f"missing spectra file: {path}")
-    band_rows, rate_rows, fit_rows = [], [], []
+    bands, rate_rows, fit_rows = [], [], []  # bands: (scheme, N, abs errors, rel errors) per case
     try:  # the inputs are read, and every report built and checked, before the output directory is made
         data = read_spectra_csv(*spectra_paths)
         if not data:
@@ -424,20 +435,16 @@ def cmd_analyze(spectra_paths, n_ref: int, output_dir: Path) -> int:
         for scheme in sorted(data):
             report = build_convergence_report(scheme, data[scheme], n_ref)
             for N in sorted(report.band_errors):
-                abs_err = report.band_errors[N]
-                rel_err = band_average_errors(
-                    data[scheme][N], report.reference[:N], BAND_SIZE, relative=True
-                )
-                band_rows.extend(
-                    (scheme, N, b, abs_err[b], rel_err[b]) for b in range(abs_err.size)
-                )
+                rel_err = band_average_errors(data[scheme][N], report.reference[:N], BAND_SIZE, relative=True)
+                bands.append((scheme, N, report.band_errors[N], rel_err))
             rate_rows.extend((scheme, N, report.rates[N]) for N in sorted(report.rates))
             if np.isfinite(report.fit[0]):
                 fit_rows.append((scheme, report.fit[0], report.fit[1]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     output_dir.mkdir(parents=True, exist_ok=True)
-    write_bands_csv(output_dir / "bands.csv", band_rows)
+    write_bands_csv(output_dir / "bands.csv", ((scheme, N, b, a, r) for scheme, N, abs_err, rel_err in bands
+                                               for b, (a, r) in enumerate(zip(abs_err.tolist(), rel_err.tolist()))))
     write_rates_csv(output_dir / "rates.csv", rate_rows)
     write_fits_csv(output_dir / "fits.csv", fit_rows)
     print(f"analyze wrote bands/rates/fits under {output_dir}")

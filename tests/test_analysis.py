@@ -226,6 +226,13 @@ class TestCsvWriters:
         back = read_spectra_csv(tmp_path / "s.csv")["hermite"][values.size]
         assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
+    def test_a_zero_given_twice_is_one_level_with_the_later_bits(self, tmp_path):
+        # -0.0 == 0.0, so the second row agrees with the first, and its bits are the ones returned
+        path = tmp_path / "s.csv"
+        write_spectra_csv(path, [("hermite", 1, 0, -0.0), ("hermite", 1, 0, 0.0)])
+        back = read_spectra_csv(path)["hermite"][1]
+        assert back.view(np.int64).tolist() == [0]
+
     def test_reader_errors_name_the_line(self, tmp_path):
         path = tmp_path / "s.csv"
         write_spectra_csv(path, [("hermite", 2, 0, 0.5), ("hermite", 2, 1, 1.5)])

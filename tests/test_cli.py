@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -589,6 +590,16 @@ class TestAnalyze:
             (["hermite,2,0,0.5\nhermite,2,1,1.5", "hermite,2,0,0.5"], "1.csv: incomplete spectrum for hermite N=2"),
             # inputs that agree on every level of a case are accepted
             (["hermite,2,0,0.5\nhermite,2,1,1.5", "hermite,2,1,1.5\nhermite,2,0,0.5"], None),
+            # an index below 0 or at N or above is no level of the case
+            (["hermite,2,-1,0.5\nhermite,2,0,0.5\nhermite,2,1,1.5"], "0.csv: incomplete spectrum for hermite N=2"),
+            (["hermite,2,0,0.5\nhermite,2,1,1.5\nhermite,2,2,2.5"], "0.csv: incomplete spectrum for hermite N=2"),
+            # three rows from 0 to N-1 = 2, but n = 1 missing: a repeat does not count twice
+            (["hermite,3,0,0.5\nhermite,3,0,0.5\nhermite,3,2,2.5"], "0.csv: incomplete spectrum for hermite N=3"),
+            # a level given twice with one value in one file is accepted; a NaN differs from itself
+            (["hermite,2,0,0.5\nhermite,2,1,1.5\nhermite,2,0,0.5"], None),
+            (["hermite,1,0,nan\nhermite,1,0,nan"], "0.csv:4: conflicting value for hermite N=1 n=0"),
+            # completeness is decided from the file's own rows, whatever N a row names
+            (["hermite,1000000000000,0,0.5"], "0.csv: incomplete spectrum for hermite N=1000000000000"),
         ],
     )
     def test_inconsistent_spectra_exit_2_before_any_output(self, tmp_path, capsys, files, message):
@@ -660,6 +671,49 @@ class TestAnalyze:
         )
         assert code == 0
         assert (out / "spectrum_hermite_N4.csv").exists()
+
+
+def traced_peak_mib(fn, *args) -> tuple:
+    """fn(*args), and the most Python memory (MiB) it held at once beyond what was held before the call."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestSpectraMemory:
+    """The plain ladder's 176 cases (N = 5..180, 16,280 rows) stream through the spectra writer and
+    reader: the writer holds no Python object per level, and the reader none but each level's value
+    and an index per row.  Each bound lies below what one more object per level costs: a
+    tuple per row held by `write_sweep` takes 1.5-1.7 MiB, a set entry per level in
+    `read_spectra_csv` 2.1 MiB."""
+
+    Ns = range(5, 181)
+
+    @pytest.fixture
+    def ladder(self, tmp_path):
+        rng = np.random.default_rng(36)
+        results = [[cli.CaseResult(np.sort(rng.uniform(0.0, 1e4, N)), 0.0, None, None)] for N in self.Ns]
+        return tmp_path, ExperimentConfig(scheme="hermite"), results
+
+    def test_write_sweep_holds_no_row_per_level(self, ladder):
+        out, config, results = ladder
+        code, peak = traced_peak_mib(write_sweep, out, config, self.Ns, results)
+        assert code == 0 and peak < 0.5
+        assert (out / "spectra.csv").read_text().count("\n") == 2 + sum(self.Ns)
+
+    def test_read_spectra_csv_holds_no_set_entry_per_level(self, ladder):
+        out, config, results = ladder
+        write_sweep(out, config, self.Ns, results)
+        data, peak = traced_peak_mib(read_spectra_csv, out / "spectra.csv")
+        assert peak < 1.6
+        assert all(np.array_equal(data["hermite"][N], case.eigenvalues) for N, (case,) in zip(self.Ns, results))
 
 
 class TestSettingsInStep:

@@ -61,6 +61,24 @@ def test_verdicts_per_file(tmp_path):
     assert spec["per_scheme"]["augmented"] == {"max_abs": 0.0, "max_rel": 0.0}
 
 
+def test_solve_outputs_are_compared_as_the_sweeps(tmp_path):
+    # `solve --scheme both` writes a spectrum CSV per scheme, a checkpoint and a trace
+    assert ("solve", "--scheme", "both", "--N", "12", "--output-dir", "{out}/solve") in same_outputs.RUNS
+    hermite = [r for r in ROWS if r[:2] == ("hermite", 5)]
+    moved = [r[:3] + (r[3] * (1 + 1e-12),) for r in hermite]
+    files = {"solve/spectrum_augmented_N5.csv": spectra(ROWS[:2]), "solve/checkpoint_augmented_N5.txt": "theta 1\n"}
+    parent = write(tmp_path / "p", {**files, "solve/spectrum_hermite_N5.csv": spectra(hermite),
+                                    "solve/trace_augmented_N5.csv": trace([0.1, 0.2])})
+    change = write(tmp_path / "c", {**files, "solve/spectrum_hermite_N5.csv": spectra(moved),
+                                    "solve/trace_augmented_N5.csv": trace([0.3, 0.1])})
+    report = same_outputs.compare(parent, change)
+    assert report["solve/spectrum_augmented_N5.csv"] == report["solve/checkpoint_augmented_N5.txt"] == {
+        "verdict": "byte-identical"}
+    assert report["solve/trace_augmented_N5.csv"] == {"verdict": "identical except wall_ms"}
+    spec = report["solve/spectrum_hermite_N5.csv"]
+    assert spec["verdict"] == "differs" and spec["moved_cases"] == "1/1"
+
+
 def test_a_trace_that_moved_outside_wall_ms_differs(tmp_path):
     parent = write(tmp_path / "p", {"trace_augmented_N5.csv": trace([0.1, 0.2])})
     text = trace([0.1, 0.2]).replace("0.5,", "0.25,", 1)
@@ -120,9 +138,9 @@ def test_wall_time_of_each_step_per_side(tmp_path, monkeypatch, capsys):
     # each step's wall time on both sides and change/parent, by its output directory; the verdict
     # does not read them
     names = [same_outputs.step_name(step) for step in same_outputs.RUNS]
-    assert names == ["sweep", "sweep/analysis", "sweep/analysis-twice", "ladder", "ladder/analysis"]
-    seconds = {"parent": dict(zip(names, [30.0, 1.0, 1.0, 4.0, 0.5])),
-               "change": dict(zip(names, [30.0, 1.0, 1.0, 2.0, 0.25]))}
+    assert names == ["sweep", "sweep/analysis", "sweep/analysis-twice", "ladder", "ladder/analysis", "solve"]
+    seconds = {"parent": dict(zip(names, [30.0, 1.0, 1.0, 4.0, 0.5, 1.5])),
+               "change": dict(zip(names, [30.0, 1.0, 1.0, 2.0, 0.25, 1.5]))}
     sides = {"parent": {"ladder/manifest.json": "{}\n"}, "change": {"ladder/manifest.json": "{}\n"}}
     monkeypatch.setattr(same_outputs, "run_sides", fake_runs(sides, seconds))
     roots = [checkout(tmp_path / side) for side in sides]

@@ -11,6 +11,7 @@ bytecode written:
     hermflow analyze sweep/spectra.csv sweep/spectra.csv --n-ref 29   (one input given twice)
     hermflow sweep --scheme hermite --Q 200 --N-range 5..180  (the plain ladder)
     hermflow analyze ladder/spectra.csv --n-ref 180
+    hermflow solve --scheme both --N 12                        (one case per scheme)
 
 The outputs go under `--work` (a new temporary directory by default, removed
 afterwards), never into either checkout.  The sides run one after the other,
@@ -20,11 +21,13 @@ byte-identical or not.  A loss-trace CSV (`trace_*.csv`) is compared on every
 column but `wall_ms`.  For a spectra CSV that differs, the report gives max |dE|
 and the largest relative change |dE|/|E| per (scheme, N); any other CSV that
 differs gets the largest absolute and relative change over its numeric cells.
-Standard output is one JSON object, the report; standard error has one line per
-file.  The report also gives each side's summed trace `wall_ms` (the study's
-Adam steps; the ladder trains nothing) and each step's wall time on each side,
-from the command's start to its exit, named by its output directory (`ladder`
-is the plain ladder's sweep, `ladder/analysis` its analyze), each with its
+So `solve`'s two spectrum CSVs, checkpoint and trace are compared as the
+sweep's are.  Standard output is one JSON object, the report; standard error
+has one line per file.  The report also gives each side's summed trace
+`wall_ms` (the Adam steps of the study and of the solve; the ladder trains
+nothing) and each step's wall time on each side, from the command's start to
+its exit, named by its output directory (`ladder` is the plain ladder's sweep,
+`ladder/analysis` its analyze, `solve` the solve), each with its
 change/parent ratio.  The host's speed drifts between the two sides' runs, so
 these timings are evidence, not a measurement of a gain or a loss; the verdict
 does not read them.
@@ -62,6 +65,7 @@ RUNS = (
      "--output-dir", "{out}/sweep/analysis-twice"),
     ("sweep", "--scheme", "hermite", "--Q", "200", "--N-range", "5..180", "--output-dir", "{out}/ladder"),
     ("analyze", "{out}/ladder/spectra.csv", "--n-ref", "180", "--output-dir", "{out}/ladder/analysis"),
+    ("solve", "--scheme", "both", "--N", "12", "--output-dir", "{out}/solve"),
 )
 SIDES = ("parent", "change")
 IGNORED_COLUMNS = {"wall_ms"}
